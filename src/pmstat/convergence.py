@@ -49,41 +49,61 @@ _KNIFE_EDGE = 1e-9
 class IndexedSequence:
     """A sequence of carrier points given by a total generator on k >= 1.
 
+    The working form is ``value_codes(n)``: the positions in
+    ``space.points`` of x_1..x_n as one integer array, cached and sliced
+    for shorter horizons.  The built-in constructors supply ``codes``,
+    which computes that array in a few array passes; a sequence given only
+    by the scalar ``fn`` is evaluated one index at a time, and each value
+    is checked to be a carrier point as it is first needed.  ``fn`` stays
+    the reference definition the equivalence tests compare against.
+
     ``annotations`` carries ground-truth metadata attached by
     constructors or the instance generator (intended limit, exceptional
-    sets, expected cluster sets); detectors never read it.  Values and
-    integer codes are cached per horizon.
+    sets, expected cluster sets); detectors never read it.
     """
 
     space: FinitePMSpace
     fn: Callable[[int], str]
     description: str
     annotations: dict = field(default_factory=dict)
-    _values: list = field(default_factory=list, repr=False)
-    _codes: dict = field(default_factory=dict, repr=False)
+    codes: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
+    _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
 
     def values(self, n: int) -> list[str]:
-        while len(self._values) < n:
-            k = len(self._values) + 1
-            v = self.fn(k)
-            if v not in self.space.points:
-                raise ValueError(f"sequence value {v!r} at k={k} is not a carrier point")
-            self._values.append(v)
-        return self._values[:n]
+        return [self.space.points[c] for c in self.value_codes(n).tolist()]
 
     def value_codes(self, n: int) -> np.ndarray:
-        cached = self._codes.get(n)
-        if cached is not None:
-            return cached
+        have = len(self._codes)
+        if n > have:
+            if self.codes is not None:
+                codes = np.asarray(self.codes(n), dtype=np.int64)
+            else:
+                codes = np.concatenate((self._codes, self._scalar_codes(have + 1, n)))
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes[:n]
+
+    def _scalar_codes(self, lo: int, hi: int) -> np.ndarray:
         order = {p: i for i, p in enumerate(self.space.points)}
-        codes = np.fromiter((order[v] for v in self.values(n)), dtype=np.int64, count=n)
-        self._codes[n] = codes
-        return codes
+        out = np.empty(hi - lo + 1, dtype=np.int64)
+        for k in range(lo, hi + 1):
+            v = self.fn(k)
+            if v not in order:
+                raise ValueError(f"sequence value {v!r} at k={k} is not a carrier point")
+            out[k - lo] = order[v]
+        return out
+
+
+def _code(space: FinitePMSpace, p: str) -> int:
+    _check_point(space, p)
+    return space.points.index(p)
 
 
 def constant_sequence(space: FinitePMSpace, point: str) -> IndexedSequence:
-    _check_point(space, point)
-    return IndexedSequence(space, lambda k: point, f"const:{point}", {"limit": point})
+    c = _code(space, point)
+    return IndexedSequence(
+        space, lambda k: point, f"const:{point}", {"limit": point}, lambda n: np.full(n, c, dtype=np.int64)
+    )
 
 
 def eventually_constant(
@@ -95,26 +115,33 @@ def eventually_constant(
     """``x_k = limit`` off the exceptional set, other points on it.
 
     ``off`` names the point (or cycle of points) used on the exceptional
-    indices; by default the other carrier points are cycled.
+    indices; by default the other carrier points are cycled, index k
+    taking ``pool[k % len(pool)]``.
     """
-    _check_point(space, limit)
+    lc = _code(space, limit)
     if off is None:
         pool = tuple(p for p in space.points if p != limit) or (limit,)
     elif isinstance(off, str):
         pool = (off,)
     else:
         pool = tuple(off)
-    for p in pool:
-        _check_point(space, p)
+    pool_codes = np.array([_code(space, p) for p in pool], dtype=np.int64)
 
     def gen(k: int) -> str:
         return pool[k % len(pool)] if exceptional.fn(k) else limit
+
+    def codes(n: int) -> np.ndarray:
+        out = np.full(n, lc, dtype=np.int64)
+        ks = np.flatnonzero(exceptional.indicator(n)) + 1
+        out[ks - 1] = pool_codes[ks % len(pool)]
+        return out
 
     return IndexedSequence(
         space,
         gen,
         f"except:{limit}:{exceptional.name}",
         {"limit": limit, "defect_set": exceptional},
+        codes,
     )
 
 
@@ -122,27 +149,33 @@ def alternating(
     space: FinitePMSpace, p: str, q: str, selector: IndexSet
 ) -> IndexedSequence:
     """``x_k = p`` on the selector set, ``q`` off it."""
-    _check_point(space, p)
-    _check_point(space, q)
+    pc, qc = _code(space, p), _code(space, q)
     return IndexedSequence(
         space,
         lambda k: p if selector.fn(k) else q,
         f"alternate:{p},{q}:{selector.name}",
         {"cluster_pair": (p, q), "selector": selector},
+        lambda n: np.where(selector.indicator(n), pc, qc),
     )
 
 
 def from_values(space: FinitePMSpace, values: Sequence[str], tail: str) -> IndexedSequence:
     """Explicit prefix, then the constant ``tail``."""
     vals = tuple(values)
-    for v in vals:
-        _check_point(space, v)
-    _check_point(space, tail)
+    prefix = np.array([_code(space, v) for v in vals], dtype=np.int64)
+    tc = _code(space, tail)
+
+    def codes(n: int) -> np.ndarray:
+        out = np.full(n, tc, dtype=np.int64)
+        out[: len(prefix)] = prefix[:n]
+        return out
+
     return IndexedSequence(
         space,
         lambda k: vals[k - 1] if k <= len(vals) else tail,
         f"list[{len(vals)}]-then-{tail}",
         {"limit": tail},
+        codes,
     )
 
 
@@ -150,21 +183,37 @@ def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
     """``y_k = x_k`` on the kept set and ``fill`` elsewhere.
 
     The agreement set is recorded so equivalence checks can verify the
-    two sequences differ only inside a declared index set.
+    two sequences differ only inside a declared index set.  A base given
+    only by a scalar generator keeps the splice scalar, so the base is
+    still read only on the kept indices.
     """
-    _check_point(x.space, fill)
+    fc = _code(x.space, fill)
+
+    def codes(n: int) -> np.ndarray:
+        return np.where(keep.indicator(n), x.value_codes(n), fc)
+
     return IndexedSequence(
         x.space,
         lambda k: x.fn(k) if keep.fn(k) else fill,
         f"splice({x.description}|{keep.name}|{fill})",
         {"spliced_from": x.description, "agreement_set": keep, "fill": fill},
+        codes if x.codes is not None else None,
     )
+
+
+def _point_set(x: IndexedSequence, name: str, flags: Mapping[str, bool]) -> IndexSet:
+    """Index set ``{ k : flags[x_k] }``.
+
+    The indicator reads the cached codes; the scalar form reads ``fn``.
+    """
+    arr = np.array([bool(flags[p]) for p in x.space.points], dtype=bool)
+    return IndexSet(name, lambda k: bool(flags[x.fn(k)]), lambda n: arr[x.value_codes(n)])
 
 
 def visit_set(x: IndexedSequence, point: str) -> IndexSet:
     """Indices where the sequence visits the point; total predicate."""
     _check_point(x.space, point)
-    return IndexSet(f"visits:{point}", lambda k: x.fn(k) == point)
+    return _point_set(x, f"visits:{point}", {p: p == point for p in x.space.points})
 
 
 def visit_witnesses(x: IndexedSequence, candidates: Iterable[str] | None = None) -> dict[str, IndexSet]:
@@ -183,15 +232,8 @@ def _check_point(space: FinitePMSpace, p: str) -> None:
         raise ValueError(f"unknown carrier point {p!r}")
 
 
-def _dist_to(x: IndexedSequence, target: str, n: int) -> np.ndarray:
-    row = np.array([x.space.dist(p, target) for p in x.space.points])
-    return row[x.value_codes(n)]
-
-
-def _neighborhood_defect(
-    x: IndexedSequence, target: str, t: float, n: int
-) -> IndexSet:
-    """Index set ``{ k : x_k not in N_target(t) }`` with a fast indicator.
+def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
+    """Index set ``{ k : x_k not in N_target(t) }``.
 
     Computed from ``F_{x_k, target}(t) <= 1 - t`` and cross-checked
     against the exact gap form ``dist(x_k, target) >= t``; the two agree
@@ -205,41 +247,25 @@ def _neighborhood_defect(
             raise RuntimeError(
                 f"neighborhood forms disagree for ({p}, {target}) at t={t}"
             )
-    point_flags = np.array([by_f[p] for p in space.points], dtype=bool)
-    arr = point_flags[x.value_codes(n)]
-
-    def fn(k: int) -> bool:
-        return by_f[x.fn(k)]
-
-    def vec(m: int) -> np.ndarray:
-        if m <= n:
-            return arr[:m]
-        return np.fromiter((fn(k) for k in range(1, m + 1)), dtype=bool, count=m)
-
-    return IndexSet(f"defect({target},t={t})", fn, vec)
-
-
-def _value_index_set(
-    x: IndexedSequence, name: str, point_pred: Callable[[str], bool], n: int
-) -> IndexSet:
-    flags = {p: bool(point_pred(p)) for p in x.space.points}
-    arr = np.array([flags[p] for p in x.space.points], dtype=bool)[x.value_codes(n)]
-
-    def fn(k: int) -> bool:
-        return flags[x.fn(k)]
-
-    def vec(m: int) -> np.ndarray:
-        if m <= n:
-            return arr[:m]
-        return np.fromiter((fn(k) for k in range(1, m + 1)), dtype=bool, count=m)
-
-    return IndexSet(name, fn, vec)
+    return _point_set(x, f"defect({target},t={t})", by_f)
 
 
 def _grid(space: FinitePMSpace) -> tuple[float, ...]:
     ts = space.thresholds()
     # single-point carrier: any positive t behaves the same
     return ts if ts else (1.0,)
+
+
+def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> int:
+    """First 1-based position from which the coded points stay in every N_target(t).
+
+    ``codes`` is a sequence or subsequence.  A point leaves some
+    N_target(t) exactly when its gap to the target reaches the smallest
+    threshold, so one comparison against that threshold decides all t.
+    """
+    gaps = np.array([space.dist(p, target) for p in space.points])[codes]
+    bad = np.flatnonzero(gaps >= min(_grid(space)))
+    return int(bad[-1]) + 2 if len(bad) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +283,7 @@ def strong_conv_detect(
     tail cannot hide behind the horizon.
     """
     _check_point(x.space, limit)
-    d = _dist_to(x, limit, horizon)
-    k0 = 1
-    for t in _grid(x.space):
-        bad = np.nonzero(d >= t)[0]
-        if len(bad):
-            k0 = max(k0, int(bad[-1]) + 2)
+    k0 = _entry_index(x.space, x.value_codes(horizon), limit)
     if k0 <= horizon // 2:
         return Verdict(CONVERGED, limit, 0.0, tol, witness=k0)
     late = k0 > horizon - max(1, horizon // 10)
@@ -299,7 +320,7 @@ def ai_stat_conv_detect(
     _check_point(x.space, limit)
     per_t: dict[float, Verdict] = {}
     for t in _grid(x.space):
-        defect = _neighborhood_defect(x, limit, t, horizon)
+        defect = _neighborhood_defect(x, limit, t)
         per_t[t] = ai_density_is_null(A, ideal, defect, horizon, tol)
     return _aggregate(per_t, limit, tol)
 
@@ -317,16 +338,12 @@ def ai_stat_cauchy_detect(
     only the value at k0 matters) such that for every threshold t the set
     ``{ k : x_k not in N_{x_k0}(t) }`` has A^I-density zero.
     """
-    codes = x.value_codes(horizon)
-    first_seen: dict[str, int] = {}
-    for i, c in enumerate(codes):
-        p = x.space.points[int(c)]
-        if p not in first_seen:
-            first_seen[p] = i + 1
+    seen, first = np.unique(x.value_codes(horizon), return_index=True)
     best: Verdict | None = None
-    for p, k0 in sorted(first_seen.items(), key=lambda kv: kv[1]):
+    for i in np.argsort(first):
+        p, k0 = x.space.points[int(seen[i])], int(first[i]) + 1
         per_t = {
-            t: ai_density_is_null(A, ideal, _neighborhood_defect(x, p, t, horizon), horizon, tol)
+            t: ai_density_is_null(A, ideal, _neighborhood_defect(x, p, t), horizon, tol)
             for t in _grid(x.space)
         }
         v = _aggregate(per_t, p, tol, witness=k0)
@@ -367,7 +384,7 @@ def lemma_cauchy_predicates(
             slack = space.vicinity_composition_alpha(g)
         except ValueError:
             slack = g
-        removal = _neighborhood_defect(x, anchor, slack, horizon)
+        removal = _neighborhood_defect(x, anchor, slack)
         null_v = ai_density_is_null(A, ideal, removal, horizon, tol)
         kept = np.unique(x.value_codes(horizon)[~removal.indicator(horizon)])
         pair_gap = 0.0
@@ -386,12 +403,10 @@ def lemma_cauchy_predicates(
     for g in _grid(space):
         bad_points = set()
         for c in space.points:
-            v = ai_density_is_null(A, ideal, _neighborhood_defect(x, c, g, horizon), horizon, tol)
+            v = ai_density_is_null(A, ideal, _neighborhood_defect(x, c, g), horizon, tol)
             if not v.converged:
                 bad_points.add(c)
-        outer = _value_index_set(
-            x, f"rows-with-bad-defect(t={g})", lambda p, bad=bad_points: p in bad, horizon
-        )
+        outer = _point_set(x, f"rows-with-bad-defect(t={g})", {p: p in bad_points for p in space.points})
         per_g3[g] = ai_density_is_null(A, ideal, outer, horizon, tol)
     p3 = _aggregate(per_g3, anchor, tol)
 
@@ -422,31 +437,26 @@ def ai_star_conv_detect(
         raise ValueError(
             f"witness set {witness.name} has inconclusive density (residual {comp_v.residual})"
         )
-    ks = np.nonzero(witness.indicator(horizon))[0] + 1
-    if len(ks) < 10:
-        return Verdict(INCONCLUSIVE, limit, 1.0, tol, witness={"kept": int(len(ks))})
-    sub_values = [x.fn(int(k)) for k in ks]
-    target = sub_values[-1] if cauchy else limit
+    keep = witness.indicator(horizon)
+    kept = int(keep.sum())
+    if kept < 10:
+        return Verdict(INCONCLUSIVE, limit, 1.0, tol, witness={"kept": kept})
+    sub = x.value_codes(horizon)[keep]
+    target = x.space.points[int(sub[-1])] if cauchy else limit
     if target is None:
         raise ValueError("a limit point is required unless cauchy=True")
     _check_point(x.space, target)
-    row = {p: x.space.dist(p, target) for p in x.space.points}
-    j0 = 1
-    for t in _grid(x.space):
-        for j in range(len(sub_values), 0, -1):
-            if row[sub_values[j - 1]] >= t:
-                j0 = max(j0, j + 1)
-                break
-    inner_ok = j0 <= len(ks) // 2
+    j0 = _entry_index(x.space, sub, target)
+    inner_ok = j0 <= kept // 2
     ok = comp_v.converged and inner_ok
-    residual = comp_v.residual if inner_ok else max(comp_v.residual, (j0 - 1) / len(ks))
-    status = CONVERGED if ok else (DIVERGED if not inner_ok and j0 > len(ks) - len(ks) // 10 else INCONCLUSIVE)
+    residual = comp_v.residual if inner_ok else max(comp_v.residual, (j0 - 1) / kept)
+    status = CONVERGED if ok else (DIVERGED if not inner_ok and j0 > kept - kept // 10 else INCONCLUSIVE)
     return Verdict(
         status,
         target,
         residual if not ok else min(residual, tol),
         tol,
-        witness={"subsequence_entry": int(j0), "kept": int(len(ks))},
+        witness={"subsequence_entry": j0, "kept": kept},
     )
 
 
@@ -493,18 +503,11 @@ def lambda_set(
         nonthin, _ = _nonthin_verdict(A, ideal, wit[c], horizon, tol)
         if not nonthin:
             continue
-        ks = np.nonzero(wit[c].indicator(horizon))[0] + 1
-        if len(ks) == 0:
+        sub = x.value_codes(horizon)[wit[c].indicator(horizon)]
+        if len(sub) == 0:
             continue
-        row = {p: x.space.dist(p, c) for p in x.space.points}
-        sub = [x.fn(int(k)) for k in ks]
-        j0 = 1
-        for t in _grid(x.space):
-            for j in range(len(sub), 0, -1):
-                if row[sub[j - 1]] >= t:
-                    j0 = max(j0, j + 1)
-                    break
-        if j0 == 1 or j0 <= len(ks) // 2:
+        j0 = _entry_index(x.space, sub, c)
+        if j0 == 1 or j0 <= len(sub) // 2:
             out.add(c)
     return frozenset(out)
 
@@ -527,7 +530,7 @@ def gamma_set(
     for c in x.space.points:
         ok = True
         for t in _grid(x.space):
-            hits = ~_neighborhood_defect(x, c, t, horizon)
+            hits = ~_neighborhood_defect(x, c, t)
             nonthin, v = _nonthin_verdict(A, ideal, hits, horizon, tol)
             if v.status == INCONCLUSIVE and not nonthin:
                 warnings.warn(
@@ -550,7 +553,7 @@ def strong_limit_point_set(x: IndexedSequence, horizon: int = DEFAULT_HORIZON) -
     stand-in for "visited infinitely often" is recurrence in the tail.
     """
     w0 = tail_start(horizon)
-    return frozenset(x.values(horizon)[w0 - 1 :])
+    return frozenset(x.space.points[c] for c in np.unique(x.value_codes(horizon)[w0 - 1 :]))
 
 
 def stat_bounded_check(
@@ -569,5 +572,5 @@ def stat_bounded_check(
     allowed = frozenset(inside)
     for p in allowed:
         _check_point(x.space, p)
-    outside = _value_index_set(x, f"outside:{sorted(allowed)}", lambda p: p not in allowed, horizon)
+    outside = _point_set(x, f"outside:{sorted(allowed)}", {p: p not in allowed for p in x.space.points})
     return ai_density_is_null(A, ideal, outside, horizon, tol)
