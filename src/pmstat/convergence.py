@@ -125,6 +125,8 @@ def eventually_constant(
         pool = (off,)
     else:
         pool = tuple(off)
+        if not pool:
+            raise ValueError("off needs at least one point")
     pool_codes = np.array([_code(space, p) for p in pool], dtype=np.int64)
 
     def gen(k: int) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -371,6 +372,8 @@ class TriangularMatrix(SummMatrix):
         power: float = 0.0,
         index_map: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
+        if not math.isfinite(power):
+            raise ValueError(f"weight power must be finite, got {power}")
         self.name = name
         self.power = power
         self._map = index_map
@@ -380,9 +383,15 @@ class TriangularMatrix(SummMatrix):
         return np.arange(1, n + 1, dtype=float) ** self.power
 
     def _weight_sums(self, n: int) -> np.ndarray:
-        """Running sums w_1 + ... + w_j for j = 1..n."""
+        """Running sums w_1 + ... + w_j for j = 1..n.
+
+        Unit weights sum to the row numbers themselves, exactly.
+        """
         if len(self._wsum) < n:
-            self._wsum = np.cumsum(self._weights(n))
+            if self.power == 0:
+                self._wsum = np.arange(1, n + 1, dtype=float)
+            else:
+                self._wsum = np.cumsum(self._weights(n))
         return self._wsum[:n]
 
     def _mapped(self, n: int) -> np.ndarray:
@@ -396,12 +405,11 @@ class TriangularMatrix(SummMatrix):
         return (int(v) for v in self._mapped(n))
 
     def entry(self, n: int, k: int) -> float:
-        mapped = self._mapped(n)
-        idx = np.searchsorted(mapped, k)
-        if idx >= n or mapped[idx] != k:
+        phi = self._map or (lambda j: j)
+        j = bisect_left(range(1, n + 1), k, key=phi) + 1
+        if j > n or phi(j) != k:
             return 0.0
-        w = self._weights(n)
-        return float(w[idx] / w.sum())
+        return float(np.float64(j) ** self.power / self._weight_sums(n)[-1])
 
     def row_sums(self, n_rows: int) -> np.ndarray:
         csum = self._weight_sums(n_rows)
@@ -787,6 +795,26 @@ def ideal_limit_at(
     sets (Fin is a subset of I), and that is how ``Ideal.contains`` reads
     ``fin``.  A diverged epsilon whose B-density tail minimum is within
     SETTLE_FACTOR * tol is inconclusive, not diverged.
+
+    The sub-verdict of an epsilon depends only on its defect rows, so each
+    distinct defect set is decided once per extraction, across the epsilon
+    grid and, in ``ideal_limit``, across the candidate limits.  The empty
+    defect set takes its closed form: its partial B-densities vanish on
+    every row, so it converges to 0 with no series built.
+    """
+    return _ideal_limit_at(y, ideal, target, tol, {})
+
+
+def _ideal_limit_at(
+    y: np.ndarray,
+    ideal: Ideal,
+    target: float,
+    tol: float,
+    decided: dict[bytes, Verdict],
+) -> Verdict:
+    """``ideal_limit_at`` with a memo of sub-verdicts keyed by packed defect rows.
+
+    A memo may be shared only between calls with the same y, ideal and tol.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) == 0:
@@ -804,11 +832,18 @@ def ideal_limit_at(
         statuses = []
         for eps in _eps_grid(tol):
             defect = dev >= eps
-            v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
-            if not v.converged and not defect[w0 - 1 :].any():
-                v = replace(v, status=CONVERGED, residual=0.0)
-            elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
-                v = replace(v, status=INCONCLUSIVE)
+            key = np.packbits(defect).tobytes()
+            v = decided.get(key)
+            if v is None:
+                if not defect.any():
+                    v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
+                else:
+                    v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
+                    if not v.converged and not defect[w0 - 1 :].any():
+                        v = replace(v, status=CONVERGED, residual=0.0)
+                    elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
+                        v = replace(v, status=INCONCLUSIVE)
+                decided[key] = v
             sub[f"eps={eps}"] = v.to_json()
             worst = max(worst, v.residual)
             statuses.append(v.status)
@@ -841,7 +876,8 @@ def ideal_limit(
     When no candidates are supplied a coarse default is used: the last
     partial value, the tail median, and the landmarks 0, 1/2, 1.
     Converged candidates win by smallest residual; otherwise the smallest
-    residual is reported with its (non-converged) status.
+    residual is reported with its (non-converged) status.  The candidates
+    share their density-ideal sub-verdicts (see ``ideal_limit_at``).
     """
     y = np.asarray(y, dtype=float)
     if candidates is None:
@@ -852,9 +888,10 @@ def ideal_limit(
     for c in candidates:
         if not any(abs(c - s) <= 1e-12 for s in seen):
             seen.append(float(c))
+    decided: dict[bytes, Verdict] = {}
     best: Verdict | None = None
     for c in seen:
-        v = ideal_limit_at(y, ideal, c, tol)
+        v = _ideal_limit_at(y, ideal, c, tol, decided)
         if best is None:
             best = v
         elif (v.converged, -v.residual) > (best.converged, -best.residual):

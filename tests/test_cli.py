@@ -183,6 +183,11 @@ class TestMatrixAndDensityCommands:
         assert main(["matrix-check", "--matrix", "hilbert"]) == 2
         assert "cannot parse matrix spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_non_finite_weights_exit_2(self, power: str, capsys: pytest.CaptureFixture) -> None:
+        assert main(["density", "evens", "--matrix", f"weighted:{power}"]) == 2
+        assert "weight power must be finite" in capsys.readouterr().err
+
     def test_density_reports_value(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
         out = tmp_path / "density.json"
         assert main(["density", "evens", "--out", str(out)]) == 0

@@ -77,6 +77,10 @@ class TestSequences:
         y = eventually_constant(eq3, "a", SQUARES, off=("c", "b"))
         assert y.values(4)[0] == "b" and y.values(4)[3] == "c"
 
+    def test_eventually_constant_rejects_empty_off_cycle(self, eq3) -> None:
+        with pytest.raises(ValueError, match="at least one point"):
+            eventually_constant(eq3, "a", SQUARES, off=())
+
     def test_alternating(self, alternator) -> None:
         assert alternator.values(6) == ["b", "a", "b", "a", "b", "a"]
         assert alternator.annotations["cluster_pair"] == ("a", "b")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pmstat import (
     ALL_INDICES,
@@ -44,6 +46,12 @@ from pmstat import (
     squares_rows,
     tail_start,
     weighted_mean,
+)
+from pmstat.summability import (
+    SETTLE_FACTOR,
+    TriangularMatrix,
+    _eps_grid,
+    _ordinary_limit_verdict,
 )
 
 
@@ -207,6 +215,47 @@ class TestMatrices:
             fast = A.density_series(member, rows)
             slow = SummMatrix.density_series(A, member, rows)
             assert np.allclose(fast, slow, atol=1e-12), (A.name, member.name)
+
+    @staticmethod
+    def _row_formula_entry(A: TriangularMatrix, n: int, k: int) -> float:
+        """``entry`` as a whole-row computation: map row n, weigh it, normalise."""
+        mapped = A._mapped(n)
+        idx = np.searchsorted(mapped, k)
+        if idx >= n or mapped[idx] != k:
+            return 0.0
+        w = A._weights(n)
+        return float(w[idx] / w.sum())
+
+    @pytest.mark.parametrize("spec", ["cesaro", "weighted:1", "weighted:0.5", "squares"])
+    def test_entry_matches_row_formula(self, spec: str, monkeypatch) -> None:
+        A = matrix_from_spec(spec)
+        cells = [(n, k) for n in (1, 2, 7, 64, 300) for k in range(0, A.support_bound(n) + 3)]
+        expected = [self._row_formula_entry(A, n, k) for n, k in cells]
+        # once the weight sums are cached, entry reads them and one weight,
+        # never a whole row
+        A._weight_sums(300)
+        monkeypatch.setattr(A, "_mapped", None)
+        monkeypatch.setattr(A, "_weights", None)
+        got = [A.entry(n, k) for n, k in cells]
+        if spec == "weighted:0.5":
+            # a fractional power rounds differently in NumPy's array and
+            # scalar paths, and a running sum differs from a pairwise one
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weights_rejected(self, power: float) -> None:
+        with pytest.raises(ValueError, match="must be finite"):
+            weighted_mean(power)
+        with pytest.raises(ValueError, match="must be finite"):
+            matrix_from_spec(f"weighted:{power}")
+
+    def test_unit_weight_sums_are_row_numbers(self) -> None:
+        for A in (cesaro1(), squares_rows(), weighted_mean(0)):
+            sums = A._weight_sums(5000)
+            assert np.array_equal(sums, np.cumsum(np.ones(5000)))
+            assert np.array_equal(sums, np.arange(1, 5001))
 
     def test_matrix_from_spec(self) -> None:
         assert matrix_from_spec("cesaro").name == "cesaro"
@@ -416,3 +465,121 @@ class TestDensities:
         assert not ai_nonthin(cesaro1(), fin, SQUARES)
         # ODDS has density 1/2 too: nonthin even though not full
         assert ai_nonthin(cesaro1(), fin, ODDS)
+
+
+def _reference_ideal_limit_at(y: np.ndarray, ideal: Ideal, target: float, tol: float) -> Verdict:
+    """Density-ideal extraction as one loop: a fresh B-density series per epsilon."""
+    B = ideal.matrix
+    rows = B.max_row_for(len(y))
+    w0 = tail_start(len(y))
+    win = y[w0 - 1 :]
+    dev = np.abs(y - target)
+    sub: dict[str, dict] = {}
+    worst = 0.0
+    statuses = []
+    for eps in _eps_grid(tol):
+        defect = dev >= eps
+        v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
+        if not v.converged and not defect[w0 - 1 :].any():
+            v = replace(v, status=CONVERGED, residual=0.0)
+        elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
+            v = replace(v, status=INCONCLUSIVE)
+        sub[f"eps={eps}"] = v.to_json()
+        worst = max(worst, v.residual)
+        statuses.append(v.status)
+    if all(s == CONVERGED for s in statuses):
+        status = CONVERGED
+    elif DIVERGED in statuses:
+        status = DIVERGED
+    else:
+        status = INCONCLUSIVE
+    return Verdict(status, target, worst, tol, float(win.min()), float(win.max()), detail=sub)
+
+
+def _reference_ideal_limit(y: np.ndarray, ideal: Ideal, tol: float) -> Verdict:
+    """Default-candidate search, each candidate decided on its own."""
+    win = y[tail_start(len(y)) - 1 :]
+    seen: list[float] = []
+    for c in [float(y[-1]), float(np.median(win)), 0.0, 0.5, 1.0]:
+        if not any(abs(c - s) <= 1e-12 for s in seen):
+            seen.append(c)
+    best = None
+    for c in seen:
+        v = _reference_ideal_limit_at(y, ideal, c, tol)
+        if best is None or (v.converged, -v.residual) > (best.converged, -best.residual):
+            best = v
+    return best
+
+
+LEVELS = [0.0, 0.25, 0.5, 1.0, 0.49, 0.97, 0.03]
+
+
+@st.composite
+def partial_sequences(draw) -> np.ndarray:
+    """Piecewise-constant or decaying partial values over 16..400 rows."""
+    n = draw(st.integers(16, 400))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=4, unique=True)))
+        levels = draw(st.lists(st.sampled_from(LEVELS), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        return np.repeat(levels, np.diff([0, *cuts, n])).astype(float)
+    limit = draw(st.sampled_from(LEVELS))
+    scale = draw(st.sampled_from([-1.0, -0.3, 0.2, 1.0]))
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return limit + scale / np.arange(1, n + 1) ** rate
+
+
+class TestSharedDefectVerdicts:
+    """Each distinct defect set is decided once per extraction."""
+
+    MATRICES = ["cesaro", "weighted:1", "squares", "block:4", "identity"]
+
+    @given(
+        y=partial_sequences(),
+        mspec=st.sampled_from(MATRICES),
+        tol=st.sampled_from([0.01, 0.02, 0.05]),
+        target=st.sampled_from(LEVELS),
+    )
+    # a constant sequence gives all-empty defects at its own value and
+    # all-true defects a whole unit away
+    @example(y=np.full(100, 0.5), mspec="cesaro", tol=0.01, target=0.5)
+    @example(y=np.zeros(64), mspec="block:4", tol=0.02, target=1.0)
+    def test_matches_the_per_epsilon_loop(self, y, mspec, tol, target) -> None:
+        ideal = ideal_from_spec(f"density:{mspec}")
+        assert ideal_limit(y, ideal, tol).to_json() == _reference_ideal_limit(y, ideal, tol).to_json()
+        assert (
+            ideal_limit_at(y, ideal, target, tol).to_json()
+            == _reference_ideal_limit_at(y, ideal, target, tol).to_json()
+        )
+
+    def test_one_series_per_distinct_nonempty_defect(self) -> None:
+        B = cesaro1()
+        built = []
+        series = B.density_series
+
+        def counted(member, n_rows):
+            built.append(n_rows)
+            return series(member, n_rows)
+
+        B.density_series = counted
+        N, tol = 10**5, 0.01
+        v = ai_density(cesaro1(), Ideal.density_zero(B), EVENS, N, tol)
+        assert v.converged and v.value == 0.5
+
+        y = a_density_partial(cesaro1(), EVENS, N)
+        distinct = set()
+        for c in (0.5, 0.0, 1.0):  # the default candidates after deduplication
+            for eps in _eps_grid(tol):
+                defect = np.abs(y - c) >= eps
+                if defect.any():
+                    distinct.add(defect.tobytes())
+        assert len(built) == len(distinct) == 7
+        assert set(built) == {N}
+
+    def test_empty_defect_takes_its_closed_form(self) -> None:
+        B = cesaro1()
+        B.density_series = None  # any series built would raise
+        v = ideal_limit_at(np.full(50, 0.5), Ideal.density_zero(B), 0.5, 0.01)
+        closed = Verdict(CONVERGED, 0.0, 0.0, 0.01, 0.0, 0.0).to_json()
+        assert v.converged
+        assert len(v.detail) == len(_eps_grid(0.01))
+        assert all(d == closed for d in v.detail.values())
