@@ -151,7 +151,7 @@ def _cmd_dl(args: argparse.Namespace) -> int:
 
 
 def _cmd_tnorm_check(args: argparse.Namespace) -> int:
-    op = TriangleFn.from_tag(args.tnorm)
+    op = TriangleFn(args.tnorm)
     rng = np.random.default_rng(args.seed)
     sample = [random_step_fn(rng) for _ in range(args.samples)] + [unit_step(0.0), unit_step(0.4)]
     # the bisection metric only resolves distances down to dl_tol, and float

@@ -39,6 +39,7 @@ from .summability import (
     SummMatrix,
     Verdict,
     ai_density_is_null,
+    combined_status,
     tail_start,
 )
 
@@ -294,14 +295,8 @@ def strong_conv_detect(
 
 
 def _aggregate(per_t: dict[float, Verdict], value: object, tol: float, witness: object = None) -> Verdict:
-    statuses = [v.status for v in per_t.values()]
+    status = combined_status(v.status for v in per_t.values())
     residual = max((v.residual for v in per_t.values()), default=0.0)
-    if all(s == CONVERGED for s in statuses):
-        status = CONVERGED
-    elif DIVERGED in statuses:
-        status = DIVERGED
-    else:
-        status = INCONCLUSIVE
     detail = {f"t={t}": v.to_json() for t, v in sorted(per_t.items())}
     return Verdict(status, value, residual, tol, witness=witness, detail=detail)
 

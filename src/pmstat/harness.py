@@ -19,11 +19,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-import jsonschema
 import numpy as np
 
 from . import convergence as conv
@@ -467,6 +467,9 @@ def _foundation_checks(cfg: SuiteConfig) -> list[dict]:
     sample = [random_step_fn(rng) for _ in range(8)] + [EPS0, unit_step(0.4)]
     checks: list[dict] = []
 
+    def add(name: str, passed: bool, residual: float) -> None:
+        checks.append(_check(name, "foundations", passed, residual))
+
     ops = {
         "maximal": MAXIMAL,
         "supconv-min": TriangleFn("min"),
@@ -478,18 +481,18 @@ def _foundation_checks(cfg: SuiteConfig) -> list[dict]:
     for tag, op in ops.items():
         rep = check_triangle_axioms(op, sample, tol=2 * cfg.dl_tol, dl_tol=cfg.dl_tol)
         worst = max(c.residual for c in rep.checks)
-        checks.append(_check(f"triangle-axioms-{tag}", "foundations", rep.ok, worst))
+        add(f"triangle-axioms-{tag}", rep.ok, worst)
 
     order = [("maximal", "supconv-min"), ("supconv-min", "supconv-prod"), ("supconv-prod", "supconv-luka")]
     ok = all(dominates(ops[hi], ops[lo], sample) for hi, lo in order)
-    checks.append(_check("triangle-operation-order", "foundations", ok, 0.0 if ok else 1.0))
+    add("triangle-operation-order", ok, 0.0 if ok else 1.0)
 
     worst = 0.0
     for b in (0.0, 0.3, 0.7, 1.4):
         for c in (0.0, 0.2, 1.1):
             got = TriangleFn("min")(unit_step(b), unit_step(c))
             worst = max(worst, levy_distance(got, unit_step(b + c), cfg.dl_tol))
-    checks.append(_check("unit-steps-add-under-min-supconv", "foundations", worst <= cfg.dl_tol, worst))
+    add("unit-steps-add-under-min-supconv", worst <= cfg.dl_tol, worst)
 
     d = [[levy_distance(f, g, cfg.dl_tol) for g in sample] for f in sample]
     worst = max(d[i][i] for i in range(len(sample)))
@@ -499,33 +502,31 @@ def _foundation_checks(cfg: SuiteConfig) -> list[dict]:
         for j in range(6):
             for k in range(6):
                 tri = max(tri, d[i][k] - d[i][j] - d[j][k])
-    checks.append(_check("levy-metric-identity-symmetry", "foundations", worst <= 2 * cfg.dl_tol, worst))
-    checks.append(_check("levy-metric-triangle", "foundations", tri <= 3 * cfg.dl_tol, tri))
+    add("levy-metric-identity-symmetry", worst <= 2 * cfg.dl_tol, worst)
+    add("levy-metric-triangle", tri <= 3 * cfg.dl_tol, tri)
 
     worst = max(
         abs(levy_distance(f, EPS0, cfg.dl_tol) - levy_distance_to_zero(f)) for f in sample
     )
-    checks.append(_check("levy-zero-distance-closed-form", "foundations", worst <= 2 * cfg.dl_tol, worst))
+    add("levy-zero-distance-closed-form", worst <= 2 * cfg.dl_tol, worst)
 
     for name, space in space_pool().items():
         rep = space.validate_axioms()
-        checks.append(_check(f"space-axioms-{name}", "foundations", rep.ok, 0.0 if rep.ok else 1.0))
+        add(f"space-axioms-{name}", rep.ok, 0.0 if rep.ok else 1.0)
 
     for mspec in ("cesaro", "identity", "squares", "weighted:1", "block:10"):
         A = matrix_from_spec(mspec)
         rep = check_regularity(A, cfg.horizon, cfg.tol)
         worst = max(c.residual for c in rep.conditions)
-        checks.append(_check(f"matrix-regular-{A.name}", "foundations", rep.ok, worst))
+        add(f"matrix-regular-{A.name}", rep.ok, worst)
 
     A = matrix_from_spec("cesaro")
     y = a_density_partial(A, EVENS, cfg.horizon)
-    checks.append(
-        _check("density-evens-one-half", "foundations", abs(y[-1] - 0.5) <= 0.01, abs(float(y[-1]) - 0.5))
-    )
+    add("density-evens-one-half", abs(y[-1] - 0.5) <= 0.01, abs(float(y[-1]) - 0.5))
     v = ai_density_is_null(A, Ideal.fin(), SQUARES, cfg.horizon, cfg.tol)
-    checks.append(_check("density-squares-null", "foundations", v.converged, v.residual))
+    add("density-squares-null", v.converged, v.residual)
     v = ai_density_is_null(matrix_from_spec("identity"), Ideal.fin(), finite_set(range(1, 60)), cfg.horizon, cfg.tol)
-    checks.append(_check("density-finite-null-identity", "foundations", v.converged, v.residual))
+    add("density-finite-null-identity", v.converged, v.residual)
 
     worst = 0.0
     for mspec, member in (("cesaro", EVENS), ("squares", EVENS), ("block:10", SQUARES), ("weighted:1", SQUARES)):
@@ -534,7 +535,7 @@ def _foundation_checks(cfg: SuiteConfig) -> list[dict]:
         fast = A.density_series(member, rows)
         slow = oracle_density(A, member, rows)
         worst = max(worst, float(np.abs(fast - slow).max()))
-    checks.append(_check("density-oracle-agreement", "foundations", worst <= 1e-9, worst))
+    add("density-oracle-agreement", worst <= 1e-9, worst)
 
     return checks
 
@@ -548,7 +549,7 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
     space, x, A, ideal = inst.space, inst.x, inst.matrix, inst.ideal
     N, tol = cfg.horizon, cfg.tol
     pts = space.points
-    grid = space.thresholds() or (1.0,)
+    grid = conv._grid(space)
 
     def add(name: str, passed: bool, residual: float | None = None, detail: object = None) -> None:
         checks.append(_check(name, "theorems", passed, residual, inst.name, detail=detail))
@@ -670,19 +671,15 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
 
 def _control_checks(cfg: SuiteConfig) -> list[dict]:
     checks: list[dict] = []
+
+    def add(name: str, passed: bool, residual: float) -> None:
+        checks.append(_check(name, "controls", passed, residual, control=True))
+
     rng = np.random.default_rng(cfg.seed + 7)
     sample = [random_step_fn(rng) for _ in range(5)] + [unit_step(0.5)]
 
     rep = check_triangle_axioms(lambda f, g: f, sample, tol=2 * cfg.dl_tol, dl_tol=cfg.dl_tol)
-    checks.append(
-        _check(
-            "control-first-argument-projection-passes-axioms",
-            "controls",
-            rep.ok,
-            max(c.residual for c in rep.checks),
-            control=True,
-        )
-    )
+    add("control-first-argument-projection-passes-axioms", rep.ok, max(c.residual for c in rep.checks))
 
     space = build_equilateral(("a", "b", "c"), StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)]))
     A = matrix_from_spec("cesaro")
@@ -690,38 +687,18 @@ def _control_checks(cfg: SuiteConfig) -> list[dict]:
 
     alt = alternating(space, "a", "b", EVENS)
     verdicts = [conv.ai_stat_conv_detect(alt, c, A, ideal, cfg.horizon, cfg.tol) for c in space.points]
-    checks.append(
-        _check(
-            "control-alternating-sequence-admits-a-limit",
-            "controls",
-            any(v.converged for v in verdicts),
-            min(v.residual for v in verdicts),
-            control=True,
-        )
+    add(
+        "control-alternating-sequence-admits-a-limit",
+        any(v.converged for v in verdicts),
+        min(v.residual for v in verdicts),
     )
 
     noisy = eventually_constant(space, "a", SQUARES)
     v = conv.ai_stat_conv_detect(noisy, "a", A, ideal, cfg.horizon, tol=1e-9)
-    checks.append(
-        _check(
-            "control-zero-tolerance-accepts-sparse-noise",
-            "controls",
-            v.converged,
-            v.residual,
-            control=True,
-        )
-    )
+    add("control-zero-tolerance-accepts-sparse-noise", v.converged, v.residual)
 
     rep = check_regularity(ConstantColumnMatrix(), cfg.horizon, cfg.tol)
-    checks.append(
-        _check(
-            "control-constant-column-matrix-is-regular",
-            "controls",
-            rep.ok,
-            max(c.residual for c in rep.conditions),
-            control=True,
-        )
-    )
+    add("control-constant-column-matrix-is-regular", rep.ok, max(c.residual for c in rep.conditions))
     return checks
 
 
@@ -824,8 +801,49 @@ REPORT_SCHEMA: dict = {
 }
 
 
+class ReportSchemaError(ValueError):
+    """A report that does not match ``REPORT_SCHEMA``."""
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None), "number": numbers.Number}
+
+
+def _is_type(value: object, kind: str) -> bool:
+    """JSON Schema draft-7 typing: bools are not numbers, and 1.0 is an integer."""
+    if isinstance(value, bool) or kind == "boolean":
+        return isinstance(value, bool) and kind == "boolean"
+    if kind == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _check_schema(value: object, schema: Mapping, path: str) -> None:
+    """Check the keywords ``REPORT_SCHEMA`` uses: type, required,
+    properties, items, minimum and exclusiveMinimum."""
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(_is_type(value, k) for k in kinds):
+        raise ReportSchemaError(f"{path}: {value!r} is not of type {' or '.join(kinds)}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ReportSchemaError(f"{path}: {key!r} is a required property")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _check_schema(value[key], sub, f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{path}[{i}]")
+    low, above = schema.get("minimum"), schema.get("exclusiveMinimum")
+    if _is_type(value, "number") and (
+        (low is not None and value < low) or (above is not None and value <= above)
+    ):
+        raise ReportSchemaError(f"{path}: {value!r} is below the schema's bound")
+
+
 def validate_report(report: Mapping) -> None:
-    jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
+    """Raise ``ReportSchemaError`` unless the report matches ``REPORT_SCHEMA``."""
+    _check_schema(report, REPORT_SCHEMA, "report")
 
 
 def report_to_json(report: Mapping) -> str:

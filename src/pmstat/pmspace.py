@@ -253,7 +253,7 @@ class FinitePMSpace:
     @classmethod
     def from_json(cls, data: Mapping) -> "FinitePMSpace":
         points = tuple(data["points"])
-        tau = TriangleFn.from_tag(data["tnorm"])
+        tau = TriangleFn(data["tnorm"])
         table: dict[tuple[str, str], StepDistFn] = {(p, p): EPS0 for p in points}
         for p, q, jumps in data["F"]:
             f = StepDistFn.from_json(jumps)

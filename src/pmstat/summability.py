@@ -10,10 +10,16 @@ exactly under the Silverman-Toeplitz conditions:
 
 For a set M of indices, the A-density is the limit of
 ``y_n = sum_{m in M} a_nm`` when it exists; replacing the ordinary limit
-by an ideal limit gives the A^I-density.  An ideal is a family of
-"small" index sets closed under subsets and finite unions; the two kinds
-used operationally are the finite sets ("fin") and the sets of
-B-density zero for a second regular matrix B.
+by an ideal limit gives the A^I-density.  Every matrix here is
+non-negative, and what it computes is that partial-density series,
+``density_series(M, n_rows)``.  The regularity conditions are read off
+it: the row sums are the series of all indices (non-negative entries
+make them the absolute row sums), and column k is the series of {k}, so
+vanishing columns say that finite sets have A-density 0.
+
+An ideal is a family of "small" index sets closed under subsets and
+finite unions; the two kinds used operationally are the finite sets
+("fin") and the sets of B-density zero for a second regular matrix B.
 
 Everything here is finite-horizon and verdict-valued: a computation at
 horizon N returns a ``Verdict`` carrying the estimate, a residual, and a
@@ -36,6 +42,7 @@ DEFAULT_HORIZON = 10_000
 DEFAULT_TOL = 1e-2
 TAIL_FRACTION = 0.5
 SETTLE_FACTOR = 4.0
+REGULARITY_COLUMNS = 25
 
 CONVERGED = "converged"
 INCONCLUSIVE = "inconclusive"
@@ -92,6 +99,14 @@ class Verdict:
         if self.detail is not None:
             out["detail"] = self.detail
         return out
+
+
+def combined_status(statuses: Iterable[str]) -> str:
+    """All converged: converged; any diverged: diverged; else inconclusive."""
+    statuses = list(statuses)
+    if all(s == CONVERGED for s in statuses):
+        return CONVERGED
+    return DIVERGED if DIVERGED in statuses else INCONCLUSIVE
 
 
 def tail_start(n: int, fraction: float = TAIL_FRACTION) -> int:
@@ -331,19 +346,6 @@ class SummMatrix:
                 hi = mid - 1
         return lo
 
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        return np.array(
-            [sum(self.entry(n, k) for k in self.row_support(n)) for n in range(1, n_rows + 1)]
-        )
-
-    def abs_row_sums(self, n_rows: int) -> np.ndarray:
-        return np.array(
-            [sum(abs(self.entry(n, k)) for k in self.row_support(n)) for n in range(1, n_rows + 1)]
-        )
-
-    def column(self, k: int, n_rows: int) -> np.ndarray:
-        return np.array([self.entry(n, k) for n in range(1, n_rows + 1)])
-
     def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
         top = max(max(self.row_support(n), default=1) for n in range(1, n_rows + 1))
         mem = _member_array(member, top)
@@ -383,15 +385,20 @@ class TriangularMatrix(SummMatrix):
         return np.arange(1, n + 1, dtype=float) ** self.power
 
     def _weight_sums(self, n: int) -> np.ndarray:
-        """Running sums w_1 + ... + w_j for j = 1..n.
+        """Running sums w_1 + ... + w_j for j = 1..n, all finite.
 
-        Unit weights sum to the row numbers themselves, exactly.
+        Unit weights sum to the row numbers themselves, exactly.  Sums
+        that overflow at row n are an input error.
         """
         if len(self._wsum) < n:
             if self.power == 0:
                 self._wsum = np.arange(1, n + 1, dtype=float)
             else:
-                self._wsum = np.cumsum(self._weights(n))
+                with np.errstate(over="ignore"):
+                    self._wsum = np.cumsum(self._weights(n))
+        if not math.isfinite(self._wsum[n - 1]):
+            first = int(np.argmin(np.isfinite(self._wsum))) + 1
+            raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
         return self._wsum[:n]
 
     def _mapped(self, n: int) -> np.ndarray:
@@ -409,21 +416,8 @@ class TriangularMatrix(SummMatrix):
         j = bisect_left(range(1, n + 1), k, key=phi) + 1
         if j > n or phi(j) != k:
             return 0.0
-        return float(np.float64(j) ** self.power / self._weight_sums(n)[-1])
-
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        csum = self._weight_sums(n_rows)
-        return csum / csum
-
-    abs_row_sums = row_sums
-
-    def column(self, k: int, n_rows: int) -> np.ndarray:
-        mapped = self._mapped(n_rows)
-        idx = np.searchsorted(mapped, k)
-        col = np.zeros(n_rows)
-        if idx < n_rows and mapped[idx] == k:
-            col[idx:] = self._weights(n_rows)[idx] / self._weight_sums(n_rows)[idx:]
-        return col
+        total = self._weight_sums(n)[-1]  # raises before the power can overflow
+        return float(np.float64(j) ** self.power / total)
 
     def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
         if self._map is None:
@@ -431,9 +425,11 @@ class TriangularMatrix(SummMatrix):
         else:
             mapped = self._mapped(n_rows)
             mem = _member_array(member, int(mapped[-1]))[mapped - 1]
-        # unit weights: the running count of members is the numerator
-        num = mem if self.power == 0 else self._weights(n_rows) * mem
-        return np.cumsum(num, dtype=float) / self._weight_sums(n_rows)
+        # unit weights: the running count of members is the numerator.
+        # Weights that overflow give inf or nan here, and _weight_sums raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = mem if self.power == 0 else self._weights(n_rows) * mem
+            return np.cumsum(num, dtype=float) / self._weight_sums(n_rows)
 
 
 class IdentityMatrix(SummMatrix):
@@ -449,17 +445,6 @@ class IdentityMatrix(SummMatrix):
 
     def support_bound(self, n: int) -> int:
         return n
-
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        return np.ones(n_rows)
-
-    abs_row_sums = row_sums
-
-    def column(self, k: int, n_rows: int) -> np.ndarray:
-        col = np.zeros(n_rows)
-        if k <= n_rows:
-            col[k - 1] = 1.0
-        return col
 
     def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
         return _member_array(member, n_rows).astype(float)
@@ -483,14 +468,6 @@ class ConstantColumnMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return self.col
 
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        return np.ones(n_rows)
-
-    abs_row_sums = row_sums
-
-    def column(self, k: int, n_rows: int) -> np.ndarray:
-        return np.ones(n_rows) if k == self.col else np.zeros(n_rows)
-
     def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
         return np.full(n_rows, 1.0 if _member_array(member, self.col)[-1] else 0.0)
 
@@ -513,18 +490,6 @@ class BlockMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return n * self.m
 
-    def row_sums(self, n_rows: int) -> np.ndarray:
-        return np.ones(n_rows)
-
-    abs_row_sums = row_sums
-
-    def column(self, k: int, n_rows: int) -> np.ndarray:
-        col = np.zeros(n_rows)
-        n = (k + self.m - 1) // self.m
-        if 1 <= n <= n_rows:
-            col[n - 1] = 1.0 / self.m
-        return col
-
     def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
         mem = _member_array(member, n_rows * self.m)
         counts = np.cumsum(mem)[self.m - 1 :: self.m][:n_rows].astype(float)
@@ -533,12 +498,18 @@ class BlockMatrix(SummMatrix):
 
 
 class ExplicitMatrix(SummMatrix):
-    """A matrix given by literal rows (small horizons only)."""
+    """A matrix given by literal rows (small horizons only).
+
+    Entries must be finite and non-negative, as for every matrix here.
+    """
 
     def __init__(self, rows: Sequence[Sequence[float]], name: str = "explicit"):
         if not rows:
             raise ValueError("no rows given")
         self.rows = tuple(tuple(float(v) for v in row) for row in rows)
+        bad = [v for row in self.rows for v in row if not 0.0 <= v < math.inf]
+        if bad:
+            raise ValueError(f"{name}: entries must be finite and non-negative, got {bad[0]}")
         self.name = name
 
     def _row(self, n: int) -> tuple[float, ...]:
@@ -654,13 +625,16 @@ def check_regularity(
     A: SummMatrix,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
-    n_columns: int = 25,
 ) -> RegularityReport:
-    """Finite-horizon Silverman-Toeplitz check.
+    """Finite-horizon Silverman-Toeplitz check, read off ``density_series``.
 
-    (i) the running sup of absolute row sums must not grow over the tail
-    window, (ii) each of the first ``n_columns`` columns must vanish over
-    the tail window, (iii) row sums must sit within tol of 1 there.
+    The row sums are the partial A-densities of all indices, and column k
+    is the partial A-density series of {k}.  (i) the running sup of the
+    row sums must not grow over the tail window (entries are non-negative,
+    so row sums are the absolute row sums), (ii) each of the first
+    ``REGULARITY_COLUMNS`` columns must vanish over the tail window, so
+    finite sets have A-density 0, (iii) row sums must sit within tol of 1
+    there.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
@@ -669,20 +643,19 @@ def check_regularity(
 
     conditions = []
 
-    sums = np.asarray(A.abs_row_sums(rows), dtype=float)
-    running = np.maximum.accumulate(sums)
+    rsums = A.density_series(ALL_INDICES, rows)
+    running = np.maximum.accumulate(rsums)
     growth = float(running[-1] - running[w0 - 1])
     conditions.append(
         RegularityCondition("bounded-row-norms", growth <= tol, growth, float(running[-1]))
     )
 
     worst = 0.0
-    for k in range(1, min(n_columns, rows) + 1):
-        col = np.asarray(A.column(k, rows), dtype=float)
+    for k in range(1, min(REGULARITY_COLUMNS, rows) + 1):
+        col = A.density_series(finite_set((k,)), rows)
         worst = max(worst, float(np.abs(col[w0 - 1 :]).max()))
     conditions.append(RegularityCondition("columns-vanish", worst <= tol, worst, worst))
 
-    rsums = np.asarray(A.row_sums(rows), dtype=float)
     res = float(np.abs(rsums[w0 - 1 :] - 1.0).max())
     conditions.append(RegularityCondition("row-sums-to-one", res <= tol, res, float(rsums[-1])))
 
@@ -802,7 +775,17 @@ def ideal_limit_at(
     defect set takes its closed form: its partial B-densities vanish on
     every row, so it converges to 0 with no series built.
     """
-    return _ideal_limit_at(y, ideal, target, tol, {})
+    return _ideal_limit_at(_limit_input(y, ideal), ideal, target, tol, {})
+
+
+def _limit_input(y: np.ndarray, ideal: Ideal) -> np.ndarray:
+    """``y`` as a float array, checked to be a sequence ``ideal`` can take limits of."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or len(y) == 0:
+        raise ValueError("y must be a nonempty one-dimensional sequence")
+    if ideal.kind not in ("fin", "density"):
+        raise ValueError(f"ideal kind {ideal.kind!r} supports no limit extraction")
+    return y
 
 
 def _ideal_limit_at(
@@ -812,57 +795,43 @@ def _ideal_limit_at(
     tol: float,
     decided: dict[bytes, Verdict],
 ) -> Verdict:
-    """``ideal_limit_at`` with a memo of sub-verdicts keyed by packed defect rows.
+    """``ideal_limit_at`` on a checked ``y``, with a memo of sub-verdicts
+    keyed by packed defect rows.
 
     A memo may be shared only between calls with the same y, ideal and tol.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or len(y) == 0:
-        raise ValueError("y must be a nonempty one-dimensional sequence")
     if ideal.kind == "fin":
         return _ordinary_limit_verdict(y, target, tol)
-    if ideal.kind == "density":
-        B = ideal.matrix
-        rows = B.max_row_for(len(y))
-        w0 = tail_start(len(y))
-        win = y[w0 - 1 :]
-        dev = np.abs(y - target)
-        sub: dict[str, dict] = {}
-        worst = 0.0
-        statuses = []
-        for eps in _eps_grid(tol):
-            defect = dev >= eps
-            key = np.packbits(defect).tobytes()
-            v = decided.get(key)
-            if v is None:
-                if not defect.any():
-                    v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
-                else:
-                    v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
-                    if not v.converged and not defect[w0 - 1 :].any():
-                        v = replace(v, status=CONVERGED, residual=0.0)
-                    elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
-                        v = replace(v, status=INCONCLUSIVE)
-                decided[key] = v
-            sub[f"eps={eps}"] = v.to_json()
-            worst = max(worst, v.residual)
-            statuses.append(v.status)
-        if all(s == CONVERGED for s in statuses):
-            status = CONVERGED
-        elif DIVERGED in statuses:
-            status = DIVERGED
-        else:
-            status = INCONCLUSIVE
-        return Verdict(
-            status,
-            target,
-            worst,
-            tol,
-            float(win.min()),
-            float(win.max()),
-            detail=sub,
-        )
-    raise ValueError(f"ideal kind {ideal.kind!r} supports no limit extraction")
+    B = ideal.matrix
+    rows = B.max_row_for(len(y))
+    w0 = tail_start(len(y))
+    win = y[w0 - 1 :]
+    dev = np.abs(y - target)
+    sub: dict[str, Verdict] = {}
+    for eps in _eps_grid(tol):
+        defect = dev >= eps
+        key = np.packbits(defect).tobytes()
+        v = decided.get(key)
+        if v is None:
+            if not defect.any():
+                v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
+            else:
+                v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
+                if not v.converged and not defect[w0 - 1 :].any():
+                    v = replace(v, status=CONVERGED, residual=0.0)
+                elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
+                    v = replace(v, status=INCONCLUSIVE)
+            decided[key] = v
+        sub[f"eps={eps}"] = v
+    return Verdict(
+        combined_status(v.status for v in sub.values()),
+        target,
+        max(v.residual for v in sub.values()),
+        tol,
+        float(win.min()),
+        float(win.max()),
+        detail={name: v.to_json() for name, v in sub.items()},
+    )
 
 
 def ideal_limit(
@@ -878,8 +847,9 @@ def ideal_limit(
     Converged candidates win by smallest residual; otherwise the smallest
     residual is reported with its (non-converged) status.  The candidates
     share their density-ideal sub-verdicts (see ``ideal_limit_at``).
+    An empty candidate list is an error.
     """
-    y = np.asarray(y, dtype=float)
+    y = _limit_input(y, ideal)
     if candidates is None:
         w0 = tail_start(len(y))
         win = y[w0 - 1 :]
@@ -888,6 +858,8 @@ def ideal_limit(
     for c in candidates:
         if not any(abs(c - s) <= 1e-12 for s in seen):
             seen.append(float(c))
+    if not seen:
+        raise ValueError("no candidate limits given")
     decided: dict[bytes, Verdict] = {}
     best: Verdict | None = None
     for c in seen:

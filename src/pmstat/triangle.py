@@ -21,7 +21,6 @@ t-norm sends unit steps at b and c to the unit step at b + c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,28 +66,14 @@ def apply_maximal(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     return pointwise_min(f, g)
 
 
-def _coarsen(f: StepDistFn, grid: float) -> StepDistFn:
-    # Snap jump locations up to multiples of grid; delays increases, so the
-    # result is a pointwise lower approximation within grid of the input.
-    snapped: dict[float, float] = {}
-    for loc, val in f.jumps:
-        s = math.ceil(loc / grid - 1e-12) * grid
-        snapped[s] = max(snapped.get(s, 0.0), val)
-    return StepDistFn.from_pairs(sorted(snapped.items()))
-
-
 def apply_supconv(
     tnorm: str | Callable[[float, float], float],
     f: StepDistFn,
     g: StepDistFn,
-    grid: float | None = None,
 ) -> StepDistFn:
     """Sup-convolution of f and g under a t-norm, exact on the sum-set.
 
-    ``tnorm`` is a tag from ``TNORMS`` or a callable.  ``grid``, when
-    given, coarsens the result by snapping jump locations up to grid
-    multiples (a size control for repeated composition); by default the
-    exact sum-set representation is returned.
+    ``tnorm`` is a tag from ``TNORMS`` or a callable.
     """
     if isinstance(tnorm, str):
         try:
@@ -97,8 +82,6 @@ def apply_supconv(
             raise ValueError(f"unknown t-norm tag {tnorm!r}, expected one of {sorted(TNORMS)}") from None
     else:
         T = tnorm
-    if grid is not None and grid <= 0.0:
-        raise ValueError(f"grid must be positive, got {grid}")
     pairs = sorted(
         (fl + gl, T(fv, gv)) for fl, fv in f.jumps for gl, gv in g.jumps
     )
@@ -111,10 +94,7 @@ def apply_supconv(
                 out[-1] = (s, run)
             else:
                 out.append((s, run))
-    result = StepDistFn.from_pairs(out)
-    if grid is not None:
-        result = _coarsen(result, grid)
-    return result
+    return StepDistFn.from_pairs(out)
 
 
 @dataclass(frozen=True)
@@ -125,7 +105,6 @@ class TriangleFn:
     """
 
     kind: str
-    grid: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in TRIANGLE_KINDS:
@@ -134,11 +113,7 @@ class TriangleFn:
     def __call__(self, f: StepDistFn, g: StepDistFn) -> StepDistFn:
         if self.kind == "maximal":
             return apply_maximal(f, g)
-        return apply_supconv(self.kind, f, g, self.grid)
-
-    @classmethod
-    def from_tag(cls, tag: str, grid: float | None = None) -> "TriangleFn":
-        return cls(tag, grid)
+        return apply_supconv(self.kind, f, g)
 
 
 MAXIMAL = TriangleFn("maximal")

@@ -9,6 +9,7 @@ acceptance tests.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,22 @@ class TestMatrixAndDensityCommands:
     def test_non_finite_weights_exit_2(self, power: str, capsys: pytest.CaptureFixture) -> None:
         assert main(["density", "evens", "--matrix", f"weighted:{power}"]) == 2
         assert "weight power must be finite" in capsys.readouterr().err
+
+    def test_overflowing_weights_exit_2(self, capsys: pytest.CaptureFixture) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["density", "evens", "--matrix", "weighted:400", "--N", "1000"]) == 2
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["-0.1", "NaN", "Infinity"])
+    @pytest.mark.parametrize("cmd", [["matrix-check"], ["density", "evens"]])
+    def test_bad_file_entries_exit_2(
+        self, entry: str, cmd: list[str], tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        path = tmp_path / "rows.json"
+        path.write_text("[" + ", ".join(f"[{entry}, 1.1]" for _ in range(12)) + "]")
+        assert main([*cmd, "--matrix", f"file:{path}", "--N", "10"]) == 2
+        assert "finite and non-negative" in capsys.readouterr().err
 
     def test_density_reports_value(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
         out = tmp_path / "density.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 
@@ -15,7 +16,9 @@ from pmstat.harness import (
     FOURTH_POWERS,
     LATE_POW2,
     LATE_SQUARES,
+    REPORT_SCHEMA,
     Instance,
+    ReportSchemaError,
     SuiteConfig,
     generate_suite,
     oracle_density,
@@ -197,9 +200,49 @@ class TestSuiteReport:
     def test_schema_rejects_malformed_reports(self, full_report: dict) -> None:
         broken = dict(full_report)
         del broken["summary"]
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportSchemaError):
             validate_report(broken)
         broken = json.loads(report_to_json(full_report))
         del broken["checks"][0]["residual"]
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ReportSchemaError):
             validate_report(broken)
+
+    def test_schema_error_is_a_value_error(self) -> None:
+        assert issubclass(ReportSchemaError, ValueError)
+
+    def test_checker_agrees_with_jsonschema(self, full_report: dict) -> None:
+        base = dict(full_report, checks=full_report["checks"][:3], instances=full_report["instances"][:2])
+        paths = (
+            [(k,) for k in base]
+            + [("config", k) for k in base["config"]]
+            + [("summary", k) for k in base["summary"]]
+            + [("checks", 0, k) for k in base["checks"][0]]
+            + [("instances", 1, k) for k in base["instances"][1]]
+            + [("checks", 2), ("instances", 0)]
+        )
+        delete = object()
+        values = [True, False, None, 0, -1, 5, 10, 0.0, 1.0, 10.0, -0.5, 2.5, float("nan"), float("inf"), -float("inf"), "x", [], {}, delete]
+        verdicts = []
+        for path in paths:
+            for v in values:
+                report = copy.deepcopy(base)
+                parent = report
+                for step in path[:-1]:
+                    parent = parent[step]
+                if v is delete:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = v
+                try:
+                    jsonschema.validate(instance=report, schema=REPORT_SCHEMA)
+                    expected = True
+                except jsonschema.ValidationError:
+                    expected = False
+                try:
+                    validate_report(report)
+                    got = True
+                except ReportSchemaError:
+                    got = False
+                assert got == expected, (path, v)
+                verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,7 @@ from pmstat import (
     weighted_mean,
 )
 from pmstat.summability import (
+    REGULARITY_COLUMNS,
     SETTLE_FACTOR,
     TriangularMatrix,
     _eps_grid,
@@ -173,7 +175,7 @@ class TestMatrices:
 
     def test_weighted_mean_rows_sum_to_one(self) -> None:
         A = weighted_mean(1.0)
-        assert np.allclose(A.row_sums(50), 1.0)
+        assert np.allclose(A.density_series(ALL_INDICES, 50), 1.0)
         # weights j favor later indices, so the evens estimate sits above 1/2
         assert A.density_series(EVENS, 1000)[-1] == pytest.approx(0.5005, abs=1e-4)
 
@@ -202,6 +204,12 @@ class TestMatrices:
         assert B.entry(2, 2) == 0.75
         with pytest.raises(ValueError, match="no rows"):
             ExplicitMatrix([])
+
+    @pytest.mark.parametrize("bad", [-0.1, -1e-300, float("nan"), float("inf")])
+    def test_explicit_matrix_rejects_negative_and_non_finite(self, bad: float) -> None:
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ExplicitMatrix([[1.0], [bad, 0.5]])
+        assert ExplicitMatrix([[0.0, 1.0], [-0.0, 1.0]]).entry(2, 1) == 0.0
 
     @pytest.mark.parametrize(
         "make",
@@ -250,6 +258,23 @@ class TestMatrices:
             weighted_mean(power)
         with pytest.raises(ValueError, match="must be finite"):
             matrix_from_spec(f"weighted:{power}")
+
+    def test_overflowing_weights_rejected(self) -> None:
+        A = weighted_mean(400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 5 ** 400 is finite, 6 ** 400 is not
+            assert np.all(np.isfinite(A.density_series(EVENS, 5)))
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                A.density_series(EVENS, 6)
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                A.density_series(EVENS, 1000)
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                A.entry(1000, 3)
+            assert A.entry(5, 5) > 0.0
+            # every weight j ** 102.5 up to j = 1000 is finite; their sums are not
+            with pytest.raises(ValueError, match="overflow"):
+                check_regularity(weighted_mean(102.5), 1000)
 
     def test_unit_weight_sums_are_row_numbers(self) -> None:
         for A in (cesaro1(), squares_rows(), weighted_mean(0)):
@@ -305,6 +330,54 @@ class TestRegularity:
     def test_small_horizon_rejected(self) -> None:
         with pytest.raises(ValueError, match="at least 10"):
             check_regularity(cesaro1(), 5)
+
+    @staticmethod
+    def _brute_regularity(A: SummMatrix, horizon: int, tol: float) -> list[tuple[str, bool, float, float]]:
+        """The three conditions straight from ``entry`` and ``row_support``."""
+        rows = min(horizon, A.max_row_for(horizon))
+        w0 = tail_start(rows)
+        entries = [{k: A.entry(n, k) for k in A.row_support(n)} for n in range(1, rows + 1)]
+        abs_sums = [sum(abs(a) for a in row.values()) for row in entries]
+        running = np.maximum.accumulate(abs_sums)
+        growth = float(running[-1] - running[w0 - 1])
+        worst = max(
+            abs(row.get(k, 0.0))
+            for k in range(1, min(REGULARITY_COLUMNS, rows) + 1)
+            for row in entries[w0 - 1 :]
+        )
+        sums = [sum(row.values()) for row in entries]
+        res = max(abs(s - 1.0) for s in sums[w0 - 1 :])
+        return [
+            ("bounded-row-norms", growth <= tol, growth, float(running[-1])),
+            ("columns-vanish", worst <= tol, worst, worst),
+            ("row-sums-to-one", res <= tol, res, sums[-1]),
+        ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cesaro", "identity", "constcol", "squares", "block:1", "block:7",
+         "weighted:0", "weighted:1", "weighted:0.5", "weighted:2", "weighted:-0.5"],
+    )
+    def test_conditions_match_brute_force(self, spec: str) -> None:
+        A = matrix_from_spec(spec)
+        rep = check_regularity(A, 200, 0.01)
+        assert rep.horizon == min(200, A.max_row_for(200))
+        expected = self._brute_regularity(A, 200, 0.01)
+        for cond, (name, passed, residual, value) in zip(rep.conditions, expected):
+            assert cond.name == name
+            assert cond.passed == passed, name
+            assert cond.residual == pytest.approx(residual, rel=1e-12, abs=1e-12), name
+            assert cond.value == pytest.approx(value, rel=1e-12, abs=1e-12), name
+
+    def test_explicit_matrix_conditions_match_brute_force(self) -> None:
+        regular = [[1.0], [0.5, 0.5], [0.0, 0.25, 0.75]] + [[0.0] * (n - 2) + [0.5, 0.5] for n in range(4, 21)]
+        # row sums 2, 3, 1, 2, 3, 1, ...: the running sup differs from the sums
+        uneven = [[(1 + n % 3) / n] * n for n in range(1, 21)]
+        for rows in (regular, uneven):
+            A = ExplicitMatrix(rows)
+            rep = check_regularity(A, 20, 0.01)
+            expected = self._brute_regularity(A, 20, 0.01)
+            assert [(c.name, c.passed, c.residual, c.value) for c in rep.conditions] == expected
 
 
 class TestIdeals:
@@ -439,6 +512,19 @@ class TestDensities:
         v = ideal_limit(y, Ideal.fin(), 0.01)
         assert v.converged
         assert abs(float(v.value) - 0.5) < 0.01
+
+    def test_limit_search_rejects_bad_input(self) -> None:
+        predicate = Ideal.from_predicate("p", lambda s, h: True)
+        with pytest.raises(ValueError, match="no candidate"):
+            ideal_limit(np.ones(10), Ideal.fin(), 0.01, candidates=[])
+        with pytest.raises(ValueError, match="no candidate"):
+            ideal_limit(np.ones(10), Ideal.density_zero(cesaro1()), 0.01, candidates=[])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ideal_limit(np.array([[1.0]]), predicate, candidates=[])
+        with pytest.raises(ValueError, match="nonempty"):
+            ideal_limit(np.array([]), Ideal.fin())
+        with pytest.raises(ValueError, match="no limit extraction"):
+            ideal_limit(np.ones(10), predicate, candidates=[])
 
     def test_limit_search_respects_explicit_candidates(self) -> None:
         y = 0.5 + 1.0 / np.arange(1, 2001)

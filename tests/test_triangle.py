@@ -19,8 +19,6 @@ from pmstat import (
     check_triangle_axioms,
     dominates,
     evaluate,
-    levy_distance,
-    pointwise_leq,
     pointwise_min,
     t_lukasiewicz,
     t_minimum,
@@ -125,20 +123,6 @@ class TestSupConvolution:
         with pytest.raises(ValueError, match="unknown t-norm"):
             apply_supconv("drastic", F_HALF, F_HALF)
 
-    def test_bad_grid_rejected(self) -> None:
-        with pytest.raises(ValueError, match="grid"):
-            apply_supconv("min", F_HALF, F_HALF, grid=0.0)
-
-    def test_coarsening_lowers_within_grid(self) -> None:
-        fns = _sample_fns(11, 6)
-        for f in fns[3:]:
-            exact = apply_supconv("prod", f, F_HALF)
-            coarse = apply_supconv("prod", f, F_HALF, grid=0.05)
-            assert pointwise_leq(coarse, exact)
-            assert levy_distance(coarse, exact) <= 0.05 + 1e-6
-            for loc in coarse.locations:
-                assert abs(loc / 0.05 - round(loc / 0.05)) < 1e-9
-
     def test_result_is_canonical(self) -> None:
         for f in _sample_fns(3, 8):
             h = apply_supconv("luka", f, F_HALF)
@@ -165,17 +149,11 @@ class TestTriangleFn:
         f = unit_step(0.2)
         assert TriangleFn("maximal")(f, f) == f
         assert TriangleFn("min")(f, f) == unit_step(0.4)
-        assert TriangleFn.from_tag("prod")(f, f) == unit_step(0.4)
+        assert TriangleFn("prod")(f, f) == unit_step(0.4)
 
     def test_unknown_kind_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown triangle function"):
             TriangleFn("sum")
-
-    def test_grid_is_threaded_through(self) -> None:
-        op = TriangleFn("min", grid=0.1)
-        h = op(F_HALF, F_HALF)
-        for loc in h.locations:
-            assert abs(loc / 0.1 - round(loc / 0.1)) < 1e-9
 
 
 class TestAxiomChecks:
