@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import string
 import sys
@@ -236,19 +237,12 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     return 0 if v.converged else 1
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
+def _cmd_point_set(args: argparse.Namespace) -> int:
     space, x, A, ideal = _detector_env(args)
-    pts = conv.lambda_set(x, A, ideal, args.N, args.tol)
-    print(f"statistical limit points: {{{', '.join(sorted(pts))}}}")
-    _emit(args, {"command": "lambda", "points": sorted(pts)})
-    return 0
-
-
-def _cmd_gamma(args: argparse.Namespace) -> int:
-    space, x, A, ideal = _detector_env(args)
-    pts = conv.gamma_set(x, A, ideal, args.N, args.tol)
-    print(f"statistical cluster points: {{{', '.join(sorted(pts))}}}")
-    _emit(args, {"command": "gamma", "points": sorted(pts)})
+    detect, kind = (conv.lambda_set, "limit") if args.cmd == "lambda" else (conv.gamma_set, "cluster")
+    pts = sorted(detect(x, A, ideal, args.N, args.tol))
+    print(f"statistical {kind} points: {{{', '.join(pts)}}}")
+    _emit(args, {"command": args.cmd, "points": pts})
     return 0
 
 
@@ -256,10 +250,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     cfg = SuiteConfig(seed=args.seed, horizon=args.N, tol=args.tol, dl_tol=args.dl_tol, size=args.size)
     instances = generate_suite(cfg.seed, cfg.size)
     report = run_theorem_suite(instances, cfg)
-    validate_report(report)
-    sys.stdout.write(render_text(report))
     if args.out:
-        write_report(report, args.out)
+        write_report(report, args.out)  # validates the report first
+    else:
+        validate_report(report)
+    sys.stdout.write(render_text(report))
     if args.csv:
         write_csv(report, args.csv)
     return 0 if suite_passed(report) else 1
@@ -322,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", parents=[common, detector], help="statistical limit point set")
     p.add_argument("--seq", required=True, help="sequence spec")
-    p.set_defaults(fn=_cmd_lambda)
+    p.set_defaults(fn=_cmd_point_set)
 
     p = sub.add_parser("gamma", parents=[common, detector], help="statistical cluster point set")
     p.add_argument("--seq", required=True, help="sequence spec")
-    p.set_defaults(fn=_cmd_gamma)
+    p.set_defaults(fn=_cmd_point_set)
 
     p = sub.add_parser("suite", parents=[common, detector], help="run the seeded theorem suite")
     p.add_argument("--seed", type=int, default=None)
@@ -352,27 +347,43 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, dest, raw)
 
 
+# numeric option -> (type, bound): an integer at least the bound, a float finite and above it
+_NUMERIC = {
+    "N": (int, 10), "size": (int, 0), "samples": (int, 0), "seed": (int, 0), "tol": (float, 0), "dl_tol": (float, 0)
+}
+
+
+def _number(dest: str, raw: object) -> int | float:
+    kind, bound = _NUMERIC[dest]
+    try:
+        value = kind(raw)
+        ok = not isinstance(raw, bool) and value == float(raw) and bound <= value < math.inf
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or (kind is float and value == bound):
+        want = f"an integer >= {bound}" if kind is int else f"a finite number > {bound}"
+        raise ValueError(f"--{dest.replace('_', '-')} must be {want}, got {raw!r}")
+    return value
+
+
 def _fill_defaults(args: argparse.Namespace) -> None:
-    if getattr(args, "dl_tol", None) is None:
-        args.dl_tol = DEFAULT_DL_TOL
-    if hasattr(args, "N") and args.N is None:
-        args.N = DEFAULT_HORIZON
-    if hasattr(args, "tol") and args.tol is None:
-        args.tol = DEFAULT_SUITE_TOL if args.cmd == "suite" else DEFAULT_TOL
-    if hasattr(args, "matrix") and args.matrix is None:
-        args.matrix = "cesaro"
-    if hasattr(args, "ideal") and args.ideal is None:
-        args.ideal = "fin"
-    if hasattr(args, "seed") and args.seed is None:
-        env = os.environ.get("PMSTAT_SEED")
-        args.seed = int(env) if env else 1
-    if hasattr(args, "size") and args.size is None:
-        args.size = DEFAULT_SUITE_SIZE
-    if hasattr(args, "N"):
-        args.N = int(args.N)
-    if hasattr(args, "tol"):
-        args.tol = float(args.tol)
-    args.dl_tol = float(args.dl_tol)
+    """Fill unset options, then check the numeric ones, whether they came
+    from a flag, ``--config`` or the environment."""
+    defaults = {
+        "dl_tol": DEFAULT_DL_TOL,
+        "N": DEFAULT_HORIZON,
+        "tol": DEFAULT_SUITE_TOL if args.cmd == "suite" else DEFAULT_TOL,
+        "matrix": "cesaro",
+        "ideal": "fin",
+        "seed": os.environ.get("PMSTAT_SEED") or 1,
+        "size": DEFAULT_SUITE_SIZE,
+    }
+    for dest, default in defaults.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, default)
+    for dest in _NUMERIC:
+        if hasattr(args, dest):
+            setattr(args, dest, _number(dest, getattr(args, dest)))
 
 
 def main(argv: list[str] | None = None) -> int:

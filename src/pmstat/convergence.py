@@ -20,7 +20,7 @@ an internal error.
 
 from __future__ import annotations
 
-import math
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -40,6 +40,7 @@ from .summability import (
     Verdict,
     ai_density_is_null,
     combined_status,
+    nonthin,
     tail_start,
 )
 
@@ -259,16 +260,31 @@ def _grid(space: FinitePMSpace) -> tuple[float, ...]:
     return ts if ts else (1.0,)
 
 
-def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> int:
-    """First 1-based position from which the coded points stay in every N_target(t).
+def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> tuple[int, str]:
+    """First 1-based position j0 from which the coded points stay in every
+    N_target(t), and the status of that entry.
 
-    ``codes`` is a sequence or subsequence.  A point leaves some
+    ``codes`` is a sequence or subsequence of n points.  A point leaves some
     N_target(t) exactly when its gap to the target reaches the smallest
     threshold, so one comparison against that threshold decides all t.
+    The entry converges when j0 <= n/2, so violations in the late tail
+    cannot hide behind the horizon; it diverges when j0 lies in the last
+    tenth, and is inconclusive in between.
     """
+    n = len(codes)
     gaps = np.array([space.dist(p, target) for p in space.points])[codes]
     bad = np.flatnonzero(gaps >= min(_grid(space)))
-    return int(bad[-1]) + 2 if len(bad) else 1
+    j0 = int(bad[-1]) + 2 if len(bad) else 1
+    if j0 <= n // 2:
+        return j0, CONVERGED
+    return j0, DIVERGED if j0 > n - max(1, n // 10) else INCONCLUSIVE
+
+
+def _null_row(
+    x: IndexedSequence, c: str, A: SummMatrix, ideal: Ideal, horizon: int, tol: float
+) -> dict[float, Verdict]:
+    """Null verdicts of the defect sets ``{ k : x_k not in N_c(t) }`` over the threshold grid."""
+    return {t: ai_density_is_null(A, ideal, _neighborhood_defect(x, c, t), horizon, tol) for t in _grid(x.space)}
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +296,14 @@ def strong_conv_detect(
 ) -> Verdict:
     """Strong convergence at a finite horizon.
 
-    Requires an entry index k0 <= horizon/2 such that the sequence stays
-    inside every N_limit(t) from k0 on, for all t on the exact threshold
-    grid.  The margin keeps "eventually" honest: violations in the late
-    tail cannot hide behind the horizon.
+    Reads the entry index k0 from which the sequence stays inside every
+    N_limit(t), for all t on the exact threshold grid, by the entry rule
+    of ``_entry_index``.
     """
     _check_point(x.space, limit)
-    k0 = _entry_index(x.space, x.value_codes(horizon), limit)
-    if k0 <= horizon // 2:
-        return Verdict(CONVERGED, limit, 0.0, tol, witness=k0)
-    late = k0 > horizon - max(1, horizon // 10)
-    residual = (k0 - 1) / horizon
-    return Verdict(DIVERGED if late else INCONCLUSIVE, limit, residual, tol, witness=k0)
+    k0, status = _entry_index(x.space, x.value_codes(horizon), limit)
+    residual = 0.0 if status == CONVERGED else (k0 - 1) / horizon
+    return Verdict(status, limit, residual, tol, witness=k0)
 
 
 def _aggregate(per_t: dict[float, Verdict], value: object, tol: float, witness: object = None) -> Verdict:
@@ -315,11 +327,7 @@ def ai_stat_conv_detect(
     must have A^I-density zero within tol.
     """
     _check_point(x.space, limit)
-    per_t: dict[float, Verdict] = {}
-    for t in _grid(x.space):
-        defect = _neighborhood_defect(x, limit, t)
-        per_t[t] = ai_density_is_null(A, ideal, defect, horizon, tol)
-    return _aggregate(per_t, limit, tol)
+    return _aggregate(_null_row(x, limit, A, ideal, horizon, tol), limit, tol)
 
 
 def ai_stat_cauchy_detect(
@@ -335,15 +343,20 @@ def ai_stat_cauchy_detect(
     only the value at k0 matters) such that for every threshold t the set
     ``{ k : x_k not in N_{x_k0}(t) }`` has A^I-density zero.
     """
+    return _anchor_search(x, horizon, tol, lambda c: _null_row(x, c, A, ideal, horizon, tol))
+
+
+def _anchor_search(
+    x: IndexedSequence, horizon: int, tol: float, row: Callable[[str], dict[float, Verdict]]
+) -> Verdict:
+    """The Cauchy anchor search over the null-verdict rows ``row(c)``, in
+    order of first visit: the first converged anchor, else the earliest
+    with the smallest residual."""
     seen, first = np.unique(x.value_codes(horizon), return_index=True)
     best: Verdict | None = None
     for i in np.argsort(first):
         p, k0 = x.space.points[int(seen[i])], int(first[i]) + 1
-        per_t = {
-            t: ai_density_is_null(A, ideal, _neighborhood_defect(x, p, t), horizon, tol)
-            for t in _grid(x.space)
-        }
-        v = _aggregate(per_t, p, tol, witness=k0)
+        v = _aggregate(row(p), p, tol, witness=k0)
         if v.converged:
             return v
         if best is None or v.residual < best.residual:
@@ -370,9 +383,13 @@ def lemma_cauchy_predicates(
     3. double-density form: the rows j whose defect set
        ``{ k : dist(x_k, x_j) >= g }`` is not null themselves form a null
        set, for every threshold g.
+
+    The three readings share one table of per-threshold null verdicts,
+    and each point's row of it is computed at most once per call.
     """
     space = x.space
-    p1 = ai_stat_cauchy_detect(x, A, ideal, horizon, tol)
+    row = functools.cache(lambda c: _null_row(x, c, A, ideal, horizon, tol))
+    p1 = _anchor_search(x, horizon, tol, row)
     anchor = p1.value
 
     per_g2: dict[float, Verdict] = {}
@@ -381,15 +398,12 @@ def lemma_cauchy_predicates(
             slack = space.vicinity_composition_alpha(g)
         except ValueError:
             slack = g
+        # the slack is g or a threshold below it, so it is on the grid
+        null_v = row(anchor)[slack]
         removal = _neighborhood_defect(x, anchor, slack)
-        null_v = ai_density_is_null(A, ideal, removal, horizon, tol)
-        kept = np.unique(x.value_codes(horizon)[~removal.indicator(horizon)])
-        pair_gap = 0.0
-        for a in kept:
-            for b in kept:
-                pa, pb = space.points[int(a)], space.points[int(b)]
-                if space.dist(pa, pb) >= g:
-                    pair_gap = max(pair_gap, space.dist(pa, pb) - g + tol)
+        kept = [space.points[c] for c in np.unique(x.value_codes(horizon)[~removal.indicator(horizon)])]
+        gaps = [space.dist(a, b) for a in kept for b in kept]
+        pair_gap = max((d - g + tol for d in gaps if d >= g), default=0.0)
         if pair_gap > 0.0 and null_v.converged:
             per_g2[g] = Verdict(DIVERGED, anchor, max(null_v.residual, pair_gap), tol)
         else:
@@ -398,12 +412,8 @@ def lemma_cauchy_predicates(
 
     per_g3: dict[float, Verdict] = {}
     for g in _grid(space):
-        bad_points = set()
-        for c in space.points:
-            v = ai_density_is_null(A, ideal, _neighborhood_defect(x, c, g), horizon, tol)
-            if not v.converged:
-                bad_points.add(c)
-        outer = _point_set(x, f"rows-with-bad-defect(t={g})", {p: p in bad_points for p in space.points})
+        bad = {c: not row(c)[g].converged for c in space.points}
+        outer = _point_set(x, f"rows-with-bad-defect(t={g})", bad)
         per_g3[g] = ai_density_is_null(A, ideal, outer, horizon, tol)
     p3 = _aggregate(per_g3, anchor, tol)
 
@@ -443,31 +453,16 @@ def ai_star_conv_detect(
     if target is None:
         raise ValueError("a limit point is required unless cauchy=True")
     _check_point(x.space, target)
-    j0 = _entry_index(x.space, sub, target)
-    inner_ok = j0 <= kept // 2
-    ok = comp_v.converged and inner_ok
-    residual = comp_v.residual if inner_ok else max(comp_v.residual, (j0 - 1) / kept)
-    status = CONVERGED if ok else (DIVERGED if not inner_ok and j0 > kept - kept // 10 else INCONCLUSIVE)
-    return Verdict(
-        status,
-        target,
-        residual if not ok else min(residual, tol),
-        tol,
-        witness={"subsequence_entry": j0, "kept": kept},
-    )
+    j0, inner = _entry_index(x.space, sub, target)
+    if inner == CONVERGED:
+        status, residual = (CONVERGED if comp_v.converged else INCONCLUSIVE), comp_v.residual
+    else:
+        status, residual = inner, max(comp_v.residual, (j0 - 1) / kept)
+    return Verdict(status, target, residual, tol, witness={"subsequence_entry": j0, "kept": kept})
 
 
 # ---------------------------------------------------------------------------
 # limit and cluster point sets
-
-
-def _nonthin_verdict(
-    A: SummMatrix, ideal: Ideal, member: IndexSet, horizon: int, tol: float
-) -> tuple[bool, Verdict]:
-    v = ai_density_is_null(A, ideal, member, horizon, tol)
-    if v.converged:
-        return False, v
-    return (v.tail_low is not None and v.tail_low > tol), v
 
 
 def lambda_set(
@@ -497,14 +492,13 @@ def lambda_set(
         if c not in wit:
             warnings.warn(f"no witness set for candidate {c!r}; skipped", stacklevel=2)
             continue
-        nonthin, _ = _nonthin_verdict(A, ideal, wit[c], horizon, tol)
-        if not nonthin:
+        if not nonthin(ai_density_is_null(A, ideal, wit[c], horizon, tol)):
             continue
         sub = x.value_codes(horizon)[wit[c].indicator(horizon)]
         if len(sub) == 0:
             continue
-        j0 = _entry_index(x.space, sub, c)
-        if j0 == 1 or j0 <= len(sub) // 2:
+        j0, status = _entry_index(x.space, sub, c)
+        if j0 == 1 or status == CONVERGED:
             out.add(c)
     return frozenset(out)
 
@@ -525,19 +519,16 @@ def gamma_set(
     """
     out = set()
     for c in x.space.points:
-        ok = True
         for t in _grid(x.space):
-            hits = ~_neighborhood_defect(x, c, t)
-            nonthin, v = _nonthin_verdict(A, ideal, hits, horizon, tol)
-            if v.status == INCONCLUSIVE and not nonthin:
-                warnings.warn(
-                    f"cluster check for {c!r} at t={t} is inconclusive (residual {v.residual})",
-                    stacklevel=2,
-                )
-            if not nonthin:
-                ok = False
+            v = ai_density_is_null(A, ideal, ~_neighborhood_defect(x, c, t), horizon, tol)
+            if not nonthin(v):
+                if v.status == INCONCLUSIVE:
+                    warnings.warn(
+                        f"cluster check for {c!r} at t={t} is inconclusive (residual {v.residual})",
+                        stacklevel=2,
+                    )
                 break
-        if ok:
+        else:
             out.add(c)
     return frozenset(out)
 

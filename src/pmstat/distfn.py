@@ -78,9 +78,10 @@ class StepDistFn:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "StepDistFn":
         """Build from ``(location, value)`` pairs, dropping zero-height jumps.
 
-        Locations must be strictly increasing and values nondecreasing;
-        a pair whose value does not exceed the running value is redundant
-        and is removed, which makes the result canonical.
+        Pairs must be finite, locations strictly increasing and values
+        nondecreasing; a pair whose value does not exceed the running
+        value is redundant and is removed, which makes the result
+        canonical.
         """
         kept: list[tuple[float, float]] = []
         prev_loc = -math.inf
@@ -88,6 +89,8 @@ class StepDistFn:
         for loc, val in pairs:
             loc = float(loc)
             val = float(val)
+            if not (math.isfinite(loc) and math.isfinite(val)):
+                raise ValueError(f"non-finite jump ({loc}, {val})")
             if loc <= prev_loc:
                 raise ValueError("jump locations must be strictly increasing")
             if val < run - 0.0:
@@ -269,16 +272,19 @@ def pointwise_gap(f: StepDistFn, g: StepDistFn) -> float:
     return worst
 
 
+def _pointwise(f: StepDistFn, g: StepDistFn, pick: Callable[[float, float], float]) -> StepDistFn:
+    pairs = [(x, pick(f.right_value(x), g.right_value(x))) for x in merged_locations(f, g)]
+    return StepDistFn.from_pairs(pairs)
+
+
 def pointwise_min(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     """Pointwise minimum, again a step d.d.f."""
-    pairs = [(x, min(f.right_value(x), g.right_value(x))) for x in merged_locations(f, g)]
-    return StepDistFn.from_pairs(pairs)
+    return _pointwise(f, g, min)
 
 
 def pointwise_max(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     """Pointwise maximum, again a step d.d.f."""
-    pairs = [(x, max(f.right_value(x), g.right_value(x))) for x in merged_locations(f, g)]
-    return StepDistFn.from_pairs(pairs)
+    return _pointwise(f, g, max)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -276,6 +276,7 @@ _EXCEPT_SETS = {
     "except-cubes": CUBES,
     "except-squares-block": SQUARES,
     "witnessed-except-squares": SQUARES,
+    "except-late-squares-density-ideal": LATE_SQUARES,
 }
 
 
@@ -346,14 +347,9 @@ def _build_instance(
         members = sorted(int(v) for v in rng.choice(np.arange(1, 401), size=12, replace=False))
         x = eventually_constant(space, limit, finite_set(members))
         expected = (limit, True, frozenset({limit}), frozenset({limit}))
-    elif family in ("alternate-evens", "alternate-evens-density-ideal", "bounded-pair"):
+    elif family in ("alternate-evens", "alternate-evens-density-ideal", "bounded-pair", "alternate-mod3"):
         p, q = _pick_two(rng, pts)
-        x = alternating(space, p, q, EVENS)
-        cluster_pair = (p, q)
-        expected = (None, False, frozenset({p, q}), frozenset({p, q}))
-    elif family == "alternate-mod3":
-        p, q = _pick_two(rng, pts)
-        x = alternating(space, p, q, multiples(3))
+        x = alternating(space, p, q, multiples(3) if family == "alternate-mod3" else EVENS)
         cluster_pair = (p, q)
         expected = (None, False, frozenset({p, q}), frozenset({p, q}))
     elif family == "thin-visit":
@@ -367,17 +363,10 @@ def _build_instance(
         x = splice(base, ~POWERS_OF_TWO, fill)
         splice_null = CUBES
         expected = (limit, True, frozenset({limit}), frozenset({limit}))
-    elif family == "sparse-rows-limit":
+    elif family in ("sparse-rows-limit", "sparse-rows-alt"):
         p, q = _pick_two(rng, pts)
         x = alternating(space, p, q, SQUARES)
-        expected = (p, True, frozenset({p}), frozenset({p}))
-    elif family == "sparse-rows-alt":
-        p, q = _pick_two(rng, pts)
-        x = alternating(space, p, q, SQUARES)
-        expected = (q, True, frozenset({q}), frozenset({q}))
-    elif family == "except-late-squares-density-ideal":
-        limit = _pick(rng, pts)
-        x = eventually_constant(space, limit, LATE_SQUARES)
+        limit = p if family == "sparse-rows-limit" else q
         expected = (limit, True, frozenset({limit}), frozenset({limit}))
     else:
         raise ValueError(f"unknown recipe family {family!r}")
@@ -540,10 +529,6 @@ def _foundation_checks(cfg: SuiteConfig) -> list[dict]:
     return checks
 
 
-def _flags(space: FinitePMSpace, pred: Callable[[str], bool]) -> np.ndarray:
-    return np.array([bool(pred(p)) for p in space.points], dtype=bool)
-
-
 def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
     checks: list[dict] = []
     space, x, A, ideal = inst.space, inst.x, inst.matrix, inst.ideal
@@ -659,9 +644,8 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
         worst = 0.0
         for t in grid:
             for eps in (0.25, tol):
-                flags = _flags(space, lambda p: 1.0 - space.ddf(p, anchor)(t) >= eps)
-                member = flags[x.value_codes(N)]
-                v = ai_density_is_null(A, ideal, member, N, tol)
+                far = {p: 1.0 - space.ddf(p, anchor)(t) >= eps for p in pts}
+                v = ai_density_is_null(A, ideal, conv._point_set(x, f"far({anchor},t={t})", far), N, tol)
                 ok = ok and v.converged
                 worst = max(worst, v.residual)
         add("ddf-at-anchor-statistically-one", ok, worst)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -198,20 +199,6 @@ def _marked(n: int, members: Iterable[int]) -> np.ndarray:
     return arr
 
 
-def _vec_evens(n: int) -> np.ndarray:
-    arr = np.zeros(n, dtype=bool)
-    arr[1::2] = True
-    return arr
-
-
-def _vec_odds(n: int) -> np.ndarray:
-    arr = np.zeros(n, dtype=bool)
-    arr[0::2] = True
-    return arr
-
-
-EVENS = IndexSet("evens", lambda k: k % 2 == 0, _vec_evens)
-ODDS = IndexSet("odds", lambda k: k % 2 == 1, _vec_odds)
 SQUARES = IndexSet(
     "squares",
     lambda k: math.isqrt(k) ** 2 == k,
@@ -250,6 +237,10 @@ def multiples(m: int, r: int = 0) -> IndexSet:
         return arr
 
     return IndexSet(f"mod:{m},{r}", lambda k: k % m == r, vec)
+
+
+EVENS = replace(multiples(2, 0), name="evens")
+ODDS = replace(multiples(2, 1), name="odds")
 
 
 def index_block(lo: int, hi: int) -> IndexSet:
@@ -497,6 +488,14 @@ class BlockMatrix(SummMatrix):
         return (counts - prev) / self.m
 
 
+def _is_list(value: object, of: Callable[[object], bool]) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes)) and all(map(of, value))
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class ExplicitMatrix(SummMatrix):
     """A matrix given by literal rows (small horizons only).
 
@@ -504,9 +503,14 @@ class ExplicitMatrix(SummMatrix):
     """
 
     def __init__(self, rows: Sequence[Sequence[float]], name: str = "explicit"):
+        if not _is_list(rows, lambda row: _is_list(row, _is_number)):
+            raise ValueError(f"{name}: rows must be lists of numbers")
         if not rows:
             raise ValueError("no rows given")
-        self.rows = tuple(tuple(float(v) for v in row) for row in rows)
+        try:
+            self.rows = tuple(tuple(float(v) for v in row) for row in rows)
+        except OverflowError:
+            raise ValueError(f"{name}: entries must be finite, got an integer beyond the float range") from None
         bad = [v for row in self.rows for v in row if not 0.0 <= v < math.inf]
         if bad:
             raise ValueError(f"{name}: entries must be finite and non-negative, got {bad[0]}")
@@ -927,14 +931,15 @@ def ai_nonthin(
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """Whether a set fails to have A^I-density zero at the horizon.
+    """Whether a set fails to have A^I-density zero at the horizon, by ``nonthin``."""
+    return nonthin(ai_density_is_null(A, ideal, member, horizon, tol))
+
+
+def nonthin(null_v: Verdict) -> bool:
+    """The finite-horizon reading of "does not have density zero" on a null verdict.
 
     True when the null verdict is not converged and the tail of the
-    partial densities stays above tol (a liminf proxy); a set whose null
-    verdict converges is thin.  This is the finite-horizon reading of
-    "does not have density zero".
+    partial densities stays above its tol (a liminf proxy); a set whose
+    null verdict converges is thin.
     """
-    v = ai_density_is_null(A, ideal, member, horizon, tol)
-    if v.converged:
-        return False
-    return v.tail_low is not None and v.tail_low > tol
+    return not null_v.converged and null_v.tail_low is not None and null_v.tail_low > null_v.tol

@@ -205,6 +205,17 @@ class TestMatrixAndDensityCommands:
         assert main([*cmd, "--matrix", f"file:{path}", "--N", "10"]) == 2
         assert "finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["[1, 2]", "5", '"rows"', '[[1.0], "ab"]', "[[true]]", "[[null]]"])
+    @pytest.mark.parametrize("cmd", [["matrix-check"], ["density", "evens"]])
+    def test_file_matrix_not_lists_of_numbers_exit_2(
+        self, rows: str, cmd: list[str], tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        path = tmp_path / "m.json"
+        path.write_text(rows)
+        assert main([*cmd, "--matrix", f"file:{path}", "--N", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"file:{path}" in err and "lists of numbers" in err
+
     def test_density_reports_value(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
         out = tmp_path / "density.json"
         assert main(["density", "evens", "--out", str(out)]) == 0
@@ -317,7 +328,86 @@ class TestConfigAndEnv:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestNumericOptions:
+    """Every numeric option is checked once, after flags, ``--config`` and
+    the environment are merged; a bad value exits 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["density", "evens", "--tol", "nan"], "--tol"),
+            (["density", "evens", "--tol", "-1"], "--tol"),
+            (["density", "evens", "--tol", "0"], "--tol"),
+            (["density", "evens", "--tol", "inf"], "--tol"),
+            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "nan"], "--dl-tol"),
+            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "0"], "--dl-tol"),
+            (["tnorm-check", "--tnorm", "prod", "--samples", "-3"], "--samples"),
+            (["converge", "--space", "line:3:0.5", "--seq", "const:v0", "--limit", "v0", "--N", "5"], "--N"),
+            (["matrix-check", "--N", "9"], "--N"),
+            (["suite", "--size", "-1"], "--size"),
+            (["suite", "--size", "0", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_bad_flag_exits_2(self, argv: list[str], flag: str, capsys: pytest.CaptureFixture) -> None:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be"), err
+
+    @pytest.mark.parametrize(
+        "config, flag",
+        [
+            ({"tol": -1}, "--tol"),
+            ({"tol": "nan"}, "--tol"),
+            ({"dl_tol": "nan"}, "--dl-tol"),
+            ({"N": 5}, "--N"),
+            ({"horizon": 20.5}, "--N"),
+            ({"N": True}, "--N"),
+            ({"N": [100]}, "--N"),
+        ],
+    )
+    def test_bad_config_value_exits_2(
+        self, config: dict, flag: str, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["density", "evens", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+
+    def test_nan_jump_exits_2(self, capsys: pytest.CaptureFixture) -> None:
+        assert main(["dl", "jumps:0.1:nan,0.2:1.0", "eps:0.5"]) == 2
+        assert "non-finite jump" in capsys.readouterr().err
+
+    def test_good_config_values_are_converted(self, tmp_path: Path) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": "2000", "tol": "0.02"}))
+        out = tmp_path / "check.json"
+        assert main(["matrix-check", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["horizon"] == 2000
+
+
 class TestSuiteCommand:
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_report_validated_once(
+        self, with_out: bool, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+    ) -> None:
+        import pmstat.cli
+        import pmstat.harness
+
+        calls = []
+
+        def counting(report) -> None:
+            calls.append(1)
+            validate_report(report)
+
+        monkeypatch.setattr(pmstat.cli, "validate_report", counting)
+        monkeypatch.setattr(pmstat.harness, "validate_report", counting)
+        argv = ["suite", "--size", "1", "--N", "2000"]
+        if with_out:
+            argv += ["--out", str(tmp_path / "r.json")]
+        assert main(argv) in (0, 1)
+        assert len(calls) == 1
+
     def test_empty_suite_passes(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["suite", "--size", "0"]) == 0
         out = capsys.readouterr().out

@@ -74,6 +74,21 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="nondecreasing"):
             StepDistFn.from_pairs([(0.1, 0.5), (0.2, 0.4), (0.5, 1.0)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.1, math.nan), (0.2, 1.0)],
+            [(math.nan, 0.5), (0.2, 1.0)],
+            [(0.1, 0.5), (math.inf, 1.0)],
+            [(0.1, -math.inf), (0.2, 1.0)],
+        ],
+    )
+    def test_from_pairs_rejects_non_finite_pairs(self, pairs: list[tuple[float, float]]) -> None:
+        # a NaN value used to compare false against the running value and
+        # drop out as a zero-height jump
+        with pytest.raises(ValueError, match="non-finite"):
+            StepDistFn.from_pairs(pairs)
+
     def test_from_pairs_rejects_repeated_locations(self) -> None:
         with pytest.raises(ValueError, match="strictly increasing"):
             StepDistFn.from_pairs([(0.1, 0.5), (0.1, 1.0)])

@@ -205,6 +205,15 @@ class TestMatrices:
         with pytest.raises(ValueError, match="no rows"):
             ExplicitMatrix([])
 
+    @pytest.mark.parametrize("rows", [[1, 2], 5, "rows", [[1.0], "ab"], [[True]], [[None]], [[1.0], [{"a": 1}]]])
+    def test_explicit_matrix_rejects_rows_that_are_not_number_lists(self, rows) -> None:
+        with pytest.raises(ValueError, match="m.json: rows must be lists of numbers"):
+            ExplicitMatrix(rows, name="m.json")
+
+    def test_explicit_matrix_rejects_integers_beyond_float_range(self) -> None:
+        with pytest.raises(ValueError, match="beyond the float range"):
+            ExplicitMatrix([[1.0], [10**400, 0.5]])
+
     @pytest.mark.parametrize("bad", [-0.1, -1e-300, float("nan"), float("inf")])
     def test_explicit_matrix_rejects_negative_and_non_finite(self, bad: float) -> None:
         with pytest.raises(ValueError, match="finite and non-negative"):
