@@ -11,8 +11,9 @@ This module implements the piecewise-constant members of the family:
 
 * left-continuous evaluation, so ``unit_step(b)`` evaluates to 0 at ``b``
   and to 1 strictly above ``b``;
-* the modified Levy metric ``levy_distance``, computed by bisection over
-  a feasibility predicate that is exact for step functions;
+* the modified Levy metric ``levy_distance``, computed exactly by a
+  binary search over a finite candidate set of slacks, with one
+  feasibility test (``levy_feasible``) per step;
 * an exact closed form ``levy_distance_to_zero`` for the distance to the
   unit step at 0 (the maximal d.d.f.);
 * the pointwise partial order and pointwise min / max;
@@ -30,6 +31,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+# Tolerance of the earlier bisection metric.  Kept for callers that still
+# pass it: ``levy_distance`` accepts and ignores it.
 DEFAULT_DL_TOL = 1e-6
 # Stand-in jump location when the value 1 is attained only in the limit.
 TAIL_LOCATION = 1e6
@@ -70,7 +73,7 @@ class StepDistFn:
             prev_loc, prev_val = loc, val
         if prev_val != 1.0:
             raise ValueError("final jump value must be exactly 1")
-        # cached parallel lists for bisection, not dataclass fields
+        # cached parallel lists for bisect lookups, not dataclass fields
         object.__setattr__(self, "_locs", [j[0] for j in self.jumps])
         object.__setattr__(self, "_vals", [j[1] for j in self.jumps])
 
@@ -157,69 +160,99 @@ def evaluate(f: StepDistFn, t: float) -> float:
     return f._vals[i - 1] if i else 0.0
 
 
-def _eval_line(f: StepDistFn, x: float) -> float:
-    # Extension to the whole line used by the Levy feasibility predicate:
-    # a d.d.f. vanishes at and below 0.
-    if x <= 0.0:
-        return 0.0
-    i = bisect_left(f._locs, x)
-    return f._vals[i - 1] if i else 0.0
-
-
 def levy_feasible(f: StepDistFn, g: StepDistFn, a: float) -> bool:
     """Whether slack ``a`` satisfies the two-sided Levy sandwich.
 
-    Tests ``f(x - a) - a <= g(x) <= f(x + a) + a`` and the same with f, g
-    swapped, for all x in (-1/a, 1/a).  For x <= 0 every inequality holds
-    trivially, and between breakpoints all six step functions involved
-    are constant, so checking the breakpoints of both functions shifted
-    by 0 and +-a inside (0, 1/a), plus the endpoint 1/a (left-continuous
-    evaluation there returns the value on the final subinterval), decides
-    the condition exactly.
+    The sandwich asks ``f(x - a) - a <= g(x) <= f(x + a) + a``, and the
+    same with f and g swapped, for all x in (-1/a, 1/a).  For x <= 0
+    every inequality holds, since both functions vanish there.  The left
+    inequality, written at y = x - a, is the right one with f and g
+    swapped on the smaller range (0, 1/a - a), so the sandwich holds
+    exactly when ``g(x) <= f(x + a) + a`` and ``f(x) <= g(x + a) + a``
+    for all x in (0, 1/a).
+
+    The breakpoints of ``g(x) - f(x + a)`` split (0, 1/a) into open
+    intervals on which both terms are constant; by left-continuity a
+    breakpoint takes the values of the interval to its left.  On the
+    plateau of g that starts at a jump ``(m, w)``, ``f(x + a)`` is
+    smallest on the open interval just right of m, where it equals the
+    right value of f at ``m + a``.  So each inequality is decided exactly
+    by one test per jump below 1/a, reading that interval by its right
+    value rather than at a breakpoint such as ``x = l - a``, where the
+    float sum ``(l - a) + a`` can land on either side of l.
     """
     if a >= 1.0:
         return True
     if a <= 0.0:
         return False
     bound = 1.0 / a
-    cands = {bound}
-    for loc in f._locs + g._locs:
-        for s in (loc - a, loc, loc + a):
-            if 0.0 < s < bound:
-                cands.add(s)
-    for x in cands:
-        fx = _eval_line(f, x)
-        gx = _eval_line(g, x)
-        if _eval_line(f, x - a) - a > gx:
-            return False
-        if gx > _eval_line(f, x + a) + a:
-            return False
-        if _eval_line(g, x - a) - a > fx:
-            return False
-        if fx > _eval_line(g, x + a) + a:
+    return _dominated(g, f, a, bound) and _dominated(f, g, a, bound)
+
+
+def _dominated(g: StepDistFn, f: StepDistFn, a: float, bound: float) -> bool:
+    # g(x) <= f(x + a) + a for all x in (0, bound), one test per jump of g;
+    # w - f(..) is the subtraction the value candidates |v - w| are made of
+    for m, w in g.jumps:
+        if m >= bound:
+            break
+        if w - f.right_value(m + a) > a:
             return False
     return True
 
 
-def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> float:
-    """Modified Levy metric between two step d.d.f.s, within ``tol``.
+def _levy_candidates(f: StepDistFn, g: StepDistFn) -> list[float]:
+    """Sorted slacks in [0, 1] at which ``levy_feasible(f, g, .)`` can change."""
+    cands = {0.0, 1.0}
+    cands.update(abs(l - m) for l in f._locs for m in g._locs)
+    cands.update(1.0 / l for l in f._locs + g._locs if l > 1.0)
+    cands.update(abs(v - w) for v in [0.0, *f._vals] for w in [0.0, *g._vals])
+    return sorted(c for c in cands if c <= 1.0)
 
-    The feasible slacks form an interval with right endpoint 1, so the
-    infimum is located by bisection; the returned value is feasible and
-    at most ``tol`` above the infimum.  Equal functions return exactly 0.
+
+def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> float:
+    """Modified Levy metric between two step d.d.f.s, exact.
+
+    By ``levy_feasible`` the slack a is feasible exactly when, for every
+    jump ``(m, w)`` of g with ``m < 1/a``, ``w <= f+(m + a) + a`` (f+ the
+    right value), and the same with f and g swapped.  As a moves, that
+    test changes only where ``m + a`` crosses a jump location l of the
+    other function (a = l - m), where a jump location crosses the range
+    end 1/a (a = 1/l), or where ``w - v`` crosses a for plateau values v,
+    w of the two functions, 0 included.  Between consecutive members of
+    the candidate set
+
+        {0, 1} u {|l - m|} u {1/l : l > 1} u {|v - w|}
+
+    feasibility is therefore constant, and it is monotone in a (a = 1 is
+    always feasible).  The breakpoints ``l - a`` and ``l + a`` meet 0 and
+    1/a only in the two implied inequalities of the sandwich, so neither
+    the locations l nor the roots of ``a (l +- a) = 1`` are needed.  The distance is the smallest candidate whose next
+    open interval is feasible; a binary search over the sorted candidates
+    finds it with one feasibility test per step, at the midpoint of that
+    interval.  Feasible slacks form the closed interval [distance, 1], so
+    when two candidates are adjacent floats and no float lies between
+    them, the test is made at the lower one instead.  The result is exact
+    up to the rounding of the candidate arithmetic (a difference or
+    reciprocal of floats), and it is symmetric in f and g because the
+    candidate set and the test are.
+
+    ``tol`` is kept for callers of the earlier bisection; it must be
+    positive and does not change the answer.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if f.jumps == g.jumps:
         return 0.0
-    lo, hi = 0.0, 1.0  # invariant: hi feasible, nothing at or below lo known feasible
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if levy_feasible(f, g, mid):
+    cands = _levy_candidates(f, g)
+    lo, hi = 0, len(cands) - 1  # the interval above cands[-1] = 1 is feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        a = cands[mid] + 0.5 * (cands[mid + 1] - cands[mid])
+        if levy_feasible(f, g, cands[mid] if a == cands[mid + 1] else a):
             hi = mid
         else:
-            lo = mid
-    return hi
+            lo = mid + 1
+    return cands[lo]
 
 
 def levy_distance_to_zero(f: StepDistFn) -> float:
@@ -313,7 +346,6 @@ def weakly_converges(
     horizon: int,
     tol: float,
     grid_step: float = 0.01,
-    dl_tol: float = DEFAULT_DL_TOL,
 ) -> WeakConvergence:
     """Check weak convergence of ``fs`` to ``f`` at a finite horizon.
 
@@ -350,7 +382,7 @@ def weakly_converges(
             d = abs(evaluate(h, x) - evaluate(f, x))
             if d > sup_res:
                 sup_res = d
-        dl = levy_distance(h, f, dl_tol)
+        dl = levy_distance(h, f)
         if dl > dl_res:
             dl_res = dl
     ok = sup_res <= tol and dl_res <= tol

@@ -194,8 +194,7 @@ class IndexSet:
 def _marked(n: int, members: Iterable[int]) -> np.ndarray:
     """Indicator over indices 1..n of the given members; those above n drop out."""
     arr = np.zeros(n, dtype=bool)
-    ms = np.fromiter(members, dtype=np.int64)
-    arr[ms[ms <= n] - 1] = True
+    arr[np.fromiter((m for m in members if m <= n), dtype=np.int64) - 1] = True
     return arr
 
 
@@ -271,13 +270,19 @@ def index_set_from_spec(spec: str) -> IndexSet:
     """Parse an index-set spec string.
 
     Grammar: ``all | none | evens | odds | squares | cubes | pow2 |
-    finite:1,2,3 | mod:m,r | block:lo,hi | not:<spec>``.
+    finite:1,2,3 | mod:m,r | block:lo,hi | not:<spec>``.  Leading
+    ``not:`` prefixes are read in a loop and cancel in pairs, so any
+    nesting depth parses.
     """
     spec = spec.strip()
+    negate = False
+    while spec.startswith("not:"):
+        spec = spec[4:].strip()
+        negate = not negate
+    if negate:
+        return ~index_set_from_spec(spec)
     if spec in _NAMED_SETS:
         return _NAMED_SETS[spec]
-    if spec.startswith("not:"):
-        return ~index_set_from_spec(spec[4:])
     if spec.startswith("finite:"):
         return finite_set(int(s) for s in spec[7:].split(",") if s)
     if spec.startswith("mod:"):

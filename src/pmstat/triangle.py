@@ -160,11 +160,14 @@ def check_triangle_axioms(
     """Check the four triangle-function axioms on a sample of d.d.f.s.
 
     Commutativity, associativity, and the identity law are measured in
-    the Levy metric; monotonicity is measured as the worst pointwise
-    order violation on comparable pairs built from the sample with
-    pointwise max.  Pass means residual <= tol for every sampled tuple.
-    Exact implementations report residual 0; the comparisons tolerate
-    tol to keep the check usable for coarsened operations.
+    the exact Levy metric; monotonicity is measured as the worst
+    pointwise order violation on comparable pairs built from the sample
+    with pointwise max.  Pass means residual <= tol for every sampled
+    tuple.  Exact implementations report residual 0 up to float
+    rounding: regrouped jump-location sums can put a jump of
+    ``((f, g), h)`` one ulp from that of ``(f, (g, h))``.  ``dl_tol`` is
+    accepted for callers of the earlier bisection metric and has no
+    effect.
     """
     if not sample:
         raise ValueError("empty sample")
@@ -174,7 +177,7 @@ def check_triangle_axioms(
     wit = ""
     for i, f in enumerate(sample):
         for j, g in enumerate(sample):
-            d = levy_distance(op(f, g), op(g, f), dl_tol)
+            d = levy_distance(op(f, g), op(g, f))
             if d > worst:
                 worst, wit = d, f"pair ({i}, {j})"
     checks.append(AxiomCheck("commutative", worst <= tol, worst, wit))
@@ -185,7 +188,7 @@ def check_triangle_axioms(
     for i, f in enumerate(trip):
         for j, g in enumerate(trip):
             for k, h in enumerate(trip):
-                d = levy_distance(op(op(f, g), h), op(f, op(g, h)), dl_tol)
+                d = levy_distance(op(op(f, g), h), op(f, op(g, h)))
                 if d > worst:
                     worst, wit = d, f"triple ({i}, {j}, {k})"
     checks.append(AxiomCheck("associative", worst <= tol, worst, wit))
@@ -205,8 +208,8 @@ def check_triangle_axioms(
     wit = ""
     for i, f in enumerate(sample):
         d = max(
-            levy_distance(op(EPS0, f), f, dl_tol),
-            levy_distance(op(f, EPS0), f, dl_tol),
+            levy_distance(op(EPS0, f), f),
+            levy_distance(op(f, EPS0), f),
         )
         if d > worst:
             worst, wit = d, f"element {i}"

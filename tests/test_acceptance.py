@@ -22,7 +22,6 @@ import pytest
 
 from pmstat.convergence import ai_stat_conv_detect
 from pmstat.distfn import (
-    DEFAULT_DL_TOL,
     EPS0,
     evaluate,
     levy_distance,
@@ -50,8 +49,8 @@ HORIZON = 10_000
 
 
 def test_criterion_1_levy_metric_vs_grid_oracle() -> None:
-    # bisection distance vs the exhaustive 0.01-grid scan on 1000 random
-    # pairs, plus exact symmetry and the triangle inequality
+    # exact distance vs the exhaustive 0.01-grid scan on 1000 random pairs,
+    # plus exact symmetry and the triangle inequality up to float rounding
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260825)
     fns = [random_step_fn(rng) for _ in range(2000)]
@@ -62,7 +61,7 @@ def test_criterion_1_levy_metric_vs_grid_oracle() -> None:
         d_impl = levy_distance(f, g)
         d_grid = oracle_levy_distance(f, g, grid_step)
         worst = max(worst, abs(d_impl - d_grid))
-        assert abs(d_impl - d_grid) <= grid_step + 1e-6, (i, d_impl, d_grid)
+        assert abs(d_impl - d_grid) <= grid_step + 1e-9, (i, d_impl, d_grid)
         assert levy_distance(g, f) == d_impl
 
     tri_rng = random.Random(17)
@@ -71,12 +70,12 @@ def test_criterion_1_levy_metric_vs_grid_oracle() -> None:
         f, g, h = tri_rng.sample(fns, 3)
         gap = levy_distance(f, h) - levy_distance(f, g) - levy_distance(g, h)
         worst_tri = max(worst_tri, gap)
-        assert gap <= 3e-6
+        assert gap <= 1e-12
 
     elapsed = time.perf_counter() - t0
     print(
         f"criterion 1: 1000 pairs, worst |impl-grid|={worst:.6f} "
-        f"(cap {grid_step + 1e-6}), worst triangle gap={worst_tri:.2e}, "
+        f"(cap {grid_step + 1e-9}), worst triangle gap={worst_tri:.2e}, "
         f"elapsed {elapsed:.1f}s"
     )
     assert elapsed < 30.0
@@ -84,10 +83,10 @@ def test_criterion_1_levy_metric_vs_grid_oracle() -> None:
 
 def test_criterion_2_zero_distance_threshold_equivalence() -> None:
     # f(t) > 1-t holds exactly when the Levy distance to the unit step at 0
-    # is below t; checked both with the exact closed form (no band) and the
-    # bisection metric (band = its tolerance)
+    # is below t; checked with the exact closed form (no band), which the
+    # metric's candidate search must reproduce bit for bit
     rng = np.random.default_rng(2)
-    exact_checked = band_skipped = 0
+    exact_checked = 0
     for _ in range(1200):
         f = random_step_fn(rng)
         t = float(rng.uniform(1e-3, 1.0))
@@ -98,15 +97,12 @@ def test_criterion_2_zero_distance_threshold_equivalence() -> None:
             assert inside == (d_exact < t), (f, t, d_exact)
             exact_checked += 1
 
-        d_bis = levy_distance(f, EPS0)
-        if abs(d_bis - t) > DEFAULT_DL_TOL:
-            assert inside == (d_bis < t), (f, t, d_bis)
-        else:
-            band_skipped += 1
+        d_metric = levy_distance(f, EPS0)
+        assert d_metric == d_exact, (f, d_metric, d_exact)
 
     print(
         f"criterion 2: 1200 draws, {exact_checked} exact checks with zero "
-        f"violations, {band_skipped} inside the bisection tol-band"
+        f"violations, metric equal to the closed form on all 1200"
     )
     assert exact_checked >= 1000
 

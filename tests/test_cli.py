@@ -8,11 +8,15 @@ acceptance tests.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmstat.cli import fn_from_spec, main, sequence_from_spec, space_from_spec
 from pmstat.distfn import EPS0, StepDistFn, levy_distance, unit_step
@@ -145,6 +149,37 @@ class TestSpaceCommand:
     def test_line_space(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["space-validate", "line:5:0.3"]) == 0
         assert "all axioms hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["line:8:0.1", "line:12:0.3", "line:6:0.7"])
+    def test_line_spacing_rounding_no_longer_breaks_p4(self, spec: str, capsys: pytest.CaptureFixture) -> None:
+        # 0.1 * 6 rounds above 0.1 + 0.5: the snapped spacing makes both exact
+        assert main(["space-validate", spec]) == 0
+        assert "all axioms hold" in capsys.readouterr().out
+
+    def test_line_of_every_length_validates(self) -> None:
+        for n in range(1, 51):
+            space = space_from_spec(f"line:{n}:0.1")  # raises on any axiom violation
+            assert len(space.points) == n
+        assert space.dist("v0", "v1") == pytest.approx(0.1, rel=1e-13)
+        assert space.dist("v0", "v6") == 2 * space.dist("v0", "v3")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("line:0:0.1", "1..50 points"),
+            ("line:51:0.1", "1..50 points"),
+            ("line:100000000:0.1", "1..50 points"),
+            ("line:3:inf", "line spacing"),
+            ("line:3:nan", "line spacing"),
+            ("line:3:0", "line spacing"),
+            ("line:3:-0.5", "line spacing"),
+            ("line:50:1e307", "line spacing"),
+        ],
+    )
+    def test_line_spec_bounds_exit_2(self, spec: str, message: str, capsys: pytest.CaptureFixture) -> None:
+        assert main(["space-validate", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_degenerate_file_rejected_on_load(
         self, degenerate_space_path: str, capsys: pytest.CaptureFixture
@@ -452,3 +487,87 @@ class TestParserErrors:
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--space", EQ3_SPEC, "--limit", "a"])
         assert exc.value.code == 2
+
+
+# -- fuzzing the spec grammars ------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.sampled_from(["0", "27", "51", "100000000", "9" * 30, "1e400", "-0.0", "nan", "inf", "5e-324", "0.1", "1_0"]),
+    st.floats().map(repr),
+    st.text("0123456789.-+e", max_size=6),
+)
+_TEXT = st.text(max_size=20)
+
+
+def _joined(parts: st.SearchStrategy, sep: str = ",") -> st.SearchStrategy:
+    return st.lists(parts, max_size=4).map(sep.join)
+
+
+_FN_SPEC = st.one_of(
+    st.builds("eps:{}".format, _NUMBER),
+    st.builds("jumps:{}".format, _joined(st.builds("{}:{}".format, _NUMBER, _NUMBER))),
+    st.builds("json:/nonexistent/{}".format, _TEXT),
+    _TEXT,
+)
+_SET_SPEC = st.recursive(
+    st.one_of(
+        st.sampled_from(["all", "none", "evens", "odds", "squares", "cubes", "pow2"]),
+        st.builds("finite:{}".format, _joined(_NUMBER)),
+        st.builds("mod:{},{}".format, _NUMBER, _NUMBER),
+        st.builds("block:{},{}".format, _NUMBER, _NUMBER),
+        _TEXT,
+    ),
+    lambda inner: st.one_of(st.builds("not:{}".format, inner), st.builds("{}{}".format, st.just("not:" * 1500), inner)),
+    max_leaves=3,
+)
+_MATRIX_SPEC = st.one_of(
+    st.sampled_from(["cesaro", "identity", "constcol", "squares"]),
+    st.builds("block:{}".format, _NUMBER),
+    st.builds("weighted:{}".format, _NUMBER),
+    st.builds("file:/nonexistent/{}".format, _TEXT),
+    _TEXT,
+)
+_IDEAL_SPEC = st.one_of(st.just("fin"), st.builds("density:{}".format, _MATRIX_SPEC), _TEXT)
+_SPACE_SPEC = st.one_of(
+    st.builds("equilateral:{}:{}".format, st.one_of(st.integers(-1, 6).map(str), _NUMBER), _FN_SPEC),
+    st.builds("line:{}:{}".format, st.one_of(st.integers(-1, 12).map(str), _NUMBER), _NUMBER),
+    st.builds("/nonexistent/{}".format, _TEXT),
+    _TEXT,
+)
+
+
+def _exit_code(argv: list[str]) -> int:
+    """Run the CLI in-process; argparse usage errors count as their exit code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestSpecGrammarFuzz:
+    """Any string in a spec position ends in exit 0, 1 or 2 with a message,
+    never in a traceback.  Positionals go after ``--`` so that text starting
+    with a dash stays a spec; without it argparse exits 2 as well."""
+
+    @given(_FN_SPEC, _FN_SPEC)
+    @example("jumps:1e308:0.5,1.7e308:1", "eps:5e-324")
+    def test_dl(self, f: str, g: str) -> None:
+        assert _exit_code(["dl", "--", f, g]) in (0, 1, 2)
+
+    @given(_SET_SPEC, _MATRIX_SPEC, _IDEAL_SPEC)
+    @example("finite:1," + "9" * 30, "cesaro", "fin")  # once an OverflowError
+    @example("not:" * 2000 + "evens", "cesaro", "fin")  # once a RecursionError
+    def test_density(self, member: str, matrix: str, ideal: str) -> None:
+        argv = ["density", "--matrix", matrix, "--ideal", ideal, "--N", "100", "--", member]
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @given(_SPACE_SPEC)
+    @example("line:100000000:0.1")  # once an O(n^3) hang
+    @example("line:3:inf")  # once a "NaN distance"
+    def test_space_validate(self, space: str) -> None:
+        assert _exit_code(["space-validate", "--", space]) in (0, 1, 2)

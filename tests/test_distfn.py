@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmstat import (
-    DEFAULT_DL_TOL,
     EPS0,
     StepDistFn,
     evaluate,
@@ -24,9 +23,41 @@ from pmstat import (
     weakly_converges,
 )
 
+from pmstat.distfn import _levy_candidates, levy_feasible
+
 from conftest import step_fns
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
+
+
+@st.composite
+def float_step_fns(draw, max_jumps: int = 5) -> StepDistFn:
+    # off-grid jumps: arbitrary floats, so candidate differences round
+    n = draw(st.integers(1, max_jumps))
+    locs = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n, unique=True).map(sorted))
+    vals = draw(
+        st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1, unique=True).map(sorted)
+    )
+    return StepDistFn.from_pairs(zip(locs, vals + [1.0]))
+
+
+def _sandwich_holds(f: StepDistFn, g: StepDistFn, a: float) -> bool:
+    # the modified Levy sandwich read literally: all four inequalities at
+    # the midpoint of every open interval between the breakpoints (jumps
+    # of f and g shifted by 0 and +-a) in (0, 1/a)
+    def at(h: StepDistFn, x: float) -> float:
+        return 0.0 if x <= 0.0 else evaluate(h, x)
+
+    bound = 1.0 / a
+    cuts = sorted({s for loc in f.locations + g.locations for s in (loc - a, loc, loc + a) if 0.0 < s < bound})
+    edges = [0.0, *cuts, bound]
+    for lo, hi in zip(edges, edges[1:]):
+        x = 0.5 * (lo + hi)
+        if not at(f, x - a) - a <= at(g, x) <= at(f, x + a) + a:
+            return False
+        if not at(g, x - a) - a <= at(f, x) <= at(g, x + a) + a:
+            return False
+    return True
 
 
 class TestCanonicalForm:
@@ -159,19 +190,16 @@ class TestLevyMetric:
 
     def test_unit_step_to_zero_is_its_location(self) -> None:
         for b in (0.1, 0.25, 0.5, 0.9):
-            d = levy_distance(unit_step(b), EPS0)
-            assert abs(d - b) <= DEFAULT_DL_TOL
+            assert levy_distance(unit_step(b), EPS0) == b
 
     def test_far_unit_step_saturates_at_one(self) -> None:
         assert levy_distance_to_zero(unit_step(3.0)) == 1.0
-        d = levy_distance(unit_step(3.0), EPS0)
-        assert abs(d - 1.0) <= DEFAULT_DL_TOL
+        assert levy_distance(unit_step(3.0), EPS0) == 1.0
 
     def test_known_two_jump_distance_to_zero(self) -> None:
         # plateau (0.25, 0.75] at 0.5: candidate max(0.25, 0.5) = 0.5 < 0.75
         assert levy_distance_to_zero(F_HALF) == 0.5
-        d = levy_distance(F_HALF, EPS0)
-        assert abs(d - 0.5) <= DEFAULT_DL_TOL
+        assert levy_distance(F_HALF, EPS0) == 0.5
 
     def test_nonpositive_tolerance_rejected(self) -> None:
         with pytest.raises(ValueError, match="positive"):
@@ -195,17 +223,15 @@ class TestLevyMetric:
 
     @given(step_fns(), step_fns(), step_fns())
     def test_triangle_inequality(self, f: StepDistFn, g: StepDistFn, h: StepDistFn) -> None:
-        # each term carries at most one bisection tolerance of overshoot
+        # each term is a candidate difference, exact up to its rounding
         dfh = levy_distance(f, h)
         dfg = levy_distance(f, g)
         dgh = levy_distance(g, h)
-        assert dfh <= dfg + dgh + 3.0 * DEFAULT_DL_TOL
+        assert dfh <= dfg + dgh + 1e-12
 
     @given(step_fns())
     def test_closed_form_matches_bisection(self, f: StepDistFn) -> None:
-        exact = levy_distance_to_zero(f)
-        approx = levy_distance(f, EPS0)
-        assert abs(exact - approx) <= 2.0 * DEFAULT_DL_TOL
+        assert levy_distance(f, EPS0) == levy_distance_to_zero(f)
 
     @given(step_fns())
     def test_distance_to_zero_threshold_characterization(self, f: StepDistFn) -> None:
@@ -217,6 +243,62 @@ class TestLevyMetric:
         if d < 1.0:
             t = min(d + 1e-7, 1.0)
             assert f(t) > 1.0 - t
+
+
+class TestExactLevySearch:
+    # reading f(x + a) at the breakpoint x = l - a, through the float sum
+    # (l - a) + a, calls a = 0.781 feasible for this pair; the distance is
+    # 0.804897, a plateau-value difference
+    DEFECT_F = unit_step(1.992116)
+    DEFECT_G = StepDistFn.from_pairs(
+        [(0.104701, 0.067747), (0.771799, 0.66553), (0.99941, 0.804897), (1.261837, 1.0)]
+    )
+
+    def test_defect_pair_distance_is_exact(self) -> None:
+        assert levy_distance(self.DEFECT_F, self.DEFECT_G) == 0.804897
+        assert levy_distance(self.DEFECT_G, self.DEFECT_F) == 0.804897
+
+    def test_defect_pair_feasibility_is_monotone(self) -> None:
+        grid = [round(0.78 + k / 1000, 3) for k in range(31)]
+        verdicts = [levy_feasible(self.DEFECT_F, self.DEFECT_G, a) for a in grid]
+        assert verdicts == sorted(verdicts)
+        assert verdicts.index(True) == grid.index(0.805)
+        for a in (0.781, 0.785, 0.789, 0.8):
+            assert not levy_feasible(self.DEFECT_F, self.DEFECT_G, a)
+
+    @given(float_step_fns())
+    def test_distance_to_eps0_is_closed_form_bit_for_bit(self, f: StepDistFn) -> None:
+        assert levy_distance(f, EPS0) == levy_distance_to_zero(f)
+        assert levy_distance(EPS0, f) == levy_distance_to_zero(f)
+
+    @given(float_step_fns(), float_step_fns())
+    def test_symmetry_exact_off_grid(self, f: StepDistFn, g: StepDistFn) -> None:
+        assert levy_distance(f, g) == levy_distance(g, f)
+
+    @given(step_fns(), step_fns())
+    def test_result_is_the_feasibility_edge(self, f: StepDistFn, g: StepDistFn) -> None:
+        # the open interval above the result is feasible, the one below is
+        # not; neighbours within 1e-12 are the same real number rounded
+        # another way (0.3 - 0.07 against 0.23) and are skipped
+        d = levy_distance(f, g)
+        cands = _levy_candidates(f, g)
+        assert d in cands
+        above = [c for c in cands if c > d + 1e-12]
+        below = [c for c in cands if c < d - 1e-12]
+        if above:
+            assert levy_feasible(f, g, 0.5 * (d + above[0]))
+        if below:
+            assert not levy_feasible(f, g, 0.5 * (below[-1] + d))
+
+    @given(step_fns(), step_fns(), st.integers(1, 999))
+    def test_feasible_is_the_literal_sandwich(self, f: StepDistFn, g: StepDistFn, k: int) -> None:
+        # an off-grid slack, so no breakpoint of the hundredths grid ties
+        a = k / 1000 + 2**-20
+        assert levy_feasible(f, g, a) == _sandwich_holds(f, g, a)
+
+    @given(step_fns(), step_fns())
+    def test_tolerance_does_not_change_the_answer(self, f: StepDistFn, g: StepDistFn) -> None:
+        assert levy_distance(f, g, tol=1e-1) == levy_distance(f, g, tol=1e-9) == levy_distance(f, g)
 
 
 class TestPointwiseOps:
@@ -263,15 +345,15 @@ class TestWeakConvergence:
     def test_shrinking_steps_converge_to_eps0(self) -> None:
         fs = [unit_step(1.0 / k) for k in range(1, 401)]
         v = weakly_converges(fs, EPS0, horizon=400, tol=0.02)
-        # sampled sup misses the spike left of each jump, Levy residual ~1/200
+        # sampled sup misses the spike left of each jump, Levy residual 1/200
         assert v.ok
-        assert v.dl_residual <= 1.0 / 200 + DEFAULT_DL_TOL
+        assert v.dl_residual == 1.0 / 200
 
     def test_stalled_sequence_fails(self) -> None:
         fs = [unit_step(0.4)] * 60
         v = weakly_converges(fs, EPS0, horizon=60, tol=0.02)
         assert not v.ok
-        assert v.dl_residual >= 0.4 - DEFAULT_DL_TOL
+        assert v.dl_residual == 0.4
 
     def test_argument_validation(self) -> None:
         with pytest.raises(ValueError, match="empty"):

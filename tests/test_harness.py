@@ -68,7 +68,8 @@ class TestOracles:
             d_impl = levy_distance(f, g)
             d_grid = oracle_levy_distance(f, g)
             diff = d_grid - d_impl
-            assert -2e-6 <= diff <= 0.01 + 1e-9, (f.jumps, g.jumps)
+            # the exact metric is the infimum the grid scan overshoots
+            assert -1e-12 <= diff <= 0.01 + 1e-9, (f.jumps, g.jumps)
 
     @pytest.mark.parametrize(
         "make",

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmstat import (
     EPS0,
@@ -86,6 +91,49 @@ class TestConstruction:
             build_metric_induced(("p", "q", "r"), d)
         assert exc.value.axiom == "triangle-inequality"
         assert set(exc.value.witness) == {"p", "q", "r"}
+
+    def test_one_ulp_triangle_violation_caught_at_metric_check(self) -> None:
+        # 0.25 + 0.25 is exactly 0.5, so one ulp more is a violation by
+        # rounding alone; it is named here, not left to surface as P-4
+        d = {("p", "q"): 0.25, ("q", "r"): 0.25, ("p", "r"): math.nextafter(0.5, 1.0)}
+        with pytest.raises(AxiomViolation) as exc:
+            build_metric_induced(("p", "q", "r"), d)
+        assert exc.value.axiom == "triangle-inequality"
+        assert exc.value.witness in {("p", "q", "r"), ("r", "q", "p")}
+        assert "(1 ulp)" in str(exc.value)
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=2, max_size=5, unique=True),
+        st.sampled_from(["scaled", "coords", "table"]),
+        st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 0.01]),
+        st.data(),
+    )
+    def test_metric_check_accepts_exactly_when_p4_holds(self, ks, mode, step, data) -> None:
+        # s * |i - j| (the old line: spec) and differences of coordinates
+        # k * s break the triangle inequality by rounding alone, often;
+        # arbitrary positive tables break it outright
+        pts = tuple(f"x{i}" for i in range(len(ks)))
+        d = {}
+        for (i, p), (j, q) in itertools.combinations(enumerate(pts), 2):
+            if mode == "scaled":
+                d[(p, q)] = step * abs(ks[i] - ks[j])
+            elif mode == "coords":
+                d[(p, q)] = abs(ks[i] * step - ks[j] * step)
+            else:
+                d[(p, q)] = data.draw(st.floats(1e-3, 10.0))
+        try:
+            build_metric_induced(pts, d)
+            accepted = True
+        except AxiomViolation as exc:
+            assert exc.axiom == "triangle-inequality"
+            accepted = False
+        table = {
+            (p, q): EPS0 if p == q else unit_step(d.get((p, q), d.get((q, p))))
+            for p in pts
+            for q in pts
+        }
+        space = from_table(pts, table, TriangleFn("min"), validate=False)
+        assert accepted == space.validate_axioms().ok
 
     def test_distances_above_one_saturate(self) -> None:
         sp = build_metric_induced(("p", "q"), {("p", "q"): 3.0})
