@@ -49,7 +49,7 @@ from .harness import (
     write_csv,
     write_report,
 )
-from .pmspace import FinitePMSpace, build_equilateral, build_metric_induced
+from .pmspace import FinitePMSpace, SpaceAxiomReport, build_equilateral, build_metric_induced
 from .summability import (
     DEFAULT_HORIZON,
     DEFAULT_TOL,
@@ -173,17 +173,15 @@ def _cmd_tnorm_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_space_validate(args: argparse.Namespace) -> int:
+    # every space spec is built through from_table, which validates the
+    # axioms and raises on the first violation (exit 2): a space that
+    # loads holds them all
     space = space_from_spec(args.space)
-    report = space.validate_axioms()
     print(f"points: {', '.join(space.points)}")
     print(f"thresholds: {', '.join(f'{t:g}' for t in space.thresholds())}")
-    if report.ok:
-        print("all axioms hold")
-    else:
-        for axiom, witness, detail in report.violations:
-            print(f"violated {axiom} at {witness}: {detail}")
-    _emit(args, {"command": "space-validate", "points": list(space.points), "report": report.to_json()})
-    return 0 if report.ok else 1
+    print("all axioms hold")
+    _emit(args, {"command": "space-validate", "points": list(space.points), "report": SpaceAxiomReport(()).to_json()})
+    return 0
 
 
 def _cmd_matrix_check(args: argparse.Namespace) -> int:

@@ -12,10 +12,11 @@ For a set M of indices, the A-density is the limit of
 ``y_n = sum_{m in M} a_nm`` when it exists; replacing the ordinary limit
 by an ideal limit gives the A^I-density.  Every matrix here is
 non-negative, and what it computes is that partial-density series,
-``density_series(M, n_rows)``.  The regularity conditions are read off
-it: the row sums are the series of all indices (non-negative entries
-make them the absolute row sums), and column k is the series of {k}, so
-vanishing columns say that finite sets have A-density 0.
+``density_series(M, n_rows, start=1)`` on rows start..n_rows.  The
+regularity conditions are read off it: the row sums are the series of
+all indices (non-negative entries make them the absolute row sums), and
+column k is the series of {k}, so vanishing columns say that finite sets
+have A-density 0.
 
 An ideal is a family of "small" index sets closed under subsets and
 finite unions; the two kinds used operationally are the finite sets
@@ -26,6 +27,12 @@ horizon N returns a ``Verdict`` carrying the estimate, a residual, and a
 status, with the invariant that a converged status implies
 residual <= tol.  Emptiness has density zero: the partial densities of
 the empty set vanish identically, so its verdict converges to 0.
+
+A limit reading looks only at the tail window, rows ``tail_start(n)..n``
+of an n-row series, and only the rows a verdict reads are built: a fin
+limit reads the window of its A-series, a density ideal reads its
+A-series whole and the window of each B-series (``Ideal.reads_from``).
+A window equals that slice of the whole series bit for bit.
 """
 
 from __future__ import annotations
@@ -115,29 +122,44 @@ def tail_start(n: int, fraction: float = TAIL_FRACTION) -> int:
     return max(1, math.ceil(n * fraction))
 
 
-def _ordinary_limit_verdict(y: np.ndarray, target: float, tol: float) -> Verdict:
-    """Tail-stabilization verdict for an ordinary limit against a fixed target.
+def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
+    """Tail-stabilization verdict for an ordinary limit, read off the tail window.
 
-    Converged when the final deviation is within tol and the whole tail
-    window stays within SETTLE_FACTOR * tol; diverged when the tail never
-    comes within tol of the target; inconclusive otherwise.
+    ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series;
+    callers slice or build only that window.  Converged when the final
+    deviation is within tol and the whole window stays within
+    SETTLE_FACTOR * tol; diverged when the window never comes within tol
+    of the target; inconclusive otherwise.
+
+    The deviations are read from the window's extremes.  Rounding is
+    monotone, so x -> fl(x - t) is nondecreasing and the largest
+    deviation |fl(x - t)| over the window is exactly
+    ``max(t - min, max - t)``.  The smallest is ``min - t`` when
+    t <= min and ``t - max`` when t >= max; only a target strictly inside
+    the window's range needs a pass over the deviations.  A null verdict
+    on a non-negative series thus costs two reductions and no temporary
+    array.
     """
-    n = len(y)
-    if n == 0:
+    if len(win) == 0:
         raise ValueError("empty partial-value sequence")
-    w0 = tail_start(n)
-    win = y[w0 - 1 :]
-    dev = np.abs(win - target)
-    residual = float(dev[-1])
-    tail_low = float(win.min())
-    tail_high = float(win.max())
-    if residual <= tol and float(dev.max()) <= SETTLE_FACTOR * tol:
+    low, high = float(win.min()), float(win.max())
+    residual = abs(float(win[-1]) - target)
+    if residual <= tol and max(target - low, high - target) <= SETTLE_FACTOR * tol:
         status = CONVERGED
-    elif float(dev.min()) > tol:
-        status = DIVERGED
     else:
-        status = INCONCLUSIVE
-    return Verdict(status, target, residual, tol, tail_low, tail_high)
+        if target <= low:
+            nearest = low - target
+        elif target >= high:
+            nearest = target - high
+        else:
+            nearest = float(np.abs(win - target).min())
+        status = DIVERGED if nearest > tol else INCONCLUSIVE
+    return Verdict(status, target, residual, tol, low, high)
+
+
+def _ordinary_limit_verdict(y: np.ndarray, target: float, tol: float) -> Verdict:
+    """``_tail_verdict`` on the tail window of a whole series ``y``."""
+    return _tail_verdict(y[tail_start(len(y)) - 1 :], target, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +328,11 @@ def _member_array(member: Membership, n: int) -> np.ndarray:
     return member[:n].astype(bool)
 
 
+def _check_window(n_rows: int, start: int) -> None:
+    if not 1 <= start <= n_rows:
+        raise ValueError(f"start row {start} outside rows 1..{n_rows}")
+
+
 # ---------------------------------------------------------------------------
 # summability matrices
 
@@ -342,15 +369,13 @@ class SummMatrix:
                 hi = mid - 1
         return lo
 
-    def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
-        top = max(max(self.row_support(n), default=1) for n in range(1, n_rows + 1))
+    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
+        """Partial A-densities ``y_n = sum_{m in M} a_nm`` for rows n = start..n_rows."""
+        _check_window(n_rows, start)
+        rows = range(start, n_rows + 1)
+        top = max(max(self.row_support(n), default=1) for n in rows)
         mem = _member_array(member, top)
-        return np.array(
-            [
-                sum(self.entry(n, k) for k in self.row_support(n) if mem[k - 1])
-                for n in range(1, n_rows + 1)
-            ]
-        )
+        return np.array([sum(self.entry(n, k) for k in self.row_support(n) if mem[k - 1]) for n in rows])
 
 
 class TriangularMatrix(SummMatrix):
@@ -415,17 +440,22 @@ class TriangularMatrix(SummMatrix):
         total = self._weight_sums(n)[-1]  # raises before the power can overflow
         return float(np.float64(j) ** self.power / total)
 
-    def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
+    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
+        _check_window(n_rows, start)
         if self._map is None:
             mem = _member_array(member, n_rows)
         else:
             mapped = self._mapped(n_rows)
             mem = _member_array(member, int(mapped[-1]))[mapped - 1]
-        # unit weights: the running count of members is the numerator.
-        # Weights that overflow give inf or nan here, and _weight_sums raises.
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = mem if self.power == 0 else self._weights(n_rows) * mem
-            return np.cumsum(num, dtype=float) / self._weight_sums(n_rows)
+        sums = self._weight_sums(n_rows)  # raises before any weight can overflow
+        if self.power == 0:
+            # unit weights: the numerator is the running count of members,
+            # exact in integers, so a window starts from the prefix's count
+            counts = np.cumsum(mem[start - 1 :], dtype=np.int64)
+            counts += np.count_nonzero(mem[: start - 1])
+            return counts / sums[start - 1 :]
+        # a float running sum adds in sequence, so a window needs the whole run
+        return (np.cumsum(self._weights(n_rows) * mem) / sums)[start - 1 :]
 
 
 class IdentityMatrix(SummMatrix):
@@ -442,8 +472,9 @@ class IdentityMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return n
 
-    def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
-        return _member_array(member, n_rows).astype(float)
+    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
+        _check_window(n_rows, start)
+        return _member_array(member, n_rows)[start - 1 :].astype(float)
 
 
 class ConstantColumnMatrix(SummMatrix):
@@ -464,8 +495,9 @@ class ConstantColumnMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return self.col
 
-    def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
-        return np.full(n_rows, 1.0 if _member_array(member, self.col)[-1] else 0.0)
+    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
+        _check_window(n_rows, start)
+        return np.full(n_rows - start + 1, 1.0 if _member_array(member, self.col)[-1] else 0.0)
 
 
 class BlockMatrix(SummMatrix):
@@ -486,11 +518,10 @@ class BlockMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return n * self.m
 
-    def density_series(self, member: Membership, n_rows: int) -> np.ndarray:
+    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
+        _check_window(n_rows, start)
         mem = _member_array(member, n_rows * self.m)
-        counts = np.cumsum(mem)[self.m - 1 :: self.m][:n_rows].astype(float)
-        prev = np.concatenate(([0.0], counts[:-1]))
-        return (counts - prev) / self.m
+        return np.count_nonzero(mem[(start - 1) * self.m :].reshape(-1, self.m), axis=1) / self.m
 
 
 def _is_list(value: object, of: Callable[[object], bool]) -> bool:
@@ -702,12 +733,25 @@ class Ideal:
     def from_predicate(cls, name: str, fn: Callable[[IndexSet, int], bool]) -> "Ideal":
         return cls("predicate", name, member_fn=fn)
 
+    def reads_from(self, n_rows: int) -> int:
+        """First row of an n_rows partial series that a limit under this ideal reads.
+
+        A fin limit is tail stabilization, so it reads only the tail window
+        ``tail_start(n_rows)..n_rows``; the defect rows of a density ideal
+        span every row.  Predicate ideals take no limits.
+        """
+        if self.kind == "fin":
+            return tail_start(n_rows)
+        if self.kind == "density":
+            return 1
+        raise ValueError(f"ideal kind {self.kind!r} supports no limit extraction")
+
     def contains(self, member: IndexSet, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
         """Finite-horizon membership verdict for a set in the ideal."""
         if self.kind == "fin":
-            counts = np.cumsum(member.indicator(horizon))
+            marks = member.indicator(horizon)
             w0 = tail_start(horizon)
-            growth = float(counts[-1] - counts[w0 - 1])
+            growth = float(np.count_nonzero(marks[w0:]))
             rate = growth / max(1, horizon - w0)
             if growth == 0.0:
                 status = CONVERGED
@@ -715,11 +759,10 @@ class Ideal:
                 status = DIVERGED
             else:
                 status = INCONCLUSIVE
-            return Verdict(status, float(counts[-1]), rate, tol)
+            return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
         if self.kind == "density":
             rows = self.matrix.max_row_for(horizon)
-            y = self.matrix.density_series(member, rows)
-            return _ordinary_limit_verdict(y, 0.0, tol)
+            return _tail_verdict(self.matrix.density_series(member, rows, start=tail_start(rows)), 0.0, tol)
         if self.kind == "predicate":
             member_flag = bool(self.member_fn(member, horizon))
             status = CONVERGED if member_flag else DIVERGED
@@ -784,38 +827,45 @@ def ideal_limit_at(
     defect set takes its closed form: its partial B-densities vanish on
     every row, so it converges to 0 with no series built.
     """
-    return _ideal_limit_at(_limit_input(y, ideal), ideal, target, tol, {})
+    return _ideal_limit_at(*_limit_input(y, ideal), ideal, target, tol, {})
 
 
-def _limit_input(y: np.ndarray, ideal: Ideal) -> np.ndarray:
-    """``y`` as a float array, checked to be a sequence ``ideal`` can take limits of."""
+def _limit_input(y: np.ndarray, ideal: Ideal) -> tuple[np.ndarray, int]:
+    """The rows of ``y`` that a limit under ``ideal`` reads, as floats, and
+    the row count of ``y``; ``y`` is checked to be a nonempty sequence."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) == 0:
         raise ValueError("y must be a nonempty one-dimensional sequence")
-    if ideal.kind not in ("fin", "density"):
-        raise ValueError(f"ideal kind {ideal.kind!r} supports no limit extraction")
-    return y
+    return y[ideal.reads_from(len(y)) - 1 :], len(y)
+
+
+def _tail_offset(n: int, ideal: Ideal) -> int:
+    """Where row ``tail_start(n)`` sits in the rows of an n-row series that ``ideal`` reads."""
+    return tail_start(n) - ideal.reads_from(n)
 
 
 def _ideal_limit_at(
-    y: np.ndarray,
+    part: np.ndarray,
+    n: int,
     ideal: Ideal,
     target: float,
     tol: float,
     decided: dict[bytes, Verdict],
 ) -> Verdict:
-    """``ideal_limit_at`` on a checked ``y``, with a memo of sub-verdicts
-    keyed by packed defect rows.
+    """``ideal_limit_at`` on ``part``, the rows ``ideal.reads_from(n)..n``
+    of an n-row series, with a memo of sub-verdicts keyed by packed
+    defect rows.
 
-    A memo may be shared only between calls with the same y, ideal and tol.
+    A memo may be shared only between calls with the same series, ideal
+    and tol.
     """
+    off = _tail_offset(n, ideal)
+    win = part[off:]
     if ideal.kind == "fin":
-        return _ordinary_limit_verdict(y, target, tol)
+        return _tail_verdict(win, target, tol)
     B = ideal.matrix
-    rows = B.max_row_for(len(y))
-    w0 = tail_start(len(y))
-    win = y[w0 - 1 :]
-    dev = np.abs(y - target)
+    rows = B.max_row_for(n)
+    dev = np.abs(part - target)
     sub: dict[str, Verdict] = {}
     for eps in _eps_grid(tol):
         defect = dev >= eps
@@ -825,8 +875,8 @@ def _ideal_limit_at(
             if not defect.any():
                 v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
             else:
-                v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
-                if not v.converged and not defect[w0 - 1 :].any():
+                v = _tail_verdict(B.density_series(defect, rows, start=tail_start(rows)), 0.0, tol)
+                if not v.converged and not defect[off:].any():
                     v = replace(v, status=CONVERGED, residual=0.0)
                 elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
                     v = replace(v, status=INCONCLUSIVE)
@@ -858,11 +908,20 @@ def ideal_limit(
     share their density-ideal sub-verdicts (see ``ideal_limit_at``).
     An empty candidate list is an error.
     """
-    y = _limit_input(y, ideal)
+    return _ideal_limit(*_limit_input(y, ideal), ideal, tol, candidates)
+
+
+def _ideal_limit(
+    part: np.ndarray,
+    n: int,
+    ideal: Ideal,
+    tol: float,
+    candidates: Sequence[float] | None,
+) -> Verdict:
+    """``ideal_limit`` on ``part``, the rows ``ideal.reads_from(n)..n`` of an n-row series."""
     if candidates is None:
-        w0 = tail_start(len(y))
-        win = y[w0 - 1 :]
-        candidates = [float(y[-1]), float(np.median(win)), 0.0, 0.5, 1.0]
+        win = part[_tail_offset(n, ideal) :]
+        candidates = [float(part[-1]), float(np.median(win)), 0.0, 0.5, 1.0]
     seen: list[float] = []
     for c in candidates:
         if not any(abs(c - s) <= 1e-12 for s in seen):
@@ -872,7 +931,7 @@ def ideal_limit(
     decided: dict[bytes, Verdict] = {}
     best: Verdict | None = None
     for c in seen:
-        v = _ideal_limit_at(y, ideal, c, tol, decided)
+        v = _ideal_limit_at(part, n, ideal, c, tol, decided)
         if best is None:
             best = v
         elif (v.converged, -v.residual) > (best.converged, -best.residual):
@@ -880,13 +939,16 @@ def ideal_limit(
     return best
 
 
-def _horizon_partials(A: SummMatrix, member: Membership, horizon: int) -> np.ndarray:
-    """Partial A-densities on every row whose support fits the horizon.
+def _horizon_partials(A: SummMatrix, ideal: Ideal, member: Membership, horizon: int) -> tuple[np.ndarray, int]:
+    """The partial A-densities that a limit under ``ideal`` reads, and the row count n.
 
-    A membership array sets its own horizon, its length.
+    The series has n rows, every row whose support fits the horizon; only
+    rows ``ideal.reads_from(n)..n`` are built.  A membership array sets
+    its own horizon, its length.
     """
     limit = len(member) if isinstance(member, np.ndarray) else horizon
-    return a_density_partial(A, member, A.max_row_for(limit))
+    n = A.max_row_for(limit)
+    return A.density_series(member, n, start=ideal.reads_from(n)), n
 
 
 def ai_density(
@@ -904,7 +966,7 @@ def ai_density(
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
-    return ideal_limit(_horizon_partials(A, member, horizon), ideal, tol, candidates)
+    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, tol, candidates)
 
 
 def ai_density_is_null(
@@ -915,7 +977,7 @@ def ai_density_is_null(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Verdict for "the set has A^I-density zero"."""
-    return ideal_limit_at(_horizon_partials(A, member, horizon), ideal, 0.0, tol)
+    return _ideal_limit_at(*_horizon_partials(A, ideal, member, horizon), ideal, 0.0, tol, {})
 
 
 def ai_density_is_full(
@@ -926,7 +988,7 @@ def ai_density_is_full(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Verdict for "the set has A^I-density one"."""
-    return ideal_limit_at(_horizon_partials(A, member, horizon), ideal, 1.0, tol)
+    return _ideal_limit_at(*_horizon_partials(A, ideal, member, horizon), ideal, 1.0, tol, {})
 
 
 def ai_nonthin(

@@ -21,6 +21,7 @@ t-norm sends unit steps at b and c to the unit step at b + c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,7 +74,9 @@ def apply_supconv(
 ) -> StepDistFn:
     """Sup-convolution of f and g under a t-norm, exact on the sum-set.
 
-    ``tnorm`` is a tag from ``TNORMS`` or a callable.
+    ``tnorm`` is a tag from ``TNORMS`` or a callable.  A jump whose
+    location l + m overflows the float range is an input error that
+    names l and m.
     """
     if isinstance(tnorm, str):
         try:
@@ -94,6 +97,11 @@ def apply_supconv(
                 out[-1] = (s, run)
             else:
                 out.append((s, run))
+    if out and out[-1][0] == math.inf:
+        fl, gl = next(
+            (fl, gl) for fl, fv in f.jumps for gl, gv in g.jumps if fl + gl == math.inf and T(fv, gv) == run
+        )
+        raise ValueError(f"jump-location sum overflows: {fl!r} + {gl!r} is beyond the float range")
     return StepDistFn.from_pairs(out)
 
 

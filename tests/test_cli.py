@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from pmstat.cli import fn_from_spec, main, sequence_from_spec, space_from_spec
 from pmstat.distfn import EPS0, StepDistFn, levy_distance, unit_step
 from pmstat.harness import validate_report
-from pmstat.pmspace import from_table
+from pmstat.pmspace import FinitePMSpace, from_table
 from pmstat.triangle import TRIANGLE_KINDS, TriangleFn
 
 EQ3_SPEC = "equilateral:3:jumps:0.25:0.5,0.75:1.0"
@@ -202,6 +202,33 @@ class TestSpaceCommand:
     def test_missing_file_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["space-validate", "/no/such/space.json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_each_space_is_validated_once(self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+        path = tmp_path / "eq3.json"
+        path.write_text(json.dumps(space_from_spec(EQ3_SPEC).to_json()))
+        calls = []
+        validate = FinitePMSpace.validate_axioms
+
+        def counted(space: FinitePMSpace):
+            calls.append(space.points)
+            return validate(space)
+
+        monkeypatch.setattr(FinitePMSpace, "validate_axioms", counted)
+        for spec in (EQ3_SPEC, "line:50:0.1", str(path)):
+            calls.clear()
+            assert main(["space-validate", spec]) == 0
+            assert len(calls) == 1, spec
+
+    def test_overflowing_jump_sum_is_named(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+        # every F_pq jumps at 1e308, so tau(F_pq, F_qr) would jump at 2e308
+        far = StepDistFn.from_pairs([(1e308, 1.0)])
+        pts = ("a", "b", "c")
+        table = {(p, q): EPS0 if p == q else far for p in pts for q in pts}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(from_table(pts, table, TriangleFn("min"), validate=False).to_json()))
+        assert main(["space-validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: jump-location sum overflows: 1e+308 + 1e+308")
 
 
 class TestMatrixAndDensityCommands:
@@ -529,6 +556,17 @@ _MATRIX_SPEC = st.one_of(
     _TEXT,
 )
 _IDEAL_SPEC = st.one_of(st.just("fin"), st.builds("density:{}".format, _MATRIX_SPEC), _TEXT)
+_POINT = st.one_of(st.sampled_from(["a", "b", "c"]), _TEXT)
+_SEQ_SPEC = st.recursive(
+    st.one_of(
+        st.builds("const:{}".format, _POINT),
+        st.builds("except:{}:{}".format, _POINT, _SET_SPEC),
+        st.builds("alternate:{},{}:{}".format, _POINT, _POINT, _SET_SPEC),
+        _TEXT,
+    ),
+    lambda inner: st.builds("splice:{}@{}@{}".format, inner, _SET_SPEC, _POINT),
+    max_leaves=3,
+)
 _SPACE_SPEC = st.one_of(
     st.builds("equilateral:{}:{}".format, st.one_of(st.integers(-1, 6).map(str), _NUMBER), _FN_SPEC),
     st.builds("line:{}:{}".format, st.one_of(st.integers(-1, 12).map(str), _NUMBER), _NUMBER),
@@ -571,3 +609,17 @@ class TestSpecGrammarFuzz:
     @example("line:3:inf")  # once a "NaN distance"
     def test_space_validate(self, space: str) -> None:
         assert _exit_code(["space-validate", "--", space]) in (0, 1, 2)
+
+    # ``--seq=<spec>`` keeps text that starts with a dash a sequence spec
+
+    @given(_SEQ_SPEC, _POINT)
+    @example("splice:const:a@evens@b", "a")
+    @example("alternate:a,a:finite:1," + "9" * 30, "a")
+    def test_converge(self, seq: str, limit: str) -> None:
+        argv = ["converge", "--space", EQ3_SPEC, "--N", "100", f"--seq={seq}", f"--limit={limit}"]
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @given(_SEQ_SPEC)
+    @example("except:b:" + "not:" * 2000 + "squares")
+    def test_cauchy(self, seq: str) -> None:
+        assert _exit_code(["cauchy", "--space", EQ3_SPEC, "--N", "100", f"--seq={seq}"]) in (0, 1, 2)

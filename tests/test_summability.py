@@ -651,9 +651,9 @@ class TestSharedDefectVerdicts:
         built = []
         series = B.density_series
 
-        def counted(member, n_rows):
+        def counted(member, n_rows, **window):
             built.append(n_rows)
-            return series(member, n_rows)
+            return series(member, n_rows, **window)
 
         B.density_series = counted
         N, tol = 10**5, 0.01

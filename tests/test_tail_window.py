@@ -1,0 +1,203 @@
+"""Tail-window density verdicts: each verdict builds and reads only the rows it reads.
+
+A fin limit and a B-density null verdict read only rows ``tail_start(n)..n``
+of an n-row partial-density series.  These tests pin that the window form of
+``density_series`` is bit-identical to a slice of the whole series, that the
+tail reading from the window's extremes equals the reading over every
+deviation, and that no series starts before the window where only the window
+is read.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from pmstat import (
+    CONVERGED,
+    DIVERGED,
+    EVENS,
+    INCONCLUSIVE,
+    SQUARES,
+    BlockMatrix,
+    ConstantColumnMatrix,
+    ExplicitMatrix,
+    Ideal,
+    IdentityMatrix,
+    Verdict,
+    ai_density,
+    ai_density_is_full,
+    ai_density_is_null,
+    cesaro1,
+    index_block,
+    index_set_from_spec,
+    matrix_from_spec,
+    squares_rows,
+    tail_start,
+    weighted_mean,
+)
+from pmstat.summability import SETTLE_FACTOR, _ordinary_limit_verdict, _tail_verdict
+
+
+def _whole_series_verdict(y: np.ndarray, target: float, tol: float) -> Verdict:
+    """The tail reading as it was before the window form: deviations over a
+    slice of the whole series, one temporary array per reading."""
+    n = len(y)
+    if n == 0:
+        raise ValueError("empty partial-value sequence")
+    w0 = tail_start(n)
+    win = y[w0 - 1 :]
+    dev = np.abs(win - target)
+    residual = float(dev[-1])
+    tail_low = float(win.min())
+    tail_high = float(win.max())
+    if residual <= tol and float(dev.max()) <= SETTLE_FACTOR * tol:
+        status = CONVERGED
+    elif float(dev.min()) > tol:
+        status = DIVERGED
+    else:
+        status = INCONCLUSIVE
+    return Verdict(status, target, residual, tol, tail_low, tail_high)
+
+
+def _whole_series_fin_limit(y: np.ndarray, tol: float) -> Verdict:
+    """``ideal_limit`` under fin with the default candidates, on the whole series."""
+    win = y[tail_start(len(y)) - 1 :]
+    seen: list[float] = []
+    for c in [float(y[-1]), float(np.median(win)), 0.0, 0.5, 1.0]:
+        if not any(abs(c - s) <= 1e-12 for s in seen):
+            seen.append(c)
+    best = None
+    for c in seen:
+        v = _whole_series_verdict(y, c, tol)
+        if best is None or (v.converged, -v.residual) > (best.converged, -best.residual):
+            best = v
+    return best
+
+
+def _explicit() -> ExplicitMatrix:
+    """Twelve rows with uneven, non-dyadic entries, read by the generic loop."""
+    return ExplicitMatrix([[(k % 3 + 1) / (7 * n) for k in range(1, 2 * n + 1)] for n in range(1, 13)], name="uneven")
+
+
+WINDOW_MATRICES = {
+    **{spec: (lambda spec=spec: matrix_from_spec(spec)) for spec in (
+        "cesaro", "weighted:0.5", "weighted:1", "weighted:2", "squares",
+        "block:1", "block:4", "block:12", "identity", "constcol",
+    )},
+    "explicit": _explicit,
+}
+SET_SPECS = ["evens", "squares", "pow2", "mod:3,1", "finite:1,2,9,40", "block:30,90", "not:cubes", "none", "all"]
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestTailWindow:
+    """A verdict builds and reads only the rows it reads, with the same bits."""
+
+    HORIZON = 400
+
+    @given(
+        name=st.sampled_from(sorted(WINDOW_MATRICES)),
+        member_kind=st.sampled_from(["array", "set"]),
+        set_spec=st.sampled_from(SET_SPECS),
+        seed=st.integers(0, 2**16),
+        share=st.sampled_from([0.0, 0.1, 0.5, 0.97, 1.0]),
+        data=st.data(),
+    )
+    def test_window_equals_slice_of_whole_series(self, name, member_kind, set_spec, seed, share, data) -> None:
+        A = WINDOW_MATRICES[name]()
+        if member_kind == "array":
+            member = np.random.default_rng(seed).random(self.HORIZON) < share
+        else:
+            member = index_set_from_spec(set_spec)
+        n = data.draw(st.integers(1, A.max_row_for(self.HORIZON)), label="n_rows")
+        start = data.draw(st.sampled_from(sorted({1, tail_start(n), n, data.draw(st.integers(1, n))})), label="start")
+        whole = A.density_series(member, n)
+        assert _bits(A.density_series(member, n, start=start)) == _bits(whole[start - 1 :])
+
+    @pytest.mark.parametrize("start", [0, -3, 11])
+    def test_window_outside_the_rows_is_rejected(self, start: int) -> None:
+        for A in (cesaro1(), weighted_mean(1), BlockMatrix(4), IdentityMatrix(), ConstantColumnMatrix(), _explicit()):
+            with pytest.raises(ValueError, match="outside rows 1..10"):
+                A.density_series(EVENS, 10, start=start)
+
+    @staticmethod
+    @st.composite
+    def windows(draw) -> tuple[np.ndarray, float]:
+        pool = draw(st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=1, max_size=4))
+        values = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(-4.0, 4.0)), min_size=1, max_size=40))
+        y = np.array(values)
+        lo, hi = float(y.min()), float(y.max())
+        target = draw(
+            st.one_of(
+                st.sampled_from([lo, hi, float(y[-1]), (lo + hi) / 2, 0.0]),
+                st.floats(lo - 1.0, lo),
+                st.floats(hi, hi + 1.0),
+                st.floats(lo, hi),
+                st.floats(-8.0, 8.0),
+            )
+        )
+        return y, target
+
+    @given(wt=windows(), tol=st.sampled_from([1e-3, 0.01, 0.1, 0.5, 2.0]))
+    @example(wt=(np.array([0.3, 0.3, 0.3]), 0.3), tol=0.01)
+    @example(wt=(np.array([-1.0, 1.0]), 0.0), tol=0.01)
+    @example(wt=(np.array([0.0, -0.0]), -0.0), tol=0.01)
+    @example(wt=(np.array([0.5, 0.51]), 0.5 - 0.01), tol=0.01)
+    # the nearest value exactly tol away, below and above the target
+    @example(wt=(np.array([0.5, 0.75]), 0.0), tol=0.5)
+    @example(wt=(np.array([-0.5, -0.75]), 0.0), tol=0.5)
+    def test_extremes_reading_equals_the_deviation_pass(self, wt, tol) -> None:
+        y, target = wt
+        want = json.dumps(_whole_series_verdict(y, target, tol).to_json())
+        assert json.dumps(_tail_verdict(y[tail_start(len(y)) - 1 :], target, tol).to_json()) == want
+        assert json.dumps(_ordinary_limit_verdict(y, target, tol).to_json()) == want
+
+    @given(
+        mspec=st.sampled_from(["cesaro", "weighted:1", "squares", "block:4", "identity", "constcol"]),
+        set_spec=st.sampled_from(SET_SPECS),
+        horizon=st.integers(10, 3000),
+        tol=st.sampled_from([0.01, 0.02, 0.1]),
+    )
+    def test_fin_verdicts_equal_the_whole_series_reading(self, mspec, set_spec, horizon, tol) -> None:
+        A, fin = matrix_from_spec(mspec), Ideal.fin()
+        member = index_set_from_spec(set_spec)
+        y = A.density_series(member, A.max_row_for(horizon))
+        got = ai_density(A, fin, member, horizon, tol).to_json()
+        assert json.dumps(got) == json.dumps(_whole_series_fin_limit(y, tol).to_json())
+        for verdict, target in ((ai_density_is_null, 0.0), (ai_density_is_full, 1.0)):
+            got = verdict(A, fin, member, horizon, tol).to_json()
+            assert json.dumps(got) == json.dumps(_whole_series_verdict(y, target, tol).to_json())
+
+    def test_no_series_starts_before_the_tail_window_where_only_it_is_read(self) -> None:
+        A, B = cesaro1(), squares_rows()
+        built: list[tuple[str, int, int]] = []
+        for M in (A, B):
+            series = M.density_series
+
+            def counted(member, n_rows, start=1, M=M, series=series):
+                built.append((M.name, n_rows, start))
+                return series(member, n_rows, start=start)
+
+            M.density_series = counted
+        N, tol = 10**4, 0.01
+        for member in (EVENS, SQUARES, index_block(1, 200)):
+            ai_density(A, Ideal.fin(), member, N, tol)
+            ai_density_is_null(A, Ideal.fin(), member, N, tol)
+            ai_density_is_full(A, Ideal.fin(), member, N, tol)
+        assert built and all(start == tail_start(rows) for _, rows, start in built)
+
+        # density ideal: the first-level series is whole, every B-series a window
+        built.clear()
+        ai_density(A, Ideal.density_zero(B), EVENS, N, tol)
+        Ideal.density_zero(B).contains(SQUARES, N, tol)
+        first = [b for b in built if b[0] == "cesaro"]
+        second = [b for b in built if b[0] == "squares"]
+        assert first == [("cesaro", N, 1)]
+        assert len(second) > 1 and all(start == tail_start(rows) for _, rows, start in second)

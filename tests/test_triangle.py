@@ -123,6 +123,13 @@ class TestSupConvolution:
         with pytest.raises(ValueError, match="unknown t-norm"):
             apply_supconv("drastic", F_HALF, F_HALF)
 
+    @pytest.mark.parametrize("tag", ["min", "prod", "luka"])
+    def test_overflowing_location_sum_is_named(self, tag: str) -> None:
+        f = StepDistFn.from_pairs([(0.5, 0.5), (1e308, 1.0)])
+        g = StepDistFn.from_pairs([(1.7e308, 1.0)])
+        with pytest.raises(ValueError, match=r"sum overflows: 1e\+308 \+ 1\.7e\+308 "):
+            apply_supconv(tag, f, g)
+
     def test_result_is_canonical(self) -> None:
         for f in _sample_fns(3, 8):
             h = apply_supconv("luka", f, F_HALF)
