@@ -35,7 +35,7 @@ import numpy as np
 
 from . import convergence as conv
 from .convergence import IndexedSequence
-from .distfn import DEFAULT_DL_TOL, StepDistFn, levy_distance, unit_step
+from .distfn import StepDistFn, levy_distance, unit_step
 from .harness import (
     DEFAULT_SUITE_SIZE,
     DEFAULT_SUITE_TOL,
@@ -66,7 +66,6 @@ _CONFIG_KEYS = {
     "N": "N",
     "horizon": "N",
     "tol": "tol",
-    "dl_tol": "dl_tol",
     "size": "size",
     "matrix": "matrix",
     "ideal": "ideal",
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write a JSON report to this path")
     common.add_argument("--config", help="JSON file with default option values")
-    common.add_argument("--dl-tol", dest="dl_tol", type=float, default=None, help="no effect: the Levy metric is exact")
 
     detector = argparse.ArgumentParser(add_help=False)
     detector.add_argument("--space", default=None, help="space spec", required=False)
@@ -354,9 +352,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 # numeric option -> (type, bound): an integer at least the bound, a float finite and above it
-_NUMERIC = {
-    "N": (int, 10), "size": (int, 0), "samples": (int, 0), "seed": (int, 0), "tol": (float, 0), "dl_tol": (float, 0)
-}
+_NUMERIC = {"N": (int, 10), "size": (int, 0), "samples": (int, 0), "seed": (int, 0), "tol": (float, 0)}
 
 
 def _number(dest: str, raw: object) -> int | float:
@@ -368,7 +364,7 @@ def _number(dest: str, raw: object) -> int | float:
         ok = False
     if not ok or (kind is float and value == bound):
         want = f"an integer >= {bound}" if kind is int else f"a finite number > {bound}"
-        raise ValueError(f"--{dest.replace('_', '-')} must be {want}, got {raw!r}")
+        raise ValueError(f"--{dest} must be {want}, got {raw!r}")
     return value
 
 
@@ -376,7 +372,6 @@ def _fill_defaults(args: argparse.Namespace) -> None:
     """Fill unset options, then check the numeric ones, whether they came
     from a flag, ``--config`` or the environment."""
     defaults = {
-        "dl_tol": DEFAULT_DL_TOL,
         "N": DEFAULT_HORIZON,
         "tol": DEFAULT_SUITE_TOL if args.cmd == "suite" else DEFAULT_TOL,
         "matrix": "cesaro",

@@ -49,15 +49,14 @@ _KNIFE_EDGE = 1e-9
 
 @dataclass(eq=False)
 class IndexedSequence:
-    """A sequence of carrier points given by a total generator on k >= 1.
+    """A sequence of carrier points, worked with as an array at the horizon.
 
     The working form is ``value_codes(n)``: the positions in
-    ``space.points`` of x_1..x_n as one integer array, cached and sliced
-    for shorter horizons.  The built-in constructors supply ``codes``,
-    which computes that array in a few array passes; a sequence given only
-    by the scalar ``fn`` is evaluated one index at a time, and each value
-    is checked to be a carrier point as it is first needed.  ``fn`` stays
-    the reference definition the equivalence tests compare against.
+    ``space.points`` of x_1..x_n as one integer array, which ``codes``
+    computes in a few array passes; it is cached and sliced for shorter
+    horizons.  ``fn`` is the scalar generator on k >= 1 that defines the
+    sequence; it is the reference the equivalence tests compare ``codes``
+    against, and nothing else reads it.
 
     ``annotations`` carries ground-truth metadata attached by
     constructors or the instance generator (intended limit, exceptional
@@ -67,33 +66,19 @@ class IndexedSequence:
     space: FinitePMSpace
     fn: Callable[[int], str]
     description: str
+    codes: Callable[[int], np.ndarray] = field(repr=False)
     annotations: dict = field(default_factory=dict)
-    codes: Callable[[int], np.ndarray] | None = field(default=None, repr=False)
     _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
 
     def values(self, n: int) -> list[str]:
         return [self.space.points[c] for c in self.value_codes(n).tolist()]
 
     def value_codes(self, n: int) -> np.ndarray:
-        have = len(self._codes)
-        if n > have:
-            if self.codes is not None:
-                codes = np.asarray(self.codes(n), dtype=np.int64)
-            else:
-                codes = np.concatenate((self._codes, self._scalar_codes(have + 1, n)))
+        if n > len(self._codes):
+            codes = np.asarray(self.codes(n), dtype=np.int64)
             codes.flags.writeable = False
             self._codes = codes
         return self._codes[:n]
-
-    def _scalar_codes(self, lo: int, hi: int) -> np.ndarray:
-        order = {p: i for i, p in enumerate(self.space.points)}
-        out = np.empty(hi - lo + 1, dtype=np.int64)
-        for k in range(lo, hi + 1):
-            v = self.fn(k)
-            if v not in order:
-                raise ValueError(f"sequence value {v!r} at k={k} is not a carrier point")
-            out[k - lo] = order[v]
-        return out
 
 
 def _code(space: FinitePMSpace, p: str) -> int:
@@ -104,7 +89,7 @@ def _code(space: FinitePMSpace, p: str) -> int:
 def constant_sequence(space: FinitePMSpace, point: str) -> IndexedSequence:
     c = _code(space, point)
     return IndexedSequence(
-        space, lambda k: point, f"const:{point}", {"limit": point}, lambda n: np.full(n, c, dtype=np.int64)
+        space, lambda k: point, f"const:{point}", lambda n: np.full(n, c, dtype=np.int64), {"limit": point}
     )
 
 
@@ -144,8 +129,8 @@ def eventually_constant(
         space,
         gen,
         f"except:{limit}:{exceptional.name}",
-        {"limit": limit, "defect_set": exceptional},
         codes,
+        {"limit": limit, "defect_set": exceptional},
     )
 
 
@@ -158,8 +143,8 @@ def alternating(
         space,
         lambda k: p if selector.fn(k) else q,
         f"alternate:{p},{q}:{selector.name}",
-        {"cluster_pair": (p, q), "selector": selector},
         lambda n: np.where(selector.indicator(n), pc, qc),
+        {"cluster_pair": (p, q), "selector": selector},
     )
 
 
@@ -178,8 +163,8 @@ def from_values(space: FinitePMSpace, values: Sequence[str], tail: str) -> Index
         space,
         lambda k: vals[k - 1] if k <= len(vals) else tail,
         f"list[{len(vals)}]-then-{tail}",
-        {"limit": tail},
         codes,
+        {"limit": tail},
     )
 
 
@@ -187,21 +172,15 @@ def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
     """``y_k = x_k`` on the kept set and ``fill`` elsewhere.
 
     The agreement set is recorded so equivalence checks can verify the
-    two sequences differ only inside a declared index set.  A base given
-    only by a scalar generator keeps the splice scalar, so the base is
-    still read only on the kept indices.
+    two sequences differ only inside a declared index set.
     """
     fc = _code(x.space, fill)
-
-    def codes(n: int) -> np.ndarray:
-        return np.where(keep.indicator(n), x.value_codes(n), fc)
-
     return IndexedSequence(
         x.space,
         lambda k: x.fn(k) if keep.fn(k) else fill,
         f"splice({x.description}|{keep.name}|{fill})",
+        lambda n: np.where(keep.indicator(n), x.value_codes(n), fc),
         {"spliced_from": x.description, "agreement_set": keep, "fill": fill},
-        codes if x.codes is not None else None,
     )
 
 
@@ -437,7 +416,8 @@ def ai_star_conv_detect(
     by K converges strongly to the limit (or is strongly Cauchy when
     ``cauchy=True``).  No search over witness sets is attempted, and a
     witness whose density verdict is inconclusive is rejected as an
-    error, not a negative.
+    error, not a negative.  The status combines the two checks, so a
+    witness whose complement is shown not to be null diverges.
     """
     comp_v = ai_density_is_null(A, ideal, ~witness, horizon, tol)
     if comp_v.status == INCONCLUSIVE:
@@ -454,10 +434,8 @@ def ai_star_conv_detect(
         raise ValueError("a limit point is required unless cauchy=True")
     _check_point(x.space, target)
     j0, inner = _entry_index(x.space, sub, target)
-    if inner == CONVERGED:
-        status, residual = (CONVERGED if comp_v.converged else INCONCLUSIVE), comp_v.residual
-    else:
-        status, residual = inner, max(comp_v.residual, (j0 - 1) / kept)
+    residual = comp_v.residual if inner == CONVERGED else max(comp_v.residual, (j0 - 1) / kept)
+    status = combined_status((comp_v.status, inner))
     return Verdict(status, target, residual, tol, witness={"subsequence_entry": j0, "kept": kept})
 
 

@@ -27,6 +27,7 @@ location (``TAIL_LOCATION`` by convention).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -129,8 +130,24 @@ class StepDistFn:
         return [[loc, val] for loc, val in self.jumps]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[float]]) -> "StepDistFn":
-        return cls.from_pairs((float(p[0]), float(p[1])) for p in data)
+    def from_json(cls, data: object) -> "StepDistFn":
+        """Inverse of ``to_json``; any other shape or a number beyond the float range is a ValueError."""
+        if not is_list_of(data, lambda p: is_list_of(p, is_number) and len(p) == 2):
+            raise ValueError("a distribution function is a list of [location, value] number pairs")
+        try:
+            return cls.from_pairs((float(p[0]), float(p[1])) for p in data)
+        except OverflowError:
+            raise ValueError("a jump lies beyond the float range") from None
+
+
+def is_list_of(value: object, of: Callable[[object], bool]) -> bool:
+    """Whether a decoded JSON value is a list whose items all satisfy ``of``."""
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes)) and all(map(of, value))
+
+
+def is_number(value: object) -> bool:
+    """Whether a decoded JSON value is a number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def unit_step(b: float) -> StepDistFn:

@@ -79,23 +79,6 @@ DEFAULT_SUITE_TOL = 0.02
 _ROUNDING_BAND = 1e-9
 
 
-def _is_fourth_power(k: int) -> bool:
-    s = math.isqrt(k)
-    return s * s == k and math.isqrt(s) ** 2 == s
-
-
-def _vec_fourth(n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    j = 1
-    while j ** 4 <= n:
-        out[j ** 4 - 1] = True
-        j += 1
-    return out
-
-
-FOURTH_POWERS = IndexSet("fourth-powers", _is_fourth_power, _vec_fourth)
-
-
 def _at_least(lo: int) -> IndexSet:
     return IndexSet(
         f"from:{lo}",

@@ -31,6 +31,7 @@ from .distfn import (
     EPS0,
     StepDistFn,
     evaluate,
+    is_list_of,
     levy_distance_to_zero,
     pointwise_leq,
     unit_step,
@@ -262,14 +263,27 @@ class FinitePMSpace:
         return {"points": list(self.points), "tnorm": self.tau.kind, "F": pairs}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "FinitePMSpace":
-        points = tuple(data["points"])
+    def from_json(cls, data: object) -> "FinitePMSpace":
+        """Inverse of ``to_json``; the shape is checked here, the axioms by ``from_table``.
+
+        ``F`` lists ``[p, q, jumps]`` triples over two distinct points of
+        ``points``, each pair at most once; any other shape is a ValueError.
+        """
+        if not isinstance(data, dict) or not {"points", "tnorm", "F"} <= data.keys():
+            raise ValueError("a space is a JSON object with keys points, tnorm and F")
+        points = data["points"]
+        if not is_list_of(points, lambda p: isinstance(p, str)):
+            raise ValueError("space points must be a list of strings")
+        if not is_list_of(data["F"], lambda e: isinstance(e, list) and len(e) == 3):
+            raise ValueError("space F must be a list of [p, q, jumps] triples")
         tau = TriangleFn(data["tnorm"])
         table: dict[tuple[str, str], StepDistFn] = {(p, p): EPS0 for p in points}
         for p, q, jumps in data["F"]:
-            f = StepDistFn.from_json(jumps)
-            table[(p, q)] = f
-            table[(q, p)] = f
+            if p not in points or q not in points or p == q:
+                raise ValueError(f"space F entry ({p!r}, {q!r}) does not name two distinct known points")
+            if (p, q) in table:
+                raise ValueError(f"space F gives the pair ({p}, {q}) twice")
+            table[(p, q)] = table[(q, p)] = StepDistFn.from_json(jumps)
         return from_table(points, table, tau)
 
 

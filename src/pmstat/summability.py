@@ -19,8 +19,8 @@ column k is the series of {k}, so vanishing columns say that finite sets
 have A-density 0.
 
 An ideal is a family of "small" index sets closed under subsets and
-finite unions; the two kinds used operationally are the finite sets
-("fin") and the sets of B-density zero for a second regular matrix B.
+finite unions; the two kinds here are the finite sets ("fin") and the
+sets of B-density zero for a second regular matrix B.
 
 Everything here is finite-horizon and verdict-valued: a computation at
 horizon N returns a ``Verdict`` carrying the estimate, a residual, and a
@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .distfn import is_list_of, is_number
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_TOL = 1e-2
@@ -168,29 +169,24 @@ def _ordinary_limit_verdict(y: np.ndarray, target: float, tol: float) -> Verdict
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A set of positive integers given by a total membership predicate.
+    """A set of positive integers, worked with as an array at the horizon.
 
     The working form is ``indicator(n)``, the boolean array for indices
-    1..n.  ``vec``, when provided, computes it in one array pass and must
-    agree with ``fn``; every built-in set and combination supplies one.
-    A set given only by ``fn`` (a user callable) is evaluated one index
-    at a time.  The scalar ``fn`` of built-in sets is kept as the
-    reference the oracles and equivalence tests read.  Sets compose with
-    ~, | and &.
+    1..n, which ``vec`` computes in one array pass.  ``fn`` is the scalar
+    membership predicate that defines the set; it is the reference the
+    oracles and equivalence tests compare ``vec`` against, and nothing
+    else reads it.  Sets compose with ~, | and &.
     """
 
     name: str
     fn: Callable[[int], bool]
-    vec: Callable[[int], np.ndarray] | None = None
+    vec: Callable[[int], np.ndarray]
 
     def __call__(self, k: int) -> bool:
         return bool(self.fn(k))
 
     def indicator(self, n: int) -> np.ndarray:
-        if self.vec is not None:
-            arr = self.vec(n)
-        else:
-            arr = np.fromiter((self.fn(k) for k in range(1, n + 1)), dtype=bool, count=n)
+        arr = self.vec(n)
         if len(arr) != n:
             raise ValueError(f"indicator for {self.name} returned length {len(arr)}, wanted {n}")
         return arr
@@ -524,14 +520,6 @@ class BlockMatrix(SummMatrix):
         return np.count_nonzero(mem[(start - 1) * self.m :].reshape(-1, self.m), axis=1) / self.m
 
 
-def _is_list(value: object, of: Callable[[object], bool]) -> bool:
-    return isinstance(value, Sequence) and not isinstance(value, (str, bytes)) and all(map(of, value))
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 class ExplicitMatrix(SummMatrix):
     """A matrix given by literal rows (small horizons only).
 
@@ -539,7 +527,7 @@ class ExplicitMatrix(SummMatrix):
     """
 
     def __init__(self, rows: Sequence[Sequence[float]], name: str = "explicit"):
-        if not _is_list(rows, lambda row: _is_list(row, _is_number)):
+        if not is_list_of(rows, lambda row: is_list_of(row, is_number)):
             raise ValueError(f"{name}: rows must be lists of numbers")
         if not rows:
             raise ValueError("no rows given")
@@ -710,16 +698,15 @@ def check_regularity(
 class Ideal:
     """An admissible ideal of index sets, given as a decision procedure.
 
-    Kinds: ``fin`` (finite sets), ``density`` (sets of B-density zero for
-    a regular matrix B), ``predicate`` (caller-supplied membership test;
-    no limit extraction).  All three contain every finite set and not the
-    whole index set, hence are admissible.
+    Kinds: ``fin`` (finite sets) and ``density`` (sets of B-density zero
+    for a regular matrix B).  Both contain every finite set and not the
+    whole index set, hence are admissible, and both support membership
+    verdicts and limit extraction.
     """
 
     kind: str
     name: str
     matrix: SummMatrix | None = None
-    member_fn: Callable[[IndexSet, int], bool] | None = None
 
     @classmethod
     def fin(cls) -> "Ideal":
@@ -729,22 +716,14 @@ class Ideal:
     def density_zero(cls, matrix: SummMatrix) -> "Ideal":
         return cls("density", f"density-zero({matrix.name})", matrix=matrix)
 
-    @classmethod
-    def from_predicate(cls, name: str, fn: Callable[[IndexSet, int], bool]) -> "Ideal":
-        return cls("predicate", name, member_fn=fn)
-
     def reads_from(self, n_rows: int) -> int:
         """First row of an n_rows partial series that a limit under this ideal reads.
 
         A fin limit is tail stabilization, so it reads only the tail window
         ``tail_start(n_rows)..n_rows``; the defect rows of a density ideal
-        span every row.  Predicate ideals take no limits.
+        span every row.
         """
-        if self.kind == "fin":
-            return tail_start(n_rows)
-        if self.kind == "density":
-            return 1
-        raise ValueError(f"ideal kind {self.kind!r} supports no limit extraction")
+        return tail_start(n_rows) if self.kind == "fin" else 1
 
     def contains(self, member: IndexSet, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
         """Finite-horizon membership verdict for a set in the ideal."""
@@ -760,14 +739,8 @@ class Ideal:
             else:
                 status = INCONCLUSIVE
             return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
-        if self.kind == "density":
-            rows = self.matrix.max_row_for(horizon)
-            return _tail_verdict(self.matrix.density_series(member, rows, start=tail_start(rows)), 0.0, tol)
-        if self.kind == "predicate":
-            member_flag = bool(self.member_fn(member, horizon))
-            status = CONVERGED if member_flag else DIVERGED
-            return Verdict(status, member_flag, 0.0, tol)
-        raise ValueError(f"unknown ideal kind {self.kind!r}")
+        rows = self.matrix.max_row_for(horizon)
+        return _tail_verdict(self.matrix.density_series(member, rows, start=tail_start(rows)), 0.0, tol)
 
 
 def ideal_from_spec(spec: str) -> Ideal:
@@ -811,8 +784,7 @@ def ideal_limit_at(
 
     fin: ordinary tail stabilization.  density-zero(B): for each epsilon
     on a coarse grid down to tol, the rows where ``|y - target| >= eps``
-    must have B-density converging to 0.  Predicate ideals support no
-    limit extraction.
+    must have B-density converging to 0.
 
     Two readings keep a transient at the start of ``y`` from deciding a
     density-ideal verdict.  An epsilon whose defect rows all lie before

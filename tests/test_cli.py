@@ -11,8 +11,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import example, given
@@ -114,6 +116,19 @@ class TestDistanceCommand:
         assert main(["dl", "nonsense", "eps:0.5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(5, "number pairs"), ([[0.5]], "number pairs"), ([[0.5, True]], "number pairs"), ([[10**400, 1]], "float range")],
+    )
+    def test_malformed_json_fn_exits_2(
+        self, data: object, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        path = tmp_path / "fn.json"
+        path.write_text(json.dumps(data))
+        assert main(["dl", f"json:{path}", "eps:0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+
 
 class TestTnormCommand:
     @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
@@ -202,6 +217,33 @@ class TestSpaceCommand:
     def test_missing_file_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["space-validate", "/no/such/space.json"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "JSON object"),
+            ({"points": ["a", "b"], "tnorm": "min", "F": 5}, "F must be a list"),
+            ({"points": 5, "tnorm": "min", "F": []}, "list of strings"),
+            ({"points": ["a", "b"], "tnorm": "min", "F": [["a", "b"]]}, "triple"),
+            (
+                {"points": ["a", "b"], "tnorm": "maximal", "F": [["a", "b", [[0.5, 1.0]]], ["a", "c", [[0.5, 1.0]]]]},
+                "two distinct known points",
+            ),
+            (
+                {"points": ["a", "b"], "tnorm": "maximal", "F": [["a", "b", [[0.5, 1.0]]], ["b", "a", [[0.7, 1.0]]]]},
+                "twice",
+            ),
+            ({"points": ["a", "b"], "tnorm": "maximal", "F": [["a", "b", 5]]}, "number pairs"),
+        ],
+    )
+    def test_malformed_file_exits_2(
+        self, data: object, message: str, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(data))
+        assert main(["space-validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
 
     def test_each_space_is_validated_once(self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
         path = tmp_path / "eq3.json"
@@ -401,8 +443,8 @@ class TestNumericOptions:
             (["density", "evens", "--tol", "-1"], "--tol"),
             (["density", "evens", "--tol", "0"], "--tol"),
             (["density", "evens", "--tol", "inf"], "--tol"),
-            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "nan"], "--dl-tol"),
-            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "0"], "--dl-tol"),
+            (["tnorm-check", "--tnorm", "prod", "--seed", "-1"], "--seed"),
+            (["gamma", "--space", "line:3:0.5", "--seq", "const:v0", "--N", "-1"], "--N"),
             (["tnorm-check", "--tnorm", "prod", "--samples", "-3"], "--samples"),
             (["converge", "--space", "line:3:0.5", "--seq", "const:v0", "--limit", "v0", "--N", "5"], "--N"),
             (["matrix-check", "--N", "9"], "--N"),
@@ -420,7 +462,7 @@ class TestNumericOptions:
         [
             ({"tol": -1}, "--tol"),
             ({"tol": "nan"}, "--tol"),
-            ({"dl_tol": "nan"}, "--dl-tol"),
+            ({"tol": 0}, "--tol"),
             ({"N": 5}, "--N"),
             ({"horizon": 20.5}, "--N"),
             ({"N": True}, "--N"),
@@ -434,6 +476,16 @@ class TestNumericOptions:
         cfg.write_text(json.dumps(config))
         assert main(["density", "evens", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be")
+
+    def test_dl_tol_is_rejected(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+        # the Levy metric is exact, so no tolerance option exists
+        with pytest.raises(SystemExit) as exc:
+            main(["dl", "eps:0.3", "eps:0.5", "--dl-tol", "1e-6"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dl_tol": 1e-6}))
+        assert main(["dl", "eps:0.3", "eps:0.5", "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_nan_jump_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["dl", "jumps:0.1:nan,0.2:1.0", "eps:0.5"]) == 2
@@ -623,3 +675,56 @@ class TestSpecGrammarFuzz:
     @example("except:b:" + "not:" * 2000 + "squares")
     def test_cauchy(self, seq: str) -> None:
         assert _exit_code(["cauchy", "--space", EQ3_SPEC, "--N", "100", f"--seq={seq}"]) in (0, 1, 2)
+
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(max_size=5),
+        st.sampled_from(["a", "b", "c", "min", "prod", "maximal"]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=12,
+)
+_JUMPS = st.one_of(st.lists(st.lists(st.one_of(st.floats(), st.integers(), _JSON), max_size=3), max_size=3), _JSON)
+_SPACE_JSON = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {
+            "points": st.one_of(st.lists(st.sampled_from(["a", "b", "c"]), max_size=3), _JSON),
+            "tnorm": st.one_of(st.sampled_from(TRIANGLE_KINDS), _JSON),
+            "F": st.one_of(
+                st.lists(
+                    st.one_of(st.tuples(st.sampled_from(["a", "b", "c", "z"]), st.sampled_from(["a", "b", "c"]), _JUMPS).map(list), _JSON),
+                    max_size=4,
+                ),
+                _JSON,
+            ),
+        }
+    ),
+)
+
+
+class TestJsonFileFuzz:
+    """Any JSON value in a space file or a ``json:`` d.d.f. file ends in
+    exit 0, 1 or 2, never in a traceback."""
+
+    @staticmethod
+    def _run(data: object, argv: Callable[[str], list[str]]) -> int:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(data))
+            return _exit_code(argv(str(path)))
+
+    @given(_SPACE_JSON)
+    @example({"points": ["a", "b"], "tnorm": "maximal", "F": [["a", "b", [[0.5, 1.0]]]]})
+    def test_space_validate(self, data: object) -> None:
+        assert self._run(data, lambda path: ["space-validate", "--", path]) in (0, 1, 2)
+
+    @given(_JUMPS)
+    @example([[0.25, 0.5], [0.75, 1.0]])
+    def test_dl(self, data: object) -> None:
+        assert self._run(data, lambda path: ["dl", "--", f"json:{path}", "eps:0.5"]) in (0, 1, 2)

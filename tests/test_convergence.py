@@ -11,6 +11,7 @@ from pmstat import (
     DIVERGED,
     EVENS,
     INCONCLUSIVE,
+    ODDS,
     POWERS_OF_TWO,
     SQUARES,
     IndexedSequence,
@@ -53,11 +54,6 @@ class TestSequences:
         assert np.array_equal(x.value_codes(3), np.zeros(3, dtype=np.int64))
         with pytest.raises(ValueError, match="unknown carrier point"):
             constant_sequence(eq3, "z")
-
-    def test_generator_values_validated(self, eq3) -> None:
-        x = IndexedSequence(eq3, lambda k: "z", "bad")
-        with pytest.raises(ValueError, match="not a carrier point"):
-            x.values(1)
 
     def test_values_cache_extends(self, eq3) -> None:
         x = constant_sequence(eq3, "b")
@@ -233,9 +229,18 @@ class TestWitnessedConvergence:
         # only the fat complement keeps this from converging
         wit = ~(SQUARES | EVENS)
         v = ai_star_conv_detect(except_squares, "a", cesaro, fin_ideal, witness=wit)
-        assert v.status == INCONCLUSIVE
+        assert v.status == DIVERGED
         assert v.witness["subsequence_entry"] == 1
         assert not v.converged
+
+    def test_refuted_witness_diverges(self, eq3, cesaro, fin_ideal) -> None:
+        # the complement of the odds (density 1/2) refutes the witness even
+        # though the kept subsequence enters at once
+        x = constant_sequence(eq3, "a")
+        v = ai_star_conv_detect(x, "a", cesaro, fin_ideal, witness=ODDS, horizon=10_000)
+        assert v.status == DIVERGED
+        assert v.residual == 0.5
+        assert v.witness == {"subsequence_entry": 1, "kept": 5000}
 
     def test_subsequence_that_never_settles_diverges(self, alternator, cesaro, fin_ideal) -> None:
         v = ai_star_conv_detect(alternator, "a", cesaro, fin_ideal, witness=ALL_INDICES)

@@ -132,7 +132,8 @@ class TestOneEntryRule:
         inner_ok = j0 <= kept // 2
         ok = comp_v.converged and inner_ok
         residual = comp_v.residual if inner_ok else max(comp_v.residual, (j0 - 1) / kept)
-        status = CONVERGED if ok else (DIVERGED if not inner_ok and j0 > kept - kept // 10 else INCONCLUSIVE)
+        late = not inner_ok and j0 > kept - kept // 10
+        status = CONVERGED if ok else (DIVERGED if comp_v.status == DIVERGED or late else INCONCLUSIVE)
         assert v.to_json() == {
             "status": status,
             "value": target,

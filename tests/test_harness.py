@@ -13,7 +13,6 @@ import pytest
 from pmstat import EPS0, levy_distance, unit_step
 from pmstat.harness import (
     DEFAULT_SUITE_SIZE,
-    FOURTH_POWERS,
     LATE_POW2,
     LATE_SQUARES,
     REPORT_SCHEMA,
@@ -85,10 +84,6 @@ class TestOracles:
 
 
 class TestIndexSetsForInstances:
-    def test_fourth_powers(self) -> None:
-        assert [k for k in range(1, 100) if FOURTH_POWERS(k)] == [1, 16, 81]
-        assert int(FOURTH_POWERS.indicator(10_000).sum()) == 10
-
     def test_late_sets_are_sparse_enough_for_the_horizon(self) -> None:
         n = 10_000
         for s, count in ((LATE_SQUARES, 51), (LATE_POW2, 3)):

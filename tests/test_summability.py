@@ -410,11 +410,6 @@ class TestIdeals:
         assert ideal.contains(SQUARES, 10_000).status == CONVERGED
         assert ideal.contains(EVENS, 10_000).status == DIVERGED
 
-    def test_predicate_ideal(self) -> None:
-        small = Ideal.from_predicate("small", lambda s, h: int(s.indicator(h).sum()) < 10)
-        assert small.contains(finite_set([1, 2]), 100).converged
-        assert small.contains(EVENS, 100).status == DIVERGED
-
     def test_spec_parsing(self) -> None:
         assert ideal_from_spec("fin").kind == "fin"
         ideal = ideal_from_spec("density:cesaro")
@@ -467,7 +462,7 @@ class TestDensities:
         assert v.status != CONVERGED
 
     def test_late_sparse_set_is_null_under_density_ideal(self) -> None:
-        late_squares = SQUARES & IndexSet("late", lambda k: k >= 2500)
+        late_squares = SQUARES & IndexSet("late", lambda k: k >= 2500, lambda n: np.arange(1, n + 1) >= 2500)
         ideal = Ideal.density_zero(cesaro1())
         v = ai_density_is_null(cesaro1(), ideal, late_squares, 10_000, 0.02)
         assert v.status == CONVERGED
@@ -511,8 +506,6 @@ class TestDensities:
     def test_validation(self) -> None:
         with pytest.raises(ValueError, match="nonempty"):
             ideal_limit_at(np.array([]), Ideal.fin(), 0.0)
-        with pytest.raises(ValueError, match="no limit extraction"):
-            ideal_limit_at(np.ones(10), Ideal.from_predicate("p", lambda s, h: True), 0.0)
         with pytest.raises(ValueError, match="at least 10"):
             ai_density(cesaro1(), Ideal.fin(), EVENS, horizon=5)
 
@@ -523,17 +516,14 @@ class TestDensities:
         assert abs(float(v.value) - 0.5) < 0.01
 
     def test_limit_search_rejects_bad_input(self) -> None:
-        predicate = Ideal.from_predicate("p", lambda s, h: True)
         with pytest.raises(ValueError, match="no candidate"):
             ideal_limit(np.ones(10), Ideal.fin(), 0.01, candidates=[])
         with pytest.raises(ValueError, match="no candidate"):
             ideal_limit(np.ones(10), Ideal.density_zero(cesaro1()), 0.01, candidates=[])
         with pytest.raises(ValueError, match="one-dimensional"):
-            ideal_limit(np.array([[1.0]]), predicate, candidates=[])
+            ideal_limit(np.array([[1.0]]), Ideal.fin(), candidates=[])
         with pytest.raises(ValueError, match="nonempty"):
             ideal_limit(np.array([]), Ideal.fin())
-        with pytest.raises(ValueError, match="no limit extraction"):
-            ideal_limit(np.ones(10), predicate, candidates=[])
 
     def test_limit_search_respects_explicit_candidates(self) -> None:
         y = 0.5 + 1.0 / np.arange(1, 2001)
