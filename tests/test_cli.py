@@ -432,9 +432,14 @@ class TestConfigAndEnv:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# options that were deleted: the Levy metric is exact, so it takes no tolerance
+REMOVED_FLAGS = {"--dl-tol"}
+
+
 class TestNumericOptions:
     """Every numeric option is checked once, after flags, ``--config`` and
-    the environment are merged; a bad value exits 2 with a message."""
+    the environment are merged; a bad value exits 2 with a message, and a
+    deleted option exits 2 as unknown."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -443,16 +448,26 @@ class TestNumericOptions:
             (["density", "evens", "--tol", "-1"], "--tol"),
             (["density", "evens", "--tol", "0"], "--tol"),
             (["density", "evens", "--tol", "inf"], "--tol"),
-            (["tnorm-check", "--tnorm", "prod", "--seed", "-1"], "--seed"),
-            (["gamma", "--space", "line:3:0.5", "--seq", "const:v0", "--N", "-1"], "--N"),
+            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "nan"], "--dl-tol"),
+            (["dl", "eps:0.3", "eps:0.5", "--dl-tol", "0"], "--dl-tol"),
             (["tnorm-check", "--tnorm", "prod", "--samples", "-3"], "--samples"),
             (["converge", "--space", "line:3:0.5", "--seq", "const:v0", "--limit", "v0", "--N", "5"], "--N"),
             (["matrix-check", "--N", "9"], "--N"),
             (["suite", "--size", "-1"], "--size"),
             (["suite", "--size", "0", "--seed", "-1"], "--seed"),
+            (["tnorm-check", "--tnorm", "prod", "--seed", "-1"], "--seed"),
+            (["gamma", "--space", "line:3:0.5", "--seq", "const:v0", "--N", "-1"], "--N"),
         ],
     )
     def test_bad_flag_exits_2(self, argv: list[str], flag: str, capsys: pytest.CaptureFixture) -> None:
+        if flag in REMOVED_FLAGS:
+            # argparse rejects an option that no longer exists, whatever its value
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {flag}" in err, err
+            return
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be"), err
@@ -462,11 +477,12 @@ class TestNumericOptions:
         [
             ({"tol": -1}, "--tol"),
             ({"tol": "nan"}, "--tol"),
-            ({"tol": 0}, "--tol"),
+            ({"dl_tol": "nan"}, "--dl-tol"),
             ({"N": 5}, "--N"),
             ({"horizon": 20.5}, "--N"),
             ({"N": True}, "--N"),
             ({"N": [100]}, "--N"),
+            ({"tol": 0}, "--tol"),
         ],
     )
     def test_bad_config_value_exits_2(
@@ -475,17 +491,12 @@ class TestNumericOptions:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["density", "evens", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag} must be")
-
-    def test_dl_tol_is_rejected(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
-        # the Levy metric is exact, so no tolerance option exists
-        with pytest.raises(SystemExit) as exc:
-            main(["dl", "eps:0.3", "eps:0.5", "--dl-tol", "1e-6"])
-        assert exc.value.code == 2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dl_tol": 1e-6}))
-        assert main(["dl", "eps:0.3", "eps:0.5", "--config", str(cfg)]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if flag in REMOVED_FLAGS:
+            (key,) = config
+            assert err.startswith(f"error: unknown config key {key!r}"), err
+        else:
+            assert err.startswith(f"error: {flag} must be"), err
 
     def test_nan_jump_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["dl", "jumps:0.1:nan,0.2:1.0", "eps:0.5"]) == 2
