@@ -97,23 +97,20 @@ def eventually_constant(
     space: FinitePMSpace,
     limit: str,
     exceptional: IndexSet,
-    off: str | Sequence[str] | None = None,
+    off: str | None = None,
 ) -> IndexedSequence:
     """``x_k = limit`` off the exceptional set, other points on it.
 
-    ``off`` names the point (or cycle of points) used on the exceptional
-    indices; by default the other carrier points are cycled, index k
-    taking ``pool[k % len(pool)]``.
+    ``off`` names the one point used on the exceptional indices; by
+    default the other carrier points are cycled, index k taking
+    ``pool[k % len(pool)]``.  An ``off`` that is not a carrier point is
+    a ValueError.
     """
     lc = _code(space, limit)
     if off is None:
         pool = tuple(p for p in space.points if p != limit) or (limit,)
-    elif isinstance(off, str):
-        pool = (off,)
     else:
-        pool = tuple(off)
-        if not pool:
-            raise ValueError("off needs at least one point")
+        pool = (off,)
     pool_codes = np.array([_code(space, p) for p in pool], dtype=np.int64)
 
     def gen(k: int) -> str:
@@ -199,15 +196,14 @@ def visit_set(x: IndexedSequence, point: str) -> IndexSet:
     return _point_set(x, f"visits:{point}", {p: p == point for p in x.space.points})
 
 
-def visit_witnesses(x: IndexedSequence, candidates: Iterable[str] | None = None) -> dict[str, IndexSet]:
-    """Visit sets for each candidate point.
+def visit_witnesses(x: IndexedSequence) -> dict[str, IndexSet]:
+    """Visit sets of every carrier point.
 
     On a finite carrier a subsequence can converge strongly to c only by
     eventually sitting at c, so the visit set is the canonical witness:
     a nonthin witness exists for c exactly when the visit set is nonthin.
     """
-    pts = tuple(candidates) if candidates is not None else x.space.points
-    return {p: visit_set(x, p) for p in pts}
+    return {p: visit_set(x, p) for p in x.space.points}
 
 
 def _check_point(space: FinitePMSpace, p: str) -> None:
@@ -449,36 +445,22 @@ def lambda_set(
     ideal: Ideal,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
-    candidates: Iterable[str] | None = None,
-    witnesses: Mapping[str, IndexSet] | None = None,
 ) -> frozenset[str]:
     """Points reached by a nonthin subsequence that strongly converges.
 
-    A candidate is admitted when its witness index set is nonthin (its
-    null verdict fails and the tail densities stay above tol) and the
-    subsequence it indexes converges strongly to the candidate at the
-    horizon.  With ``witnesses=None`` the visit sets are used, which on a
-    finite carrier lose no generality; when an explicit mapping is given,
-    candidates missing from it are skipped with a warning since no search
-    over witness sets is performed.
+    The witness of a carrier point c is its visit set (see
+    ``visit_witnesses``), which on a finite carrier loses no generality.
+    c is admitted when its visit set is nonthin (its null verdict fails
+    and the tail densities stay above tol) and the subsequence it indexes
+    converges strongly to c.  That subsequence is constant at c, so it
+    converges exactly when ``dist(c, c) == 0``, which P-1 asserts of a
+    valid space.
     """
-    pts = tuple(candidates) if candidates is not None else x.space.points
-    wit = visit_witnesses(x, pts) if witnesses is None else witnesses
-    out = set()
-    for c in pts:
-        _check_point(x.space, c)
-        if c not in wit:
-            warnings.warn(f"no witness set for candidate {c!r}; skipped", stacklevel=2)
-            continue
-        if not nonthin(ai_density_is_null(A, ideal, wit[c], horizon, tol)):
-            continue
-        sub = x.value_codes(horizon)[wit[c].indicator(horizon)]
-        if len(sub) == 0:
-            continue
-        j0, status = _entry_index(x.space, sub, c)
-        if j0 == 1 or status == CONVERGED:
-            out.add(c)
-    return frozenset(out)
+    return frozenset(
+        c
+        for c, visits in visit_witnesses(x).items()
+        if x.space.dist(c, c) == 0.0 and nonthin(ai_density_is_null(A, ideal, visits, horizon, tol))
+    )
 
 
 def gamma_set(

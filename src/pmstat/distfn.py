@@ -37,6 +37,8 @@ from typing import Callable, Iterable, Sequence
 DEFAULT_DL_TOL = 1e-6
 # Stand-in jump location when the value 1 is attained only in the limit.
 TAIL_LOCATION = 1e6
+# Spacing of the fixed sample grid in ``weakly_converges``.
+WEAK_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -302,14 +304,14 @@ def merged_locations(f: StepDistFn, g: StepDistFn) -> list[float]:
     return sorted(set(f._locs) | set(g._locs))
 
 
-def pointwise_leq(f: StepDistFn, g: StepDistFn, tol: float = 0.0) -> bool:
-    """Whether ``f(t) <= g(t) + tol`` for every t.
+def pointwise_leq(f: StepDistFn, g: StepDistFn) -> bool:
+    """Whether ``f(t) <= g(t)`` for every t.
 
     Both functions are constant between consecutive merged jump
     locations and equal to 1 beyond the last, so left-continuous
     evaluation at the merged locations decides the order exactly.
     """
-    return all(evaluate(f, x) <= evaluate(g, x) + tol for x in merged_locations(f, g))
+    return all(evaluate(f, x) <= evaluate(g, x) for x in merged_locations(f, g))
 
 
 def pointwise_gap(f: StepDistFn, g: StepDistFn) -> float:
@@ -362,12 +364,11 @@ def weakly_converges(
     f: StepDistFn,
     horizon: int,
     tol: float,
-    grid_step: float = 0.01,
 ) -> WeakConvergence:
     """Check weak convergence of ``fs`` to ``f`` at a finite horizon.
 
     Samples |fs_k - f| at continuity points of ``f`` (midpoints between
-    jumps plus a fixed grid of step ``grid_step``, skipping the jump
+    jumps plus a fixed grid of step ``WEAK_GRID_STEP``, skipping the jump
     locations themselves) for every k in the tail window
     [horizon/2, horizon], and cross-checks with the Levy distance.
     """
@@ -375,8 +376,8 @@ def weakly_converges(
         raise ValueError("empty function sequence")
     if not 1 <= horizon <= len(fs):
         raise ValueError(f"horizon {horizon} outside [1, {len(fs)}]")
-    if tol <= 0.0 or grid_step <= 0.0:
-        raise ValueError("tol and grid_step must be positive")
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     lo = max(1, math.ceil(horizon / 2))
     tail = fs[lo - 1 : horizon]
     hi_loc = max([f.support_end] + [h.support_end for h in tail]) + 1.0
@@ -384,10 +385,10 @@ def weakly_converges(
     locs = f.locations
     for i in range(len(locs) - 1):
         samples.append(0.5 * (locs[i] + locs[i + 1]))
-    steps = int(hi_loc / grid_step) + 1
+    steps = int(hi_loc / WEAK_GRID_STEP) + 1
     jump_set = set(locs)
     for j in range(1, steps + 1):
-        x = j * grid_step
+        x = j * WEAK_GRID_STEP
         if all(abs(x - loc) > 1e-12 for loc in jump_set):
             samples.append(x)
     samples.append(hi_loc + 1.0)

@@ -118,9 +118,9 @@ def combined_status(statuses: Iterable[str]) -> str:
     return DIVERGED if DIVERGED in statuses else INCONCLUSIVE
 
 
-def tail_start(n: int, fraction: float = TAIL_FRACTION) -> int:
-    """First index (1-based) of the tail window [fraction * n, n]."""
-    return max(1, math.ceil(n * fraction))
+def tail_start(n: int) -> int:
+    """First index (1-based) of the tail window [TAIL_FRACTION * n, n]."""
+    return max(1, math.ceil(n * TAIL_FRACTION))
 
 
 def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
@@ -474,13 +474,10 @@ class IdentityMatrix(SummMatrix):
 
 
 class ConstantColumnMatrix(SummMatrix):
-    """a_nk = 1 for k = col in every row; fails the vanishing-column condition."""
+    """a_nk = 1 for k = col = 1 in every row; fails the vanishing-column condition."""
 
-    def __init__(self, col: int = 1):
-        if col < 1:
-            raise ValueError("column index starts at 1")
-        self.col = col
-        self.name = f"constcol:{col}"
+    col = 1
+    name = "constcol:1"
 
     def entry(self, n: int, k: int) -> float:
         return 1.0 if k == self.col else 0.0
@@ -725,10 +722,17 @@ class Ideal:
         """
         return tail_start(n_rows) if self.kind == "fin" else 1
 
-    def contains(self, member: IndexSet, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
-        """Finite-horizon membership verdict for a set in the ideal."""
+    def contains(self, member: Membership, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
+        """Finite-horizon membership verdict for a set (an ``IndexSet`` or an
+        indicator array) in the ideal.
+
+        fin: converged when no index past ``tail_start(horizon)`` is a
+        member, diverged when the members there exceed a tol share.
+        density-zero(B): the null reading of the tail window of the
+        B-density series on the rows that fit the horizon.
+        """
         if self.kind == "fin":
-            marks = member.indicator(horizon)
+            marks = _member_array(member, horizon)
             w0 = tail_start(horizon)
             growth = float(np.count_nonzero(marks[w0:]))
             rate = growth / max(1, horizon - w0)
@@ -835,8 +839,6 @@ def _ideal_limit_at(
     win = part[off:]
     if ideal.kind == "fin":
         return _tail_verdict(win, target, tol)
-    B = ideal.matrix
-    rows = B.max_row_for(n)
     dev = np.abs(part - target)
     sub: dict[str, Verdict] = {}
     for eps in _eps_grid(tol):
@@ -847,7 +849,7 @@ def _ideal_limit_at(
             if not defect.any():
                 v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
             else:
-                v = _tail_verdict(B.density_series(defect, rows, start=tail_start(rows)), 0.0, tol)
+                v = ideal.contains(defect, n, tol)
                 if not v.converged and not defect[off:].any():
                     v = replace(v, status=CONVERGED, residual=0.0)
                 elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
@@ -865,41 +867,25 @@ def _ideal_limit_at(
     )
 
 
-def ideal_limit(
-    y: np.ndarray,
-    ideal: Ideal,
-    tol: float = DEFAULT_TOL,
-    candidates: Sequence[float] | None = None,
-) -> Verdict:
+def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdict:
     """Search candidate limits and return the best verdict.
 
-    When no candidates are supplied a coarse default is used: the last
-    partial value, the tail median, and the landmarks 0, 1/2, 1.
-    Converged candidates win by smallest residual; otherwise the smallest
-    residual is reported with its (non-converged) status.  The candidates
-    share their density-ideal sub-verdicts (see ``ideal_limit_at``).
-    An empty candidate list is an error.
+    The candidates are the last partial value, the tail median, and the
+    landmarks 0, 1/2, 1, with near-duplicates dropped.  Converged
+    candidates win by smallest residual; otherwise the smallest residual
+    is reported with its (non-converged) status.  The candidates share
+    their density-ideal sub-verdicts (see ``ideal_limit_at``).
     """
-    return _ideal_limit(*_limit_input(y, ideal), ideal, tol, candidates)
+    return _ideal_limit(*_limit_input(y, ideal), ideal, tol)
 
 
-def _ideal_limit(
-    part: np.ndarray,
-    n: int,
-    ideal: Ideal,
-    tol: float,
-    candidates: Sequence[float] | None,
-) -> Verdict:
+def _ideal_limit(part: np.ndarray, n: int, ideal: Ideal, tol: float) -> Verdict:
     """``ideal_limit`` on ``part``, the rows ``ideal.reads_from(n)..n`` of an n-row series."""
-    if candidates is None:
-        win = part[_tail_offset(n, ideal) :]
-        candidates = [float(part[-1]), float(np.median(win)), 0.0, 0.5, 1.0]
+    win = part[_tail_offset(n, ideal) :]
     seen: list[float] = []
-    for c in candidates:
+    for c in (float(part[-1]), float(np.median(win)), 0.0, 0.5, 1.0):
         if not any(abs(c - s) <= 1e-12 for s in seen):
-            seen.append(float(c))
-    if not seen:
-        raise ValueError("no candidate limits given")
+            seen.append(c)
     decided: dict[bytes, Verdict] = {}
     best: Verdict | None = None
     for c in seen:
@@ -929,16 +915,16 @@ def ai_density(
     member: Membership,
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
-    candidates: Sequence[float] | None = None,
 ) -> Verdict:
     """A^I-density verdict for a set at a finite horizon.
 
     Forms the partial A-densities on as many rows as the horizon's worth
-    of indices supports, then extracts the I-limit.
+    of indices supports, then extracts the I-limit over the candidates
+    of ``ideal_limit``.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
-    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, tol, candidates)
+    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, tol)
 
 
 def ai_density_is_null(

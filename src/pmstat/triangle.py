@@ -67,24 +67,17 @@ def apply_maximal(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     return pointwise_min(f, g)
 
 
-def apply_supconv(
-    tnorm: str | Callable[[float, float], float],
-    f: StepDistFn,
-    g: StepDistFn,
-) -> StepDistFn:
+def apply_supconv(tnorm: str, f: StepDistFn, g: StepDistFn) -> StepDistFn:
     """Sup-convolution of f and g under a t-norm, exact on the sum-set.
 
-    ``tnorm`` is a tag from ``TNORMS`` or a callable.  A jump whose
-    location l + m overflows the float range is an input error that
-    names l and m.
+    ``tnorm`` is a tag from ``TNORMS``; an unknown tag, or a t-norm
+    function, is a ValueError.  A jump whose location l + m overflows the
+    float range is an input error that names l and m.
     """
-    if isinstance(tnorm, str):
-        try:
-            T = TNORMS[tnorm]
-        except KeyError:
-            raise ValueError(f"unknown t-norm tag {tnorm!r}, expected one of {sorted(TNORMS)}") from None
-    else:
-        T = tnorm
+    try:
+        T = TNORMS[tnorm]
+    except KeyError:
+        raise ValueError(f"unknown t-norm tag {tnorm!r}, expected one of {sorted(TNORMS)}") from None
     pairs = sorted(
         (fl + gl, T(fv, gv)) for fl, fv in f.jumps for gl, gv in g.jumps
     )

@@ -9,8 +9,10 @@ from pmstat import (
     ALL_INDICES,
     CONVERGED,
     DIVERGED,
+    EPS0,
     EVENS,
     INCONCLUSIVE,
+    MAXIMAL,
     ODDS,
     POWERS_OF_TWO,
     SQUARES,
@@ -23,6 +25,7 @@ from pmstat import (
     constant_sequence,
     eventually_constant,
     finite_set,
+    from_table,
     from_values,
     gamma_set,
     index_block,
@@ -32,6 +35,7 @@ from pmstat import (
     stat_bounded_check,
     strong_conv_detect,
     strong_limit_point_set,
+    unit_step,
     visit_set,
     visit_witnesses,
 )
@@ -70,12 +74,8 @@ class TestSequences:
     def test_eventually_constant_explicit_off(self, eq3) -> None:
         x = eventually_constant(eq3, "a", SQUARES, off="b")
         assert x.values(4) == ["b", "a", "a", "b"]
-        y = eventually_constant(eq3, "a", SQUARES, off=("c", "b"))
-        assert y.values(4)[0] == "b" and y.values(4)[3] == "c"
-
-    def test_eventually_constant_rejects_empty_off_cycle(self, eq3) -> None:
-        with pytest.raises(ValueError, match="at least one point"):
-            eventually_constant(eq3, "a", SQUARES, off=())
+        with pytest.raises(ValueError, match="unknown carrier point"):
+            eventually_constant(eq3, "a", SQUARES, off=("b", "c"))
 
     def test_alternating(self, alternator) -> None:
         assert alternator.values(6) == ["b", "a", "b", "a", "b", "a"]
@@ -101,8 +101,6 @@ class TestSequences:
         wit = visit_witnesses(alternator)
         assert set(wit) == {"a", "b", "c"}
         assert np.array_equal(wit["b"].indicator(20), (~EVENS).indicator(20))
-        only = visit_witnesses(alternator, candidates=("a",))
-        assert set(only) == {"a"}
 
 
 class TestStrongConvergence:
@@ -256,25 +254,14 @@ class TestLimitAndClusterSets:
         assert lambda_set(except_squares, cesaro, fin_ideal) == frozenset({"a"})
         assert gamma_set(except_squares, cesaro, fin_ideal) == frozenset({"a"})
 
-    def test_candidate_filter(self, alternator, cesaro, fin_ideal) -> None:
-        assert lambda_set(alternator, cesaro, fin_ideal, candidates=("a", "c")) == frozenset({"a"})
-
-    def test_missing_explicit_witness_warns_and_skips(self, alternator, cesaro, fin_ideal) -> None:
-        wit = {"a": visit_set(alternator, "a")}
-        with pytest.warns(UserWarning, match="no witness set"):
-            got = lambda_set(
-                alternator, cesaro, fin_ideal, candidates=("a", "b"), witnesses=wit
-            )
-        assert got == frozenset({"a"})
-
-    def test_nonthin_witness_pointing_at_wrong_value_is_rejected(
-        self, alternator, cesaro, fin_ideal
-    ) -> None:
-        # evens index only the value a, so they cannot witness b
-        got = lambda_set(
-            alternator, cesaro, fin_ideal, candidates=("b",), witnesses={"b": EVENS}
-        )
-        assert got == frozenset()
+    def test_visited_point_at_positive_self_distance_is_not_a_limit_point(self, cesaro, fin_ideal) -> None:
+        # F_aa is not the unit step at 0 (P-1 fails), so dist(a, a) > 0 and
+        # the constant subsequence at a does not converge strongly to a
+        table = {("a", "a"): unit_step(0.3), ("b", "b"): EPS0, ("a", "b"): unit_step(0.5), ("b", "a"): unit_step(0.5)}
+        space = from_table(("a", "b"), table, MAXIMAL, validate=False)
+        assert space.dist("a", "a") > 0.0
+        assert lambda_set(alternating(space, "a", "b", EVENS), cesaro, fin_ideal) == frozenset({"b"})
+        assert lambda_set(constant_sequence(space, "a"), cesaro, fin_ideal) == frozenset()
 
     def test_gamma_warns_on_inconclusive_visit_density(self, eq3, cesaro, fin_ideal) -> None:
         x = eventually_constant(eq3, "a", index_block(5000, 5600), off="b")

@@ -65,7 +65,7 @@ def sequences(draw, depth: int = 2) -> IndexedSequence:
     if kind == "const":
         return constant_sequence(space, draw(point))
     if kind == "except":
-        off = draw(st.one_of(st.none(), point, st.lists(point, min_size=1, max_size=4).map(tuple)))
+        off = draw(st.one_of(st.none(), point))
         return eventually_constant(space, draw(point), draw(index_sets), off=off)
     if kind == "alternate":
         return alternating(space, draw(point), draw(point), draw(index_sets))
