@@ -57,17 +57,12 @@ class IndexedSequence:
     horizons.  ``fn`` is the scalar generator on k >= 1 that defines the
     sequence; it is the reference the equivalence tests compare ``codes``
     against, and nothing else reads it.
-
-    ``annotations`` carries ground-truth metadata attached by
-    constructors or the instance generator (intended limit, exceptional
-    sets, expected cluster sets); detectors never read it.
     """
 
     space: FinitePMSpace
     fn: Callable[[int], str]
     description: str
     codes: Callable[[int], np.ndarray] = field(repr=False)
-    annotations: dict = field(default_factory=dict)
     _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
 
     def values(self, n: int) -> list[str]:
@@ -89,7 +84,7 @@ def _code(space: FinitePMSpace, p: str) -> int:
 def constant_sequence(space: FinitePMSpace, point: str) -> IndexedSequence:
     c = _code(space, point)
     return IndexedSequence(
-        space, lambda k: point, f"const:{point}", lambda n: np.full(n, c, dtype=np.int64), {"limit": point}
+        space, lambda k: point, f"const:{point}", lambda n: np.full(n, c, dtype=np.int64)
     )
 
 
@@ -127,7 +122,6 @@ def eventually_constant(
         gen,
         f"except:{limit}:{exceptional.name}",
         codes,
-        {"limit": limit, "defect_set": exceptional},
     )
 
 
@@ -141,7 +135,6 @@ def alternating(
         lambda k: p if selector.fn(k) else q,
         f"alternate:{p},{q}:{selector.name}",
         lambda n: np.where(selector.indicator(n), pc, qc),
-        {"cluster_pair": (p, q), "selector": selector},
     )
 
 
@@ -161,23 +154,17 @@ def from_values(space: FinitePMSpace, values: Sequence[str], tail: str) -> Index
         lambda k: vals[k - 1] if k <= len(vals) else tail,
         f"list[{len(vals)}]-then-{tail}",
         codes,
-        {"limit": tail},
     )
 
 
 def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
-    """``y_k = x_k`` on the kept set and ``fill`` elsewhere.
-
-    The agreement set is recorded so equivalence checks can verify the
-    two sequences differ only inside a declared index set.
-    """
+    """``y_k = x_k`` on the kept set and ``fill`` elsewhere."""
     fc = _code(x.space, fill)
     return IndexedSequence(
         x.space,
         lambda k: x.fn(k) if keep.fn(k) else fill,
         f"splice({x.description}|{keep.name}|{fill})",
         lambda n: np.where(keep.indicator(n), x.value_codes(n), fc),
-        {"spliced_from": x.description, "agreement_set": keep, "fill": fill},
     )
 
 

@@ -21,8 +21,8 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 

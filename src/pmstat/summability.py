@@ -803,7 +803,7 @@ def ideal_limit_at(
     defect set takes its closed form: its partial B-densities vanish on
     every row, so it converges to 0 with no series built.
     """
-    return _ideal_limit_at(*_limit_input(y, ideal), ideal, target, tol, {})
+    return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
 
 
 def _limit_input(y: np.ndarray, ideal: Ideal) -> tuple[np.ndarray, int]:
@@ -820,51 +820,70 @@ def _tail_offset(n: int, ideal: Ideal) -> int:
     return tail_start(n) - ideal.reads_from(n)
 
 
-def _ideal_limit_at(
+def _ideal_limit(
     part: np.ndarray,
     n: int,
     ideal: Ideal,
-    target: float,
+    targets: tuple[float, ...],
     tol: float,
-    decided: dict[bytes, Verdict],
 ) -> Verdict:
-    """``ideal_limit_at`` on ``part``, the rows ``ideal.reads_from(n)..n``
-    of an n-row series, with a memo of sub-verdicts keyed by packed
-    defect rows.
+    """The best ``ideal_limit_at`` verdict over ``targets`` on ``part``, the
+    rows ``ideal.reads_from(n)..n`` of an n-row series.
 
-    A memo may be shared only between calls with the same series, ideal
-    and tol.
+    A converged target wins by smallest residual; otherwise the smallest
+    residual wins with its status, and ties keep the earlier target.
+    Under a density ideal each distinct defect set, keyed by its packed
+    rows, is decided once per call.
     """
     off = _tail_offset(n, ideal)
     win = part[off:]
-    if ideal.kind == "fin":
-        return _tail_verdict(win, target, tol)
-    dev = np.abs(part - target)
-    sub: dict[str, Verdict] = {}
-    for eps in _eps_grid(tol):
-        defect = dev >= eps
-        key = np.packbits(defect).tobytes()
-        v = decided.get(key)
-        if v is None:
-            if not defect.any():
-                v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
-            else:
-                v = ideal.contains(defect, n, tol)
-                if not v.converged and not defect[off:].any():
-                    v = replace(v, status=CONVERGED, residual=0.0)
-                elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
-                    v = replace(v, status=INCONCLUSIVE)
-            decided[key] = v
-        sub[f"eps={eps}"] = v
-    return Verdict(
-        combined_status(v.status for v in sub.values()),
-        target,
-        max(v.residual for v in sub.values()),
-        tol,
-        float(win.min()),
-        float(win.max()),
-        detail={name: v.to_json() for name, v in sub.items()},
-    )
+    decided: dict[bytes, Verdict] = {}
+
+    # a nested function, so one target's row arrays are freed before the next target's are built
+    def density_limit_at(target: float) -> Verdict:
+        dev = np.abs(part - target)
+        sub: dict[str, Verdict] = {}
+        for eps in _eps_grid(tol):
+            defect = dev >= eps
+            key = np.packbits(defect).tobytes()
+            v = decided.get(key)
+            if v is None:
+                if not defect.any():
+                    v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
+                else:
+                    v = ideal.contains(defect, n, tol)
+                    if not v.converged and not defect[off:].any():
+                        v = replace(v, status=CONVERGED, residual=0.0)
+                    elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
+                        v = replace(v, status=INCONCLUSIVE)
+                decided[key] = v
+            sub[f"eps={eps}"] = v
+        return Verdict(
+            combined_status(v.status for v in sub.values()),
+            target,
+            max(v.residual for v in sub.values()),
+            tol,
+            float(win.min()),
+            float(win.max()),
+            detail={name: v.to_json() for name, v in sub.items()},
+        )
+
+    best: Verdict | None = None
+    for target in targets:
+        v = _tail_verdict(win, target, tol) if ideal.kind == "fin" else density_limit_at(target)
+        if best is None or (v.converged, -v.residual) > (best.converged, -best.residual):
+            best = v
+    return best
+
+
+def _candidates(part: np.ndarray, n: int, ideal: Ideal) -> tuple[float, ...]:
+    """The default limit candidates of ``ideal_limit`` for ``part``, the
+    rows ``ideal.reads_from(n)..n`` of an n-row series."""
+    seen: list[float] = []
+    for c in (float(part[-1]), float(np.median(part[_tail_offset(n, ideal) :])), 0.0, 0.5, 1.0):
+        if not any(abs(c - s) <= 1e-12 for s in seen):
+            seen.append(c)
+    return tuple(seen)
 
 
 def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdict:
@@ -876,36 +895,18 @@ def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdic
     is reported with its (non-converged) status.  The candidates share
     their density-ideal sub-verdicts (see ``ideal_limit_at``).
     """
-    return _ideal_limit(*_limit_input(y, ideal), ideal, tol)
-
-
-def _ideal_limit(part: np.ndarray, n: int, ideal: Ideal, tol: float) -> Verdict:
-    """``ideal_limit`` on ``part``, the rows ``ideal.reads_from(n)..n`` of an n-row series."""
-    win = part[_tail_offset(n, ideal) :]
-    seen: list[float] = []
-    for c in (float(part[-1]), float(np.median(win)), 0.0, 0.5, 1.0):
-        if not any(abs(c - s) <= 1e-12 for s in seen):
-            seen.append(c)
-    decided: dict[bytes, Verdict] = {}
-    best: Verdict | None = None
-    for c in seen:
-        v = _ideal_limit_at(part, n, ideal, c, tol, decided)
-        if best is None:
-            best = v
-        elif (v.converged, -v.residual) > (best.converged, -best.residual):
-            best = v
-    return best
+    part, n = _limit_input(y, ideal)
+    return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
 
 
 def _horizon_partials(A: SummMatrix, ideal: Ideal, member: Membership, horizon: int) -> tuple[np.ndarray, int]:
     """The partial A-densities that a limit under ``ideal`` reads, and the row count n.
 
     The series has n rows, every row whose support fits the horizon; only
-    rows ``ideal.reads_from(n)..n`` are built.  A membership array sets
-    its own horizon, its length.
+    rows ``ideal.reads_from(n)..n`` are built.  A membership array
+    shorter than those rows' support is a ValueError.
     """
-    limit = len(member) if isinstance(member, np.ndarray) else horizon
-    n = A.max_row_for(limit)
+    n = A.max_row_for(horizon)
     return A.density_series(member, n, start=ideal.reads_from(n)), n
 
 
@@ -924,7 +925,8 @@ def ai_density(
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
-    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, tol)
+    part, n = _horizon_partials(A, ideal, member, horizon)
+    return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
 
 
 def ai_density_is_null(
@@ -935,7 +937,7 @@ def ai_density_is_null(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Verdict for "the set has A^I-density zero"."""
-    return _ideal_limit_at(*_horizon_partials(A, ideal, member, horizon), ideal, 0.0, tol, {})
+    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, (0.0,), tol)
 
 
 def ai_density_is_full(
@@ -946,7 +948,7 @@ def ai_density_is_full(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Verdict for "the set has A^I-density one"."""
-    return _ideal_limit_at(*_horizon_partials(A, ideal, member, horizon), ideal, 1.0, tol, {})
+    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, (1.0,), tol)
 
 
 def ai_nonthin(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .distfn import (
     DEFAULT_DL_TOL,
@@ -152,6 +152,21 @@ class TriangleAxiomReport:
         }
 
 
+def _worst(
+    name: str, tol: float, witness: str, residuals: Iterable[tuple[tuple[int, ...], float]]
+) -> AxiomCheck:
+    """The axiom check for ``(indices, residual)`` pairs in sampling order.
+
+    The first strictly largest residual wins; ``witness`` is formatted
+    with its indices, and is empty when no residual exceeds 0.
+    """
+    worst, at = 0.0, None
+    for key, d in residuals:
+        if d > worst:
+            worst, at = d, key
+    return AxiomCheck(name, worst <= tol, worst, "" if at is None else witness.format(*at))
+
+
 def check_triangle_axioms(
     op: Callable[[StepDistFn, StepDistFn], StepDistFn],
     sample: Sequence[StepDistFn],
@@ -169,54 +184,40 @@ def check_triangle_axioms(
     ``((f, g), h)`` one ulp from that of ``(f, (g, h))``.  ``dl_tol`` is
     accepted for callers of the earlier bisection metric and has no
     effect.
+
+    Each op value is built once per check: the table ``prod[i][j] =
+    op(f_i, f_j)`` serves commutativity, the inner op of associativity
+    and the lower side of monotonicity.  The raised side ``op(max(f_i,
+    f_j), g)`` is one function for (i, j) and (j, i), so it is built once
+    per unordered pair.
     """
     if not sample:
         raise ValueError("empty sample")
-    checks: list[AxiomCheck] = []
-
-    worst = 0.0
-    wit = ""
-    for i, f in enumerate(sample):
-        for j, g in enumerate(sample):
-            d = levy_distance(op(f, g), op(g, f))
-            if d > worst:
-                worst, wit = d, f"pair ({i}, {j})"
-    checks.append(AxiomCheck("commutative", worst <= tol, worst, wit))
-
-    worst = 0.0
-    wit = ""
-    trip = sample[: min(len(sample), 6)]
-    for i, f in enumerate(trip):
-        for j, g in enumerate(trip):
-            for k, h in enumerate(trip):
-                d = levy_distance(op(op(f, g), h), op(f, op(g, h)))
-                if d > worst:
-                    worst, wit = d, f"triple ({i}, {j}, {k})"
-    checks.append(AxiomCheck("associative", worst <= tol, worst, wit))
-
-    worst = 0.0
-    wit = ""
-    for i, f in enumerate(sample):
-        for j, f2 in enumerate(sample):
-            upper = pointwise_max(f, f2)
+    n = len(sample)
+    prod = [[op(f, g) for g in sample] for f in sample]
+    every, first6 = range(n), range(min(n, 6))
+    commutative = _worst("commutative", tol, "pair ({}, {})", (
+        ((i, j), levy_distance(prod[i][j], prod[j][i])) for i in every for j in every
+    ))
+    associative = _worst("associative", tol, "triple ({}, {}, {})", (
+        ((i, j, k), levy_distance(op(prod[i][j], sample[k]), op(sample[i], prod[j][k])))
+        for i in first6 for j in first6 for k in first6
+    ))
+    gaps: dict[tuple[int, int, int], float] = {}
+    for i in every:
+        for j in range(i, n):
+            upper = pointwise_max(sample[i], sample[j])
             for k, g in enumerate(sample):
-                gap = pointwise_gap(op(f, g), op(upper, g))
-                if gap > worst:
-                    worst, wit = gap, f"f={i} raised by {j}, g={k}"
-    checks.append(AxiomCheck("monotone", worst <= tol, worst, wit))
-
-    worst = 0.0
-    wit = ""
-    for i, f in enumerate(sample):
-        d = max(
-            levy_distance(op(EPS0, f), f),
-            levy_distance(op(f, EPS0), f),
-        )
-        if d > worst:
-            worst, wit = d, f"element {i}"
-    checks.append(AxiomCheck("identity", worst <= tol, worst, wit))
-
-    return TriangleAxiomReport(tuple(checks))
+                raised = op(upper, g)
+                gaps[i, j, k] = pointwise_gap(prod[i][k], raised)
+                if j != i:
+                    gaps[j, i, k] = pointwise_gap(prod[j][k], raised)
+    monotone = _worst("monotone", tol, "f={} raised by {}, g={}", sorted(gaps.items()))
+    identity = _worst("identity", tol, "element {}", (
+        ((i,), max(levy_distance(op(EPS0, f), f), levy_distance(op(f, EPS0), f)))
+        for i, f in enumerate(sample)
+    ))
+    return TriangleAxiomReport((commutative, associative, monotone, identity))
 
 
 def dominates(op_hi: Callable, op_lo: Callable, sample: Sequence[StepDistFn]) -> bool:

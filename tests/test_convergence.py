@@ -17,7 +17,6 @@ from pmstat import (
     POWERS_OF_TWO,
     SQUARES,
     IndexedSequence,
-    IndexSet,
     ai_star_conv_detect,
     ai_stat_cauchy_detect,
     ai_stat_conv_detect,
@@ -69,7 +68,6 @@ class TestSequences:
         x = eventually_constant(eq3, "a", SQUARES)
         # squares get the non-limit points in a fixed cycle, pool[k % 2]
         assert x.values(9) == ["c", "a", "a", "b", "a", "a", "a", "a", "c"]
-        assert x.annotations["limit"] == "a"
 
     def test_eventually_constant_explicit_off(self, eq3) -> None:
         x = eventually_constant(eq3, "a", SQUARES, off="b")
@@ -79,7 +77,6 @@ class TestSequences:
 
     def test_alternating(self, alternator) -> None:
         assert alternator.values(6) == ["b", "a", "b", "a", "b", "a"]
-        assert alternator.annotations["cluster_pair"] == ("a", "b")
 
     def test_from_values(self, eq3) -> None:
         x = from_values(eq3, ["b", "c"], "a")
@@ -92,8 +89,6 @@ class TestSequences:
         vals = y.values(8)
         assert vals[0] == "c" and vals[1] == "c" and vals[3] == "c" and vals[7] == "c"
         assert vals[2] == "a" and vals[4] == "a"
-        assert y.annotations["fill"] == "c"
-        assert y.annotations["agreement_set"].name.startswith("not(")
 
     def test_visit_sets(self, alternator) -> None:
         va = visit_set(alternator, "a")

@@ -532,6 +532,22 @@ class TestDensities:
         assert ai_density_is_full(cesaro1(), fin, ~SQUARES, horizon=10_001).converged
         assert not ai_density_is_null(cesaro1(), fin, EVENS).converged
 
+    @pytest.mark.parametrize("spec", ["fin", "density:cesaro"])
+    def test_array_reads_the_rows_of_the_horizon(self, spec: str) -> None:
+        # every member lies past the horizon, so rows 1..10^4 are all zero
+        late = np.zeros(20_000, dtype=bool)
+        late[10_000:] = True
+        ideal = ideal_from_spec(spec)
+        assert ai_density_is_null(cesaro1(), ideal, late, horizon=10_000).converged
+        v = ai_density(cesaro1(), ideal, late, horizon=10_000)
+        assert v.converged and v.value == 0.0
+
+    def test_short_array_is_rejected(self) -> None:
+        short = np.zeros(5_000, dtype=bool)
+        for verdict in (ai_density, ai_density_is_null, ai_density_is_full):
+            with pytest.raises(ValueError, match="length 5000 does not cover index 10000"):
+                verdict(cesaro1(), Ideal.fin(), short, horizon=10_000)
+
     def test_nonthin_distinguishes_rate(self) -> None:
         fin = Ideal.fin()
         assert ai_nonthin(cesaro1(), fin, EVENS)

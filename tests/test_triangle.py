@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import step_fns
 from pmstat import (
     EPS0,
     MAXIMAL,
@@ -19,12 +22,16 @@ from pmstat import (
     check_triangle_axioms,
     dominates,
     evaluate,
+    levy_distance,
+    pointwise_gap,
+    pointwise_max,
     pointwise_min,
     t_lukasiewicz,
     t_minimum,
     t_product,
     unit_step,
 )
+from pmstat.triangle import AxiomCheck, TriangleAxiomReport
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
 
@@ -203,3 +210,81 @@ class TestAxiomChecks:
         for hi, lo in zip(chain, chain[1:]):
             assert dominates(hi, lo, sample)
         assert not dominates(TriangleFn("luka"), MAXIMAL, sample)
+
+
+def _reference_check_triangle_axioms(op, sample, tol: float = 1e-9) -> TriangleAxiomReport:
+    """The axiom checker as four loops that build every op value afresh."""
+    checks = []
+
+    worst, wit = 0.0, ""
+    for i, f in enumerate(sample):
+        for j, g in enumerate(sample):
+            d = levy_distance(op(f, g), op(g, f))
+            if d > worst:
+                worst, wit = d, f"pair ({i}, {j})"
+    checks.append(AxiomCheck("commutative", worst <= tol, worst, wit))
+
+    worst, wit = 0.0, ""
+    trip = sample[: min(len(sample), 6)]
+    for i, f in enumerate(trip):
+        for j, g in enumerate(trip):
+            for k, h in enumerate(trip):
+                d = levy_distance(op(op(f, g), h), op(f, op(g, h)))
+                if d > worst:
+                    worst, wit = d, f"triple ({i}, {j}, {k})"
+    checks.append(AxiomCheck("associative", worst <= tol, worst, wit))
+
+    worst, wit = 0.0, ""
+    for i, f in enumerate(sample):
+        for j, f2 in enumerate(sample):
+            upper = pointwise_max(f, f2)
+            for k, g in enumerate(sample):
+                gap = pointwise_gap(op(f, g), op(upper, g))
+                if gap > worst:
+                    worst, wit = gap, f"f={i} raised by {j}, g={k}"
+    checks.append(AxiomCheck("monotone", worst <= tol, worst, wit))
+
+    worst, wit = 0.0, ""
+    for i, f in enumerate(sample):
+        d = max(levy_distance(op(EPS0, f), f), levy_distance(op(f, EPS0), f))
+        if d > worst:
+            worst, wit = d, f"element {i}"
+    checks.append(AxiomCheck("identity", worst <= tol, worst, wit))
+
+    return TriangleAxiomReport(tuple(checks))
+
+
+OPS = {
+    **{kind: TriangleFn(kind) for kind in TRIANGLE_KINDS},
+    "projection": lambda f, g: f,
+    "pointwise-max": pointwise_max,
+    # raising f or g moves the step later, so every monotone tuple can fail
+    "antitone": lambda f, g: unit_step(evaluate(f, 1.0) + evaluate(g, 1.0)),
+}
+
+
+class TestOperationTable:
+    """The checker builds each op value once and answers as the four loops do."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @settings(max_examples=25)
+    @given(
+        sample=st.lists(step_fns(max_jumps=4), min_size=1, max_size=10),
+        tol=st.sampled_from([0.0, 1e-12, 0.05]),
+    )
+    def test_matches_the_four_loops(self, name: str, sample, tol: float) -> None:
+        op = OPS[name]
+        got = json.dumps(check_triangle_axioms(op, sample, tol=tol).to_json())
+        assert got == json.dumps(_reference_check_triangle_axioms(op, sample, tol=tol).to_json())
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 10])
+    def test_op_applications_per_check(self, n: int) -> None:
+        calls = []
+
+        def op(f, g):
+            calls.append(None)
+            return apply_supconv("prod", f, g)
+
+        check_triangle_axioms(op, _sample_fns(13, n)[:n])
+        # 1,552 for n = 10, where building every op value afresh makes 3,084
+        assert len(calls) <= n * n + 2 * min(n, 6) ** 3 + n**3 + 2 * n
