@@ -127,24 +127,43 @@ def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
     """Tail-stabilization verdict for an ordinary limit, read off the tail window.
 
     ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series;
-    callers slice or build only that window.  Converged when the final
-    deviation is within tol and the whole window stays within
-    SETTLE_FACTOR * tol; diverged when the window never comes within tol
-    of the target; inconclusive otherwise.
-
-    The deviations are read from the window's extremes.  Rounding is
-    monotone, so x -> fl(x - t) is nondecreasing and the largest
-    deviation |fl(x - t)| over the window is exactly
-    ``max(t - min, max - t)``.  The smallest is ``min - t`` when
-    t <= min and ``t - max`` when t >= max; only a target strictly inside
-    the window's range needs a pass over the deviations.  A null verdict
-    on a non-negative series thus costs two reductions and no temporary
-    array.
+    callers slice or build only that window.  The verdict is
+    ``_extremes_verdict`` on its extremes and last value, with a pass over
+    the deviations only when the target lies strictly inside its range.
     """
     if len(win) == 0:
         raise ValueError("empty partial-value sequence")
-    low, high = float(win.min()), float(win.max())
-    residual = abs(float(win[-1]) - target)
+    return _extremes_verdict(*_extremes(win), target, tol, lambda: float(np.abs(win - target).min()))
+
+
+def _extremes(win: np.ndarray) -> tuple[float, float, float]:
+    """The least, greatest and last value of a nonempty window."""
+    return float(win.min()), float(win.max()), float(win[-1])
+
+
+def _extremes_verdict(
+    low: float,
+    high: float,
+    last: float,
+    target: float,
+    tol: float,
+    nearest_inside: Callable[[], float] | None = None,
+) -> Verdict:
+    """Tail-stabilization verdict from a window's extremes and last value.
+
+    Converged when the final deviation is within tol and the whole window
+    stays within SETTLE_FACTOR * tol; diverged when the window never
+    comes within tol of the target; inconclusive otherwise.
+
+    Rounding is monotone, so x -> fl(x - t) is nondecreasing and the
+    largest deviation |fl(x - t)| over the window is exactly
+    ``max(t - low, high - t)``.  The smallest is ``low - t`` when
+    t <= low and ``t - high`` when t >= high.  Only a target strictly
+    inside (low, high) needs the window itself: ``nearest_inside`` gives
+    the smallest deviation there.  A null reading of a non-negative
+    series has t = 0 <= low and needs nothing more.
+    """
+    residual = abs(last - target)
     if residual <= tol and max(target - low, high - target) <= SETTLE_FACTOR * tol:
         status = CONVERGED
     else:
@@ -153,7 +172,7 @@ def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
         elif target >= high:
             nearest = target - high
         else:
-            nearest = float(np.abs(win - target).min())
+            nearest = nearest_inside()
         status = DIVERGED if nearest > tol else INCONCLUSIVE
     return Verdict(status, target, residual, tol, low, high)
 
@@ -373,6 +392,17 @@ class SummMatrix:
         mem = _member_array(member, top)
         return np.array([sum(self.entry(n, k) for k in self.row_support(n) if mem[k - 1]) for n in rows])
 
+    def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
+        """The least, greatest and last partial A-density over the tail
+        window, rows ``tail_start(n_rows)..n_rows``: what a null reading reads."""
+        return _extremes(self.density_series(member, n_rows, start=tail_start(n_rows)))
+
+    def nonvanishing_column(self) -> int | None:
+        """A column that does not tend to 0, where the kind's closed form
+        shows one; such a B makes a finite set B-dense, so its density
+        ideal is not admissible.  None when no column is known to persist."""
+        return None
+
 
 class TriangularMatrix(SummMatrix):
     """Rows that average the first n terms of a mapped subsequence.
@@ -453,6 +483,36 @@ class TriangularMatrix(SummMatrix):
         # a float running sum adds in sequence, so a window needs the whole run
         return (np.cumsum(self._weights(n_rows) * mem) / sums)[start - 1 :]
 
+    def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
+        """Unit weights read a window of constant membership in closed form.
+
+        Row m of a unit-weight series is (members among phi(1..m)) / m.
+        With K members before the window's first row s, a window with no
+        member reads K/m, falling in m, and a window of members reads
+        (K + m - s + 1)/m, rising in m because K <= s - 1.  Rounding is
+        monotone and each quotient is the correctly rounded one that the
+        series divides out, so the window's extremes and last value are
+        its values at rows s and n_rows, bit for bit.  Any other window is
+        built from the membership array read here.
+        """
+        if self.power != 0:
+            return super().tail_extremes(member, n_rows)
+        full = _member_array(member, self.support_bound(n_rows))
+        mem = full if self._map is None else full[self._mapped(n_rows) - 1]
+        s = tail_start(n_rows)
+        before, window = int(np.count_nonzero(mem[: s - 1])), mem[s - 1 :]
+        if not window.any():
+            return before / n_rows, before / s, before / n_rows
+        if window.all():
+            last = (before + n_rows - s + 1) / n_rows
+            return (before + 1) / s, last, last
+        return super().tail_extremes(full, n_rows)
+
+    def nonvanishing_column(self) -> int | None:
+        """Column phi(1) keeps the share w_1 / (w_1 + ... + w_n), which tends
+        to 1 / sum_j j**power > 0 when that sum converges, for power < -1."""
+        return self.support_bound(1) if self.power < -1 else None
+
 
 class IdentityMatrix(SummMatrix):
     """a_nk = 1 when n = k; A-density of M is just the indicator of M."""
@@ -491,6 +551,9 @@ class ConstantColumnMatrix(SummMatrix):
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
         return np.full(n_rows - start + 1, 1.0 if _member_array(member, self.col)[-1] else 0.0)
+
+    def nonvanishing_column(self) -> int | None:
+        return self.col
 
 
 class BlockMatrix(SummMatrix):
@@ -698,7 +761,8 @@ class Ideal:
     Kinds: ``fin`` (finite sets) and ``density`` (sets of B-density zero
     for a regular matrix B).  Both contain every finite set and not the
     whole index set, hence are admissible, and both support membership
-    verdicts and limit extraction.
+    verdicts and limit extraction.  ``density_zero`` refuses a B whose
+    closed form shows a column that does not vanish.
     """
 
     kind: str
@@ -711,6 +775,14 @@ class Ideal:
 
     @classmethod
     def density_zero(cls, matrix: SummMatrix) -> "Ideal":
+        """The sets of B-density zero; a B with a column that does not
+        vanish gives a finite set positive density, and is a ValueError."""
+        col = matrix.nonvanishing_column()
+        if col is not None:
+            raise ValueError(
+                f"density ideal of {matrix.name} is not admissible: column {col} does not tend to 0, "
+                f"so the finite set {{{col}}} does not have B-density zero"
+            )
         return cls("density", f"density-zero({matrix.name})", matrix=matrix)
 
     def reads_from(self, n_rows: int) -> int:
@@ -729,7 +801,8 @@ class Ideal:
         fin: converged when no index past ``tail_start(horizon)`` is a
         member, diverged when the members there exceed a tol share.
         density-zero(B): the null reading of the tail window of the
-        B-density series on the rows that fit the horizon.
+        B-density series on the rows that fit the horizon, from the
+        window's extremes as B reads them (``SummMatrix.tail_extremes``).
         """
         if self.kind == "fin":
             marks = _member_array(member, horizon)
@@ -744,7 +817,7 @@ class Ideal:
                 status = INCONCLUSIVE
             return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
         rows = self.matrix.max_row_for(horizon)
-        return _tail_verdict(self.matrix.density_series(member, rows, start=tail_start(rows)), 0.0, tol)
+        return _extremes_verdict(*self.matrix.tail_extremes(member, rows), 0.0, tol)
 
 
 def ideal_from_spec(spec: str) -> Ideal:

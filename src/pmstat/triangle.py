@@ -189,7 +189,10 @@ def check_triangle_axioms(
     op(f_i, f_j)`` serves commutativity, the inner op of associativity
     and the lower side of monotonicity.  The raised side ``op(max(f_i,
     f_j), g)`` is one function for (i, j) and (j, i), so it is built once
-    per unordered pair.
+    per unordered pair.  The diagonal is skipped where its answer is
+    known: ``max(f, f)`` is f, so the raised side for i = j is ``prod[i][k]``
+    with gap 0, and ``prod[i][i]`` is at Levy distance 0 from itself.  A
+    residual of 0 never wins the worst case, so the report is the same.
     """
     if not sample:
         raise ValueError("empty sample")
@@ -197,7 +200,7 @@ def check_triangle_axioms(
     prod = [[op(f, g) for g in sample] for f in sample]
     every, first6 = range(n), range(min(n, 6))
     commutative = _worst("commutative", tol, "pair ({}, {})", (
-        ((i, j), levy_distance(prod[i][j], prod[j][i])) for i in every for j in every
+        ((i, j), levy_distance(prod[i][j], prod[j][i])) for i in every for j in every if i != j
     ))
     associative = _worst("associative", tol, "triple ({}, {}, {})", (
         ((i, j, k), levy_distance(op(prod[i][j], sample[k]), op(sample[i], prod[j][k])))
@@ -205,13 +208,12 @@ def check_triangle_axioms(
     ))
     gaps: dict[tuple[int, int, int], float] = {}
     for i in every:
-        for j in range(i, n):
+        for j in range(i + 1, n):
             upper = pointwise_max(sample[i], sample[j])
             for k, g in enumerate(sample):
                 raised = op(upper, g)
                 gaps[i, j, k] = pointwise_gap(prod[i][k], raised)
-                if j != i:
-                    gaps[j, i, k] = pointwise_gap(prod[j][k], raised)
+                gaps[j, i, k] = pointwise_gap(prod[j][k], raised)
     monotone = _worst("monotone", tol, "f={} raised by {}, g={}", sorted(gaps.items()))
     identity = _worst("identity", tol, "element {}", (
         ((i,), max(levy_distance(op(EPS0, f), f), levy_distance(op(f, EPS0), f)))

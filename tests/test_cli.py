@@ -330,6 +330,19 @@ class TestMatrixAndDensityCommands:
         assert payload["verdict"]["status"] == "converged"
         assert payload["verdict"]["value"] == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("matrix", ["constcol", "weighted:-2"])
+    def test_inadmissible_density_ideal_exits_2(self, matrix: str, capsys: pytest.CaptureFixture) -> None:
+        # these answered "converged, value 0.0001" for the density of {1}
+        assert main(["density", "finite:1", "--ideal", f"density:{matrix}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column 1 does not tend to 0" in captured.err
+
+    @pytest.mark.parametrize("matrix", ["weighted:-1", "weighted:-0.5"])
+    def test_harmonic_and_slower_weights_stay_admissible(self, matrix: str, capsys: pytest.CaptureFixture) -> None:
+        assert main(["density", "finite:1", "--ideal", f"density:{matrix}"]) == 0
+        assert "finite:1" in capsys.readouterr().out
+
     def test_density_ideal_spec(self, tmp_path: Path) -> None:
         out = tmp_path / "density.json"
         rc = main(["density", "squares", "--ideal", "density:cesaro", "--out", str(out)])

@@ -408,6 +408,22 @@ class TestIdeals:
         assert ideal.contains(SQUARES, 10_000).status == CONVERGED
         assert ideal.contains(EVENS, 10_000).status == DIVERGED
 
+    @pytest.mark.parametrize("spec", ["constcol", "weighted:-2", "weighted:-1.5", "weighted:-1.0001"])
+    def test_density_ideal_with_a_column_that_does_not_vanish_is_refused(self, spec: str) -> None:
+        # constcol keeps column 1 at 1; weights j**p with p < -1 have a finite
+        # sum, so column 1 tends to 1 / sum_j j**p: {1} would not be null
+        assert matrix_from_spec(spec).nonvanishing_column() == 1
+        with pytest.raises(ValueError, match="not admissible: column 1 does not tend to 0"):
+            ideal_from_spec(f"density:{spec}")
+
+    @pytest.mark.parametrize(
+        "spec", ["cesaro", "identity", "squares", "block:4", "weighted:-1", "weighted:-0.5", "weighted:0", "weighted:2"]
+    )
+    def test_density_ideal_of_a_regular_kind_is_accepted(self, spec: str) -> None:
+        # weighted:-1 is regular, though its column 1 decays only like 1/ln n
+        assert matrix_from_spec(spec).nonvanishing_column() is None
+        assert ideal_from_spec(f"density:{spec}").kind == "density"
+
     def test_spec_parsing(self) -> None:
         assert ideal_from_spec("fin").kind == "fin"
         ideal = ideal_from_spec("density:cesaro")
@@ -620,7 +636,7 @@ def partial_sequences(draw) -> np.ndarray:
 class TestSharedDefectVerdicts:
     """Each distinct defect set is decided once per extraction."""
 
-    MATRICES = ["cesaro", "weighted:1", "squares", "block:4", "identity"]
+    MATRICES = ["cesaro", "weighted:0", "weighted:1", "squares", "block:4", "identity"]
 
     @given(
         y=partial_sequences(),
@@ -632,6 +648,12 @@ class TestSharedDefectVerdicts:
     # all-true defects a whole unit away
     @example(y=np.full(100, 0.5), mspec="cesaro", tol=0.01, target=0.5)
     @example(y=np.zeros(64), mspec="block:4", tol=0.02, target=1.0)
+    # null defects whose B-window is all in after a partial prefix, and all
+    # out after a nonempty prefix: the closed-form reading of unit weights
+    @example(y=np.r_[np.zeros(50), np.ones(350)], mspec="cesaro", tol=0.01, target=0.0)
+    @example(y=np.r_[np.zeros(50), np.ones(350)], mspec="squares", tol=0.01, target=0.0)
+    @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="cesaro", tol=0.01, target=0.0)
+    @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="squares", tol=0.01, target=0.0)
     def test_matches_the_per_epsilon_loop(self, y, mspec, tol, target) -> None:
         ideal = ideal_from_spec(f"density:{mspec}")
         assert ideal_limit(y, ideal, tol).to_json() == _reference_ideal_limit(y, ideal, tol).to_json()
@@ -651,17 +673,41 @@ class TestSharedDefectVerdicts:
 
         B.density_series = counted
         N, tol = 10**5, 0.01
+        w0 = tail_start(N)
+
+        def defects(y: np.ndarray) -> tuple[set, set]:
+            """The distinct nonempty defects over the default candidates, and
+            those whose B-window is mixed, so that only a series can read it."""
+            distinct, mixed = set(), set()
+            seen: list[float] = []
+            for c in (float(y[-1]), float(np.median(y[w0 - 1 :])), 0.0, 0.5, 1.0):
+                if any(abs(c - s) <= 1e-12 for s in seen):
+                    continue
+                seen.append(c)
+                for eps in _eps_grid(tol):
+                    defect = np.abs(y - c) >= eps
+                    if defect.any():
+                        distinct.add(defect.tobytes())
+                        if 0 < np.count_nonzero(defect[w0 - 1 :]) < N - w0 + 1:
+                            mixed.add(defect.tobytes())
+            return distinct, mixed
+
+        # each defect of EVENS lies before the window or covers it, so no
+        # B-series is built: unit weights read a constant window in closed form
         v = ai_density(cesaro1(), Ideal.density_zero(B), EVENS, N, tol)
         assert v.converged and v.value == 0.5
+        distinct, mixed = defects(a_density_partial(cesaro1(), EVENS, N))
+        assert len(distinct) == 7 and not mixed
+        assert built == []
 
-        y = a_density_partial(cesaro1(), EVENS, N)
-        distinct = set()
-        for c in (0.5, 0.0, 1.0):  # the default candidates after deduplication
-            for eps in _eps_grid(tol):
-                defect = np.abs(y - c) >= eps
-                if defect.any():
-                    distinct.add(defect.tobytes())
-        assert len(built) == len(distinct) == 7
+        # indices in [4^j, 2 * 4^j): the Cesaro densities swing between 1/3
+        # and 2/3, so defects come and go inside the window
+        k = np.arange(1, N + 1)
+        swing = k < 2 * 4 ** (np.floor(np.log2(k)).astype(np.int64) // 2)
+        ai_density(cesaro1(), Ideal.density_zero(B), swing, N, tol)
+        distinct, mixed = defects(a_density_partial(cesaro1(), swing, N))
+        assert 0 < len(mixed) < len(distinct)
+        assert len(built) == len(mixed)
         assert set(built) == {N}
 
     def test_empty_defect_takes_its_closed_form(self) -> None:

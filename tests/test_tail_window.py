@@ -193,11 +193,57 @@ class TestTailWindow:
             ai_density_is_full(A, Ideal.fin(), member, N, tol)
         assert built and all(start == tail_start(rows) for _, rows, start in built)
 
-        # density ideal: the first-level series is whole, every B-series a window
+        # density ideal: the first-level series is whole, and a B-series is
+        # built only for a mixed window, and then only the window.  The
+        # defects of EVENS lie before the window or cover it, and SQUARES
+        # holds every index j*j the squares rows read; EVENS holds every
+        # other one, so only its membership query builds a B-series.
         built.clear()
         ai_density(A, Ideal.density_zero(B), EVENS, N, tol)
         Ideal.density_zero(B).contains(SQUARES, N, tol)
+        Ideal.density_zero(B).contains(EVENS, N, tol)
         first = [b for b in built if b[0] == "cesaro"]
         second = [b for b in built if b[0] == "squares"]
+        rows = B.max_row_for(N)
         assert first == [("cesaro", N, 1)]
-        assert len(second) > 1 and all(start == tail_start(rows) for _, rows, start in second)
+        assert second == [("squares", rows, tail_start(rows))]
+
+
+UNIT_WEIGHT_KINDS = ["cesaro", "squares", "weighted:0"]
+
+
+@st.composite
+def unit_weight_windows(draw) -> tuple[str, int, np.ndarray]:
+    """A unit-weight kind, a row count, and a membership whose tail window
+    on those rows is all out, all in, or mixed."""
+    kind = draw(st.sampled_from(UNIT_WEIGHT_KINDS))
+    rows = draw(st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    at = np.arange(1, rows + 1) ** (2 if kind == "squares" else 1) - 1  # the indices phi(1..rows)
+    member = np.zeros(at[-1] + 1, dtype=bool)
+    member[at] = rng.random(rows) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    s = tail_start(rows)
+    window = draw(st.sampled_from(["out", "in", "mixed"]))
+    if window == "mixed" and rows > s:
+        member[at[s - 1]], member[at[-1]] = True, False
+    elif window != "mixed":
+        member[at[s - 1 :]] = window == "in"
+    return kind, rows, member
+
+
+class TestEndpointReading:
+    """A unit-weight null reading of a constant window equals the built window's."""
+
+    @given(wm=unit_weight_windows(), tol=st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+    @example(wm=("cesaro", 1, np.array([True])), tol=0.01)
+    @example(wm=("cesaro", 2, np.array([False, True])), tol=0.01)
+    @example(wm=("squares", 2, np.array([True, False, False, False])), tol=0.01)
+    @example(wm=("weighted:0", 2, np.array([True, False])), tol=0.01)
+    def test_endpoint_verdict_equals_the_window_reading(self, wm, tol) -> None:
+        kind, rows, member = wm
+        B = matrix_from_spec(kind)
+        horizon = B.support_bound(rows)
+        assert B.max_row_for(horizon) == rows
+        got = Ideal.density_zero(B).contains(member, horizon, tol).to_json()
+        want = _tail_verdict(B.density_series(member, rows, start=tail_start(rows)), 0.0, tol).to_json()
+        assert json.dumps(got) == json.dumps(want)

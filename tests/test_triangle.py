@@ -286,5 +286,5 @@ class TestOperationTable:
             return apply_supconv("prod", f, g)
 
         check_triangle_axioms(op, _sample_fns(13, n)[:n])
-        # 1,552 for n = 10, where building every op value afresh makes 3,084
-        assert len(calls) <= n * n + 2 * min(n, 6) ** 3 + n**3 + 2 * n
+        # 1,002 for n = 10, where building every op value afresh makes 3,084
+        assert len(calls) <= n * n + 2 * min(n, 6) ** 3 + n * n * (n - 1) // 2 + 2 * n
