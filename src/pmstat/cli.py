@@ -43,6 +43,7 @@ from .harness import (
     generate_suite,
     random_step_fn,
     render_text,
+    report_to_json,
     run_theorem_suite,
     suite_passed,
     validate_report,
@@ -144,7 +145,7 @@ def sequence_from_spec(space: FinitePMSpace, spec: str) -> IndexedSequence:
 def _emit(args: argparse.Namespace, payload: dict) -> None:
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write(report_to_json(payload))
 
 
 # ---------------------------------------------------------------------------

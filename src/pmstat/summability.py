@@ -33,6 +33,9 @@ of an n-row series, and only the rows a verdict reads are built: a fin
 limit reads the window of its A-series, a density ideal reads its
 A-series whole and the window of each B-series (``Ideal.reads_from``).
 A window equals that slice of the whole series bit for bit.
+
+Membership of a set in an ideal is decided in one place,
+``Ideal.contains``; limit extraction asks it and adds no rule.
 """
 
 from __future__ import annotations
@@ -175,11 +178,6 @@ def _extremes_verdict(
             nearest = nearest_inside()
         status = DIVERGED if nearest > tol else INCONCLUSIVE
     return Verdict(status, target, residual, tol, low, high)
-
-
-def _ordinary_limit_verdict(y: np.ndarray, target: float, tol: float) -> Verdict:
-    """``_tail_verdict`` on the tail window of a whole series ``y``."""
-    return _tail_verdict(y[tail_start(len(y)) - 1 :], target, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +464,14 @@ class TriangularMatrix(SummMatrix):
         total = self._weight_sums(n)[-1]  # raises before the power can overflow
         return float(np.float64(j) ** self.power / total)
 
+    def _row_members(self, member: Membership, n: int) -> np.ndarray:
+        """Whether phi(j) is a member, for rows j = 1..n."""
+        mem = _member_array(member, self.support_bound(n))
+        return mem if self._map is None else mem[self._mapped(n) - 1]
+
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
-        if self._map is None:
-            mem = _member_array(member, n_rows)
-        else:
-            mapped = self._mapped(n_rows)
-            mem = _member_array(member, int(mapped[-1]))[mapped - 1]
+        mem = self._row_members(member, n_rows)
         sums = self._weight_sums(n_rows)  # raises before any weight can overflow
         if self.power == 0:
             # unit weights: the numerator is the running count of members,
@@ -493,12 +492,11 @@ class TriangularMatrix(SummMatrix):
         monotone and each quotient is the correctly rounded one that the
         series divides out, so the window's extremes and last value are
         its values at rows s and n_rows, bit for bit.  Any other window is
-        built from the membership array read here.
+        built by ``density_series`` from the membership given.
         """
         if self.power != 0:
             return super().tail_extremes(member, n_rows)
-        full = _member_array(member, self.support_bound(n_rows))
-        mem = full if self._map is None else full[self._mapped(n_rows) - 1]
+        mem = self._row_members(member, n_rows)
         s = tail_start(n_rows)
         before, window = int(np.count_nonzero(mem[: s - 1])), mem[s - 1 :]
         if not window.any():
@@ -506,7 +504,7 @@ class TriangularMatrix(SummMatrix):
         if window.all():
             last = (before + n_rows - s + 1) / n_rows
             return (before + 1) / s, last, last
-        return super().tail_extremes(full, n_rows)
+        return super().tail_extremes(member, n_rows)
 
     def nonvanishing_column(self) -> int | None:
         """Column phi(1) keeps the share w_1 / (w_1 + ... + w_n), which tends
@@ -714,15 +712,15 @@ def check_regularity(
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
 ) -> RegularityReport:
-    """Finite-horizon Silverman-Toeplitz check, read off ``density_series``.
+    """Finite-horizon Silverman-Toeplitz check, read off the partial A-densities.
 
-    The row sums are the partial A-densities of all indices, and column k
-    is the partial A-density series of {k}.  (i) the running sup of the
-    row sums must not grow over the tail window (entries are non-negative,
-    so row sums are the absolute row sums), (ii) each of the first
-    ``REGULARITY_COLUMNS`` columns must vanish over the tail window, so
-    finite sets have A-density 0, (iii) row sums must sit within tol of 1
-    there.
+    The row sums are the series of all indices, and column k is read as
+    ``A.tail_extremes({k}, rows)[1]``, the tail-window maximum of the
+    series of {k}.  Entries are non-negative, so row sums are the absolute
+    row sums and that maximum is the largest absolute entry.  (i) the
+    running sup of the row sums must not grow over the tail window, (ii)
+    each of the first ``REGULARITY_COLUMNS`` columns must vanish there, so
+    finite sets have A-density 0, (iii) row sums must sit within tol of 1.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
@@ -740,8 +738,7 @@ def check_regularity(
 
     worst = 0.0
     for k in range(1, min(REGULARITY_COLUMNS, rows) + 1):
-        col = A.density_series(finite_set((k,)), rows)
-        worst = max(worst, float(np.abs(col[w0 - 1 :]).max()))
+        worst = max(worst, A.tail_extremes(finite_set((k,)), rows)[1])
     conditions.append(RegularityCondition("columns-vanish", worst <= tol, worst, worst))
 
     res = float(np.abs(rsums[w0 - 1 :] - 1.0).max())
@@ -761,8 +758,9 @@ class Ideal:
     Kinds: ``fin`` (finite sets) and ``density`` (sets of B-density zero
     for a regular matrix B).  Both contain every finite set and not the
     whole index set, hence are admissible, and both support membership
-    verdicts and limit extraction.  ``density_zero`` refuses a B whose
-    closed form shows a column that does not vanish.
+    verdicts (``contains``, which holds every membership rule) and limit
+    extraction.  ``density_zero`` refuses a B whose closed form shows a
+    column that does not vanish.
     """
 
     kind: str
@@ -796,16 +794,20 @@ class Ideal:
 
     def contains(self, member: Membership, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
         """Finite-horizon membership verdict for a set (an ``IndexSet`` or an
-        indicator array) in the ideal.
+        indicator array covering indices 1..horizon) in the ideal.
 
         fin: converged when no index past ``tail_start(horizon)`` is a
         member, diverged when the members there exceed a tol share.
-        density-zero(B): the null reading of the tail window of the
-        B-density series on the rows that fit the horizon, from the
-        window's extremes as B reads them (``SummMatrix.tail_extremes``).
+        density-zero(B): the null reading of B's tail window on the rows
+        that fit the horizon (``SummMatrix.tail_extremes``), under three
+        rules in order.  A set with no member reads (0, 0, 0) with no
+        series built.  One that does not converge and has no member from
+        ``tail_start(horizon)`` on converges with residual 0, as fin reads
+        it (Fin is a subset of every admissible ideal).  A diverged set
+        whose tail minimum is within SETTLE_FACTOR * tol is inconclusive.
         """
+        marks = _member_array(member, horizon)
         if self.kind == "fin":
-            marks = _member_array(member, horizon)
             w0 = tail_start(horizon)
             growth = float(np.count_nonzero(marks[w0:]))
             rate = growth / max(1, horizon - w0)
@@ -816,8 +818,14 @@ class Ideal:
             else:
                 status = INCONCLUSIVE
             return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
-        rows = self.matrix.max_row_for(horizon)
-        return _extremes_verdict(*self.matrix.tail_extremes(member, rows), 0.0, tol)
+        if not marks.any():
+            return _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
+        v = _extremes_verdict(*self.matrix.tail_extremes(marks, self.matrix.max_row_for(horizon)), 0.0, tol)
+        if not v.converged and not marks[tail_start(horizon) - 1 :].any():
+            return replace(v, status=CONVERGED, residual=0.0)
+        if v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
+            return replace(v, status=INCONCLUSIVE)
+        return v
 
 
 def ideal_from_spec(spec: str) -> Ideal:
@@ -860,21 +868,11 @@ def ideal_limit_at(
     """Verdict for I-convergence of the real sequence ``y`` to ``target``.
 
     fin: ordinary tail stabilization.  density-zero(B): for each epsilon
-    on a coarse grid down to tol, the rows where ``|y - target| >= eps``
-    must have B-density converging to 0.
-
-    Two readings keep a transient at the start of ``y`` from deciding a
-    density-ideal verdict.  An epsilon whose defect rows all lie before
-    the tail window converges: every admissible ideal contains the finite
-    sets (Fin is a subset of I), and that is how ``Ideal.contains`` reads
-    ``fin``.  A diverged epsilon whose B-density tail minimum is within
-    SETTLE_FACTOR * tol is inconclusive, not diverged.
-
-    The sub-verdict of an epsilon depends only on its defect rows, so each
-    distinct defect set is decided once per extraction, across the epsilon
-    grid and, in ``ideal_limit``, across the candidate limits.  The empty
-    defect set takes its closed form: its partial B-densities vanish on
-    every row, so it converges to 0 with no series built.
+    on a coarse grid down to tol, the sub-verdict is the membership
+    verdict ``ideal.contains(defect, len(y), tol)`` of the defect rows
+    where ``|y - target| >= eps``.  It is asked once per distinct defect
+    set in an extraction, across the epsilon grid and, in
+    ``ideal_limit``, across the candidate limits.
     """
     return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
 
@@ -906,10 +904,9 @@ def _ideal_limit(
     A converged target wins by smallest residual; otherwise the smallest
     residual wins with its status, and ties keep the earlier target.
     Under a density ideal each distinct defect set, keyed by its packed
-    rows, is decided once per call.
+    rows, is decided by ``Ideal.contains`` once per call.
     """
-    off = _tail_offset(n, ideal)
-    win = part[off:]
+    win = part[_tail_offset(n, ideal) :]
     decided: dict[bytes, Verdict] = {}
 
     # a nested function, so one target's row arrays are freed before the next target's are built
@@ -921,15 +918,7 @@ def _ideal_limit(
             key = np.packbits(defect).tobytes()
             v = decided.get(key)
             if v is None:
-                if not defect.any():
-                    v = Verdict(CONVERGED, 0.0, 0.0, tol, 0.0, 0.0)
-                else:
-                    v = ideal.contains(defect, n, tol)
-                    if not v.converged and not defect[off:].any():
-                        v = replace(v, status=CONVERGED, residual=0.0)
-                    elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
-                        v = replace(v, status=INCONCLUSIVE)
-                decided[key] = v
+                v = decided[key] = ideal.contains(defect, n, tol)
             sub[f"eps={eps}"] = v
         return Verdict(
             combined_status(v.status for v in sub.values()),

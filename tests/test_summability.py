@@ -14,6 +14,7 @@ from pmstat import (
     ALL_INDICES,
     CONVERGED,
     CUBES,
+    DEFAULT_TOL,
     DIVERGED,
     EVENS,
     INCONCLUSIVE,
@@ -53,7 +54,8 @@ from pmstat.summability import (
     SETTLE_FACTOR,
     TriangularMatrix,
     _eps_grid,
-    _ordinary_limit_verdict,
+    _extremes_verdict,
+    _tail_verdict,
 )
 
 
@@ -338,6 +340,22 @@ class TestRegularity:
         with pytest.raises(ValueError, match="at least 10"):
             check_regularity(cesaro1(), 5)
 
+    @pytest.mark.parametrize("spec", ["cesaro", "squares"])
+    def test_unit_weights_build_only_the_row_sums(self, spec: str) -> None:
+        # each column {k}, k <= 25, is out of the tail window, which unit
+        # weights read in closed form
+        A = matrix_from_spec(spec)
+        built = []
+        series = A.density_series
+
+        def counted(member, n_rows, **window):
+            built.append(member)
+            return series(member, n_rows, **window)
+
+        A.density_series = counted
+        check_regularity(A, 10**4)
+        assert built == [ALL_INDICES]
+
     @staticmethod
     def _brute_regularity(A: SummMatrix, horizon: int, tol: float) -> list[tuple[str, bool, float, float]]:
         """The three conditions straight from ``entry`` and ``row_support``."""
@@ -422,7 +440,28 @@ class TestIdeals:
     def test_density_ideal_of_a_regular_kind_is_accepted(self, spec: str) -> None:
         # weighted:-1 is regular, though its column 1 decays only like 1/ln n
         assert matrix_from_spec(spec).nonvanishing_column() is None
-        assert ideal_from_spec(f"density:{spec}").kind == "density"
+        ideal = ideal_from_spec(f"density:{spec}")
+        assert ideal.kind == "density"
+        # an admissible ideal contains every finite set (Fin is a subset of I)
+        assert ideal.contains(finite_set([1]), 10**4).converged
+
+    @pytest.mark.parametrize("horizon", [10**4, 10**6])
+    def test_slow_column_reads_a_finite_set_as_finite(self, horizon: int) -> None:
+        # column 1 of weighted:-1 decays like 1/ln n, so its tail window
+        # alone reads {1} as diverged; no member past the window start
+        # makes it converge with residual 0
+        B = weighted_mean(-1)
+        raw = _extremes_verdict(*B.tail_extremes(finite_set([1]), B.max_row_for(horizon)), 0.0, DEFAULT_TOL)
+        assert raw.status == DIVERGED
+        v = Ideal.density_zero(B).contains(finite_set([1]), horizon)
+        assert v.converged and v.residual == 0.0
+        assert (v.tail_low, v.tail_high) == (raw.tail_low, raw.tail_high)
+
+    def test_empty_set_reads_zero_with_no_series(self) -> None:
+        B = ExplicitMatrix([[1.0], [0.5, 0.5]])
+        B.density_series = B.max_row_for = None  # any series or row count would raise
+        v = Ideal.density_zero(B).contains(np.zeros(10, dtype=bool), 10)
+        assert v.to_json() == Verdict(CONVERGED, 0.0, 0.0, DEFAULT_TOL, 0.0, 0.0).to_json()
 
     def test_spec_parsing(self) -> None:
         assert ideal_from_spec("fin").kind == "fin"
@@ -584,7 +623,8 @@ def _reference_ideal_limit_at(y: np.ndarray, ideal: Ideal, target: float, tol: f
     statuses = []
     for eps in _eps_grid(tol):
         defect = dev >= eps
-        v = _ordinary_limit_verdict(B.density_series(defect, rows), 0.0, tol)
+        y_b = B.density_series(defect, rows)
+        v = _tail_verdict(y_b[tail_start(len(y_b)) - 1 :], 0.0, tol)
         if not v.converged and not defect[w0 - 1 :].any():
             v = replace(v, status=CONVERGED, residual=0.0)
         elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
@@ -709,6 +749,27 @@ class TestSharedDefectVerdicts:
         assert 0 < len(mixed) < len(distinct)
         assert len(built) == len(mixed)
         assert set(built) == {N}
+
+    @given(
+        y=partial_sequences(),
+        mspec=st.sampled_from([*MATRICES, "weighted:-1"]),
+        tol=st.sampled_from([0.01, 0.02, 0.05]),
+        target=st.sampled_from(LEVELS),
+        null_of_y=st.booleans(),
+    )
+    # defects only before the window: the raw Cesaro reading is diverged
+    @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="cesaro", tol=0.01, target=0.0, null_of_y=False)
+    def test_each_sub_verdict_is_the_membership_verdict(self, y, mspec, tol, target, null_of_y) -> None:
+        ideal = ideal_from_spec(f"density:{mspec}")
+        if null_of_y:
+            # the null verdict of the set where y is above 1/2, read by cesaro
+            member = y > 0.5
+            v = ai_density_is_null(cesaro1(), ideal, member, len(y), tol)
+            y, target = a_density_partial(cesaro1(), member, len(y)), 0.0
+        else:
+            v = ideal_limit_at(y, ideal, target, tol)
+        defects = {f"eps={eps}": np.abs(y - target) >= eps for eps in _eps_grid(tol)}
+        assert v.detail == {name: ideal.contains(d, len(y), tol).to_json() for name, d in defects.items()}
 
     def test_empty_defect_takes_its_closed_form(self) -> None:
         B = cesaro1()
