@@ -314,11 +314,13 @@ def _anchor_search(
     """The Cauchy anchor search over the null-verdict rows ``row(c)``, in
     order of first visit: the first converged anchor, else the earliest
     with the smallest residual."""
-    seen, first = np.unique(x.value_codes(horizon), return_index=True)
+    codes = x.value_codes(horizon)
+    # presence by count and each first visit by one scan: no sort of the horizon's codes
+    visits = sorted((int(np.argmax(codes == c)), int(c)) for c in np.flatnonzero(np.bincount(codes)))
     best: Verdict | None = None
-    for i in np.argsort(first):
-        p, k0 = x.space.points[int(seen[i])], int(first[i]) + 1
-        v = _aggregate(row(p), p, tol, witness=k0)
+    for k, c in visits:
+        p = x.space.points[c]
+        v = _aggregate(row(p), p, tol, witness=k + 1)
         if v.converged:
             return v
         if best is None or v.residual < best.residual:

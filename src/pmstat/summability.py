@@ -427,7 +427,9 @@ class TriangularMatrix(SummMatrix):
         self._wsum = np.zeros(0)
 
     def _weights(self, n: int) -> np.ndarray:
-        return np.arange(1, n + 1, dtype=float) ** self.power
+        w = np.arange(1, n + 1, dtype=float)
+        w **= self.power
+        return w
 
     def _weight_sums(self, n: int) -> np.ndarray:
         """Running sums w_1 + ... + w_j for j = 1..n, all finite.
@@ -440,7 +442,8 @@ class TriangularMatrix(SummMatrix):
                 self._wsum = np.arange(1, n + 1, dtype=float)
             else:
                 with np.errstate(over="ignore"):
-                    self._wsum = np.cumsum(self._weights(n))
+                    w = self._weights(n)
+                    self._wsum = np.cumsum(w, out=w)
         if not math.isfinite(self._wsum[n - 1]):
             first = int(np.argmin(np.isfinite(self._wsum))) + 1
             raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
@@ -473,37 +476,54 @@ class TriangularMatrix(SummMatrix):
         _check_window(n_rows, start)
         mem = self._row_members(member, n_rows)
         sums = self._weight_sums(n_rows)  # raises before any weight can overflow
+        # one buffer for every pass: a fresh 10^6-row temporary page-faults back in
         if self.power == 0:
             # unit weights: the numerator is the running count of members,
-            # exact in integers, so a window starts from the prefix's count
-            counts = np.cumsum(mem[start - 1 :], dtype=np.int64)
-            counts += np.count_nonzero(mem[: start - 1])
-            return counts / sums[start - 1 :]
+            # exact in floats below 2**53, so a window starts from the prefix's count
+            series = mem[start - 1 :].astype(float)
+            np.cumsum(series, out=series)
+            series += np.count_nonzero(mem[: start - 1])
+            series /= sums[start - 1 :]
+            return series
         # a float running sum adds in sequence, so a window needs the whole run
-        return (np.cumsum(self._weights(n_rows) * mem) / sums)[start - 1 :]
+        series = self._weights(n_rows)
+        series *= mem
+        np.cumsum(series, out=series)
+        series /= sums
+        return series[start - 1 :]
 
     def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
-        """Unit weights read a window of constant membership in closed form.
+        """A window with no member, and a unit-weight window of members,
+        read in closed form.
 
-        Row m of a unit-weight series is (members among phi(1..m)) / m.
-        With K members before the window's first row s, a window with no
-        member reads K/m, falling in m, and a window of members reads
-        (K + m - s + 1)/m, rising in m because K <= s - 1.  Rounding is
-        monotone and each quotient is the correctly rounded one that the
-        series divides out, so the window's extremes and last value are
-        its values at rows s and n_rows, bit for bit.  Any other window is
-        built by ``density_series`` from the membership given.
+        Row m of the series is K_m / W_m, the running sums of the member
+        weights and of all weights.  With K_s the members' weight before
+        the window's first row s, a window with no member reads K_s / W_m,
+        not rising in m because W is nondecreasing.  Under unit weights,
+        W_m = m and a window of members reads (K_s + m - s + 1)/m, rising
+        in m because K_s <= s - 1.  Rounding is monotone and each quotient
+        is the correctly rounded one that the series divides out (zero
+        terms leave its sequential running sum at K_s), so the window's
+        extremes and last value are its values at rows s and n_rows, bit
+        for bit.  Any other window is built by ``density_series`` from
+        the membership given.
         """
-        if self.power != 0:
-            return super().tail_extremes(member, n_rows)
         mem = self._row_members(member, n_rows)
         s = tail_start(n_rows)
-        before, window = int(np.count_nonzero(mem[: s - 1])), mem[s - 1 :]
-        if not window.any():
-            return before / n_rows, before / s, before / n_rows
-        if window.all():
-            last = (before + n_rows - s + 1) / n_rows
-            return (before + 1) / s, last, last
+        window = mem[s - 1 :]
+        if self.power == 0:
+            before = int(np.count_nonzero(mem[: s - 1]))
+            if not window.any():
+                return before / n_rows, before / s, before / n_rows
+            if window.all():
+                last = (before + n_rows - s + 1) / n_rows
+                return (before + 1) / s, last, last
+        elif not window.any():
+            sums = self._weight_sums(n_rows)  # raises before any weight can overflow
+            run = self._weights(s)
+            run *= mem[:s]
+            before = np.cumsum(run, out=run)[-1]  # row s adds 0: K_s as the series sums it
+            return float(before / sums[-1]), float(before / sums[s - 1]), float(before / sums[-1])
         return super().tail_extremes(member, n_rows)
 
     def nonvanishing_column(self) -> int | None:
@@ -911,7 +931,8 @@ def _ideal_limit(
 
     # a nested function, so one target's row arrays are freed before the next target's are built
     def density_limit_at(target: float) -> Verdict:
-        dev = np.abs(part - target)
+        dev = part - target
+        np.abs(dev, out=dev)
         sub: dict[str, Verdict] = {}
         for eps in _eps_grid(tol):
             defect = dev >= eps

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from pmstat import convergence
 
 from pmstat import (
     ALL_INDICES,
@@ -183,6 +188,43 @@ class TestStatisticalCauchy:
             assert p1.converged is expect
             assert p2.converged is expect
             assert p3.converged is expect
+
+
+class TestAnchorOrder:
+    """The anchor search visits each carrier point present once, in order of first visit."""
+
+    @staticmethod
+    def _reference_visits(codes: np.ndarray, points: tuple[str, ...]) -> list[tuple[str, int]]:
+        seen, first = np.unique(codes, return_index=True)
+        return [(points[int(seen[i])], int(first[i]) + 1) for i in np.argsort(first)]
+
+    @given(
+        n_points=st.integers(1, 6),
+        horizon=st.integers(1, 400),
+        seed=st.integers(0, 2**16),
+        skew=st.sampled_from([0.0, 0.9, 0.999]),
+    )
+    def test_visits_follow_the_sorted_first_visits(self, n_points, horizon, seed, skew) -> None:
+        rng = np.random.default_rng(seed)
+        points = tuple("pqrstu"[:n_points])
+        # a random subset of the carrier, so some points go unvisited, and
+        # the others first visited out of code order
+        present = rng.permutation(n_points)[: rng.integers(1, n_points + 1)]
+        codes = present[rng.integers(0, len(present), size=horizon)]
+        codes[rng.random(horizon) < skew] = codes[0]
+        x = SimpleNamespace(space=SimpleNamespace(points=points), value_codes=lambda n: codes[:n].astype(np.int64))
+        visits = []
+
+        def record(per_t, value, tol, witness=None):
+            visits.append((value, witness))
+            return convergence.Verdict(DIVERGED, value, 1.0, tol, witness=witness)
+
+        aggregate, convergence._aggregate = convergence._aggregate, record
+        try:
+            convergence._anchor_search(x, horizon, 0.01, lambda p: {})
+        finally:
+            convergence._aggregate = aggregate
+        assert visits == self._reference_visits(codes, points)
 
 
 class TestWitnessedConvergence:

@@ -307,6 +307,49 @@ class TestMatrices:
         assert squares_rows().max_row_for(99) == 9
 
 
+def _reference_density_series(A: TriangularMatrix, member: np.ndarray, n_rows: int, start: int) -> np.ndarray:
+    """``TriangularMatrix.density_series`` as a chain of temporaries: the
+    expressions the one-buffer form replaced."""
+    j = np.arange(1, n_rows + 1, dtype=np.int64)
+    mem = member[: A.support_bound(n_rows)].astype(bool)
+    if A._map is not None:
+        mem = mem[A._map(j) - 1]
+    if A.power == 0:
+        sums = np.arange(1, n_rows + 1, dtype=float)
+        counts = np.cumsum(mem[start - 1 :], dtype=np.int64)
+        counts += np.count_nonzero(mem[: start - 1])
+        return counts / sums[start - 1 :]
+    weights = np.arange(1, n_rows + 1, dtype=float) ** A.power
+    return (np.cumsum(weights * mem) / np.cumsum(weights))[start - 1 :]
+
+
+class TestInPlaceSeries:
+    """Each series pass writes into one buffer, with the bytes of the chain of temporaries."""
+
+    @given(
+        power=st.sampled_from([0.0, 1.0, 0.5, 2.0, -0.5, -1.0, 3.7]),
+        squares=st.booleans(),
+        n_rows=st.integers(1, 2500),
+        share=st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @example(power=2.0, squares=False, n_rows=1, share=1.0, seed=0, data=None)
+    @example(power=0.0, squares=True, n_rows=1, share=0.0, seed=0, data=None)
+    def test_series_equals_the_chain_of_temporaries(self, power, squares, n_rows, share, seed, data) -> None:
+        if squares:
+            n_rows = 1 + n_rows % 60  # phi(j) = j*j keeps the membership short
+        start = 1 if data is None else data.draw(st.integers(1, n_rows), label="start")
+        A = TriangularMatrix("t", power, (lambda j: j * j) if squares else None)
+        member = np.random.default_rng(seed).random(A.support_bound(n_rows) + 3) < share
+        want = _reference_density_series(A, member, n_rows, start)
+        got = A.density_series(member, n_rows, start=start)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        # a second window of the same matrix reads the cached sums
+        got = A.density_series(member, n_rows)
+        assert got.tobytes() == _reference_density_series(A, member, n_rows, 1).tobytes()
+
+
 class TestRegularity:
     def test_cesaro_is_regular(self) -> None:
         rep = check_regularity(cesaro1(), 10_000, 2e-3)
@@ -340,10 +383,12 @@ class TestRegularity:
         with pytest.raises(ValueError, match="at least 10"):
             check_regularity(cesaro1(), 5)
 
-    @pytest.mark.parametrize("spec", ["cesaro", "squares"])
-    def test_unit_weights_build_only_the_row_sums(self, spec: str) -> None:
-        # each column {k}, k <= 25, is out of the tail window, which unit
-        # weights read in closed form
+    @pytest.mark.parametrize(
+        "spec", ["cesaro", "squares", "weighted:1", "weighted:0.5", "weighted:2", "weighted:-0.5", "weighted:-1", "weighted:3.7"]
+    )
+    def test_triangular_kinds_build_only_the_row_sums(self, spec: str) -> None:
+        # each column {k}, k <= 25, has no member in the tail window, which
+        # a triangular matrix reads at its two ends
         A = matrix_from_spec(spec)
         built = []
         series = A.density_series

@@ -211,11 +211,14 @@ class TestTailWindow:
 UNIT_WEIGHT_KINDS = ["cesaro", "squares", "weighted:0"]
 
 
+FLOAT_WEIGHT_KINDS = ["weighted:1", "weighted:0.5", "weighted:2", "weighted:-0.5", "weighted:-1", "weighted:3.7"]
+
+
 @st.composite
-def unit_weight_windows(draw) -> tuple[str, int, np.ndarray]:
-    """A unit-weight kind, a row count, and a membership whose tail window
-    on those rows is all out, all in, or mixed."""
-    kind = draw(st.sampled_from(UNIT_WEIGHT_KINDS))
+def unit_weight_windows(draw, kinds: list[str] = UNIT_WEIGHT_KINDS) -> tuple[str, int, np.ndarray]:
+    """A kind (unit-weight by default), a row count, and a membership whose
+    tail window on those rows is all out, all in, or mixed."""
+    kind = draw(st.sampled_from(kinds))
     rows = draw(st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3])))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     at = np.arange(1, rows + 1) ** (2 if kind == "squares" else 1) - 1  # the indices phi(1..rows)
@@ -231,7 +234,7 @@ def unit_weight_windows(draw) -> tuple[str, int, np.ndarray]:
 
 
 class TestEndpointReading:
-    """A unit-weight null reading of a constant window equals the built window's."""
+    """A null reading of a window read at its ends equals the built window's."""
 
     @given(wm=unit_weight_windows(), tol=st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
     @example(wm=("cesaro", 1, np.array([True])), tol=0.01)
@@ -244,3 +247,13 @@ class TestEndpointReading:
         got = _extremes_verdict(*B.tail_extremes(member, rows), 0.0, tol).to_json()
         want = _tail_verdict(B.density_series(member, rows, start=tail_start(rows)), 0.0, tol).to_json()
         assert json.dumps(got) == json.dumps(want)
+
+    @given(wm=unit_weight_windows(FLOAT_WEIGHT_KINDS))
+    @example(wm=("weighted:1", 1, np.array([False])))
+    @example(wm=("weighted:-1", 2, np.array([True, False])))
+    @example(wm=("weighted:3.7", 3, np.array([True, False, False])))
+    def test_float_weights_read_an_all_out_window_at_its_ends(self, wm) -> None:
+        kind, rows, member = wm
+        B = matrix_from_spec(kind)
+        win = B.density_series(member, rows, start=tail_start(rows))
+        assert B.tail_extremes(member, rows) == (float(win.min()), float(win.max()), float(win[-1]))
