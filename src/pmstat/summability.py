@@ -333,12 +333,13 @@ Membership = IndexSet | np.ndarray
 
 
 def _member_array(member: Membership, n: int) -> np.ndarray:
-    """Boolean indicator of a membership over indices 1..n."""
+    """Boolean indicator of a membership over indices 1..n, read-only: a
+    boolean array comes back as a view, not a copy."""
     if isinstance(member, IndexSet):
         return member.indicator(n)
     if len(member) < n:
         raise ValueError(f"membership array of length {len(member)} does not cover index {n}")
-    return member[:n].astype(bool)
+    return member[:n].astype(bool, copy=False)
 
 
 def _check_window(n_rows: int, start: int) -> None:
