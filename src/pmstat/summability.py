@@ -403,6 +403,20 @@ class SummMatrix:
         return None
 
 
+_ROWS = np.zeros(0)
+
+
+def _row_numbers(n: int) -> np.ndarray:
+    """The row numbers 1..n as floats: a read-only slice of one array that
+    grows only when a longer horizon asks for it.  Every query builds a
+    fresh matrix, so a per-matrix copy would be rebuilt for each one."""
+    global _ROWS
+    if len(_ROWS) < n:
+        _ROWS = np.arange(1, n + 1, dtype=float)
+        _ROWS.flags.writeable = False
+    return _ROWS[:n]
+
+
 class TriangularMatrix(SummMatrix):
     """Rows that average the first n terms of a mapped subsequence.
 
@@ -411,7 +425,9 @@ class TriangularMatrix(SummMatrix):
     Covers the Cesaro matrix (phi = identity, power 0), weighted means,
     and matrices supported on sparse index sets such as the squares.
     ``index_map`` acts elementwise on an integer array of j values.
-    The running sums of the weights are cached per matrix.
+    Unit weights sum to the row numbers, which every unit-weight matrix
+    reads from one shared read-only array (``_row_numbers``); float-weight
+    sums are cached per matrix.
     """
 
     def __init__(
@@ -433,18 +449,18 @@ class TriangularMatrix(SummMatrix):
         return w
 
     def _weight_sums(self, n: int) -> np.ndarray:
-        """Running sums w_1 + ... + w_j for j = 1..n, all finite.
+        """Running sums w_1 + ... + w_j for j = 1..n, all finite and read-only
+        under unit weights.
 
-        Unit weights sum to the row numbers themselves, exactly.  Sums
-        that overflow at row n are an input error.
+        Unit weights sum to the row numbers themselves, exactly, shared by
+        every matrix.  Sums that overflow at row n are an input error.
         """
+        if self.power == 0:
+            return _row_numbers(n)
         if len(self._wsum) < n:
-            if self.power == 0:
-                self._wsum = np.arange(1, n + 1, dtype=float)
-            else:
-                with np.errstate(over="ignore"):
-                    w = self._weights(n)
-                    self._wsum = np.cumsum(w, out=w)
+            with np.errstate(over="ignore"):
+                w = self._weights(n)
+                self._wsum = np.cumsum(w, out=w)
         if not math.isfinite(self._wsum[n - 1]):
             first = int(np.argmin(np.isfinite(self._wsum))) + 1
             raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
@@ -893,17 +909,25 @@ def ideal_limit_at(
     verdict ``ideal.contains(defect, len(y), tol)`` of the defect rows
     where ``|y - target| >= eps``.  It is asked once per distinct defect
     set in an extraction, across the epsilon grid and, in
-    ``ideal_limit``, across the candidate limits.
+    ``ideal_limit``, across the candidate limits, where a candidate that
+    can no longer beat a converged one stops at its first non-converged
+    epsilon.  A null target on a ``y`` with no negative entry reads ``y``
+    itself as its deviations, with no copy; any other reads |y - target|.
     """
     return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
 
 
 def _limit_input(y: np.ndarray, ideal: Ideal) -> tuple[np.ndarray, int]:
     """The rows of ``y`` that a limit under ``ideal`` reads, as floats, and
-    the row count of ``y``; ``y`` is checked to be a nonempty sequence."""
+    the row count of ``y``; ``y`` is checked to be a nonempty sequence of
+    finite reals."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) == 0:
         raise ValueError("y must be a nonempty one-dimensional sequence")
+    finite = np.isfinite(y)
+    if not finite.all():
+        first = int(np.argmin(finite)) + 1
+        raise ValueError(f"y must be finite, got {y[first - 1]} at row {first}")
     return y[ideal.reads_from(len(y)) - 1 :], len(y)
 
 
@@ -925,15 +949,25 @@ def _ideal_limit(
     A converged target wins by smallest residual; otherwise the smallest
     residual wins with its status, and ties keep the earlier target.
     Under a density ideal each distinct defect set, keyed by its packed
-    rows, is decided by ``Ideal.contains`` once per call.
+    rows, is decided by ``Ideal.contains`` once per call, and two kinds of
+    work that cannot change the answer are skipped.  A target is converged
+    only if every epsilon is, and a non-converged target never beats a
+    converged one, so once some target has converged a later one stops at
+    its first non-converged epsilon and drops out.  A null target on a
+    series with no negative entry reads the series itself as its
+    deviations: fl(y - 0) = y and |y| = y for y >= 0.
     """
     win = part[_tail_offset(n, ideal) :]
     decided: dict[bytes, Verdict] = {}
 
     # a nested function, so one target's row arrays are freed before the next target's are built
-    def density_limit_at(target: float) -> Verdict:
-        dev = part - target
-        np.abs(dev, out=dev)
+    def density_limit_at(target: float, must_converge: bool) -> Verdict | None:
+        # targets are distinct, so the sign pass runs at most once per extraction
+        if target == 0.0 and part.min() >= 0.0:  # false on NaN
+            dev = part
+        else:
+            dev = part - target
+            np.abs(dev, out=dev)
         sub: dict[str, Verdict] = {}
         for eps in _eps_grid(tol):
             defect = dev >= eps
@@ -941,6 +975,8 @@ def _ideal_limit(
             v = decided.get(key)
             if v is None:
                 v = decided[key] = ideal.contains(defect, n, tol)
+            if must_converge and not v.converged:
+                return None
             sub[f"eps={eps}"] = v
         return Verdict(
             combined_status(v.status for v in sub.values()),
@@ -954,8 +990,11 @@ def _ideal_limit(
 
     best: Verdict | None = None
     for target in targets:
-        v = _tail_verdict(win, target, tol) if ideal.kind == "fin" else density_limit_at(target)
-        if best is None or (v.converged, -v.residual) > (best.converged, -best.residual):
+        if ideal.kind == "fin":
+            v = _tail_verdict(win, target, tol)
+        else:
+            v = density_limit_at(target, best is not None and best.converged)
+        if v is not None and (best is None or (v.converged, -v.residual) > (best.converged, -best.residual)):
             best = v
     return best
 

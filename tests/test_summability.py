@@ -53,8 +53,11 @@ from pmstat.summability import (
     REGULARITY_COLUMNS,
     SETTLE_FACTOR,
     TriangularMatrix,
+    _candidates,
     _eps_grid,
     _extremes_verdict,
+    _ideal_limit,
+    _limit_input,
     _tail_verdict,
 )
 
@@ -349,6 +352,24 @@ class TestInPlaceSeries:
         got = A.density_series(member, n_rows)
         assert got.tobytes() == _reference_density_series(A, member, n_rows, 1).tobytes()
 
+    def test_unit_weights_share_one_read_only_row_number_array(self) -> None:
+        rng = np.random.default_rng(15)
+        kinds = ("cesaro", "squares", "weighted:0")
+        # the shared array grows at 10^4 and 10^5 and is read shorter in between
+        for horizon in (10**4, 37, 10**5, 37):
+            member = rng.random(horizon) < 0.3
+            for spec in kinds:
+                A = matrix_from_spec(spec)  # a fresh matrix, as each query builds
+                n_rows = A.max_row_for(horizon)
+                for start in (1, tail_start(n_rows)):
+                    got = A.density_series(member, n_rows, start=start)
+                    assert got.tobytes() == _reference_density_series(A, member, n_rows, start).tobytes()
+                sums = A._weight_sums(n_rows)
+                assert np.shares_memory(sums, matrix_from_spec(kinds[0])._weight_sums(n_rows))
+                with pytest.raises(ValueError, match="read-only"):
+                    sums[0] = 2.0
+                assert not np.shares_memory(weighted_mean(1)._weight_sums(n_rows), sums)
+
 
 class TestRegularity:
     def test_cesaro_is_regular(self) -> None:
@@ -619,6 +640,20 @@ class TestDensities:
         with pytest.raises(ValueError, match="nonempty"):
             ideal_limit(np.array([]), Ideal.fin())
 
+    @pytest.mark.parametrize("spec", ["fin", "density:cesaro", "density:weighted:1"])
+    def test_non_finite_sequences_rejected(self, spec: str) -> None:
+        ideal = ideal_from_spec(spec)
+        with pytest.raises(ValueError, match=r"finite, got nan at row 1\b"):
+            ideal_limit_at(np.full(1000, np.nan), ideal, 0.0)
+        with pytest.raises(ValueError, match=r"finite, got nan at row 1\b"):
+            ideal_limit_at(np.full(1000, np.nan), ideal, 0.7)
+        # a single bad row anywhere, even before the tail a fin limit reads
+        for row, bad in ((1000, np.nan), (3, np.inf), (500, -np.inf)):
+            y = np.full(1000, 0.5)
+            y[row - 1] = bad
+            with pytest.raises(ValueError, match=rf"finite, got {bad} at row {row}\b"):
+                ideal_limit(y, ideal)
+
     def test_ai_density_of_evens_is_half(self) -> None:
         v = ai_density(cesaro1(), Ideal.fin(), EVENS)
         assert v.converged
@@ -824,3 +859,49 @@ class TestSharedDefectVerdicts:
         assert v.converged
         assert len(v.detail) == len(_eps_grid(0.01))
         assert all(d == closed for d in v.detail.values())
+
+
+def _best(verdicts: list[Verdict]) -> Verdict:
+    """The documented rule: a converged verdict wins by smallest residual,
+    otherwise the smallest residual wins; ties keep the earlier one."""
+    best = verdicts[0]
+    for v in verdicts[1:]:
+        if (v.converged, -v.residual) > (best.converged, -best.residual):
+            best = v
+    return best
+
+
+class TestSkippedWork:
+    """A target that can no longer win stops early, and a null target on a
+    series with no negative entry reads the series as its deviations;
+    neither changes an answer."""
+
+    IDEALS = ["fin", "density:cesaro", "density:weighted:0", "density:weighted:1", "density:weighted:0.5"]
+
+    @given(
+        y=partial_sequences(),
+        shift=st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+        ispec=st.sampled_from(IDEALS),
+        tol=st.sampled_from([0.01, 0.02, 0.05]),
+        order=st.permutations(range(5)),
+    )
+    # the converged null target first, then last; then a series that
+    # approaches 0 from below, whose null target keeps the abs pass
+    @example(y=np.zeros(200), shift=0.0, ispec="density:cesaro", tol=0.01, order=[0, 1, 2, 3, 4])
+    @example(y=np.zeros(200), shift=0.0, ispec="density:cesaro", tol=0.01, order=[4, 3, 2, 1, 0])
+    @example(y=-0.3 / np.arange(1, 301), shift=0.0, ispec="density:weighted:1", tol=0.01, order=[2, 0, 1, 3, 4])
+    def test_best_of_separate_targets(self, y, shift, ispec, tol, order) -> None:
+        y = y - shift
+        ideal = ideal_from_spec(ispec)
+        part, n = _limit_input(y, ideal)
+        candidates = _candidates(part, n, ideal)
+        separate = [ideal_limit_at(y, ideal, t, tol) for t in candidates]
+        if ideal.kind == "density":
+            # each target on its own, against |y - t| built for every target
+            for t, v in zip(candidates, separate):
+                assert v.to_json() == _reference_ideal_limit_at(y, ideal, t, tol).to_json()
+        assert ideal_limit(y, ideal, tol).to_json() == _best(separate).to_json()
+        ordered = [i for i in order if i < len(candidates)]
+        want = _best([separate[i] for i in ordered])
+        got = _ideal_limit(part, n, ideal, tuple(candidates[i] for i in ordered), tol)
+        assert got.to_json() == want.to_json()
