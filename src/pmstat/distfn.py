@@ -21,7 +21,7 @@ This module implements the piecewise-constant members of the family:
 
 A d.d.f. that reaches 1 only in the limit has no exact finite-jump
 representation; approximate it with a final jump at a large declared
-location (``TAIL_LOCATION`` by convention).
+location.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from typing import Callable, Iterable, Sequence
 # Tolerance of the earlier bisection metric.  Kept for callers that still
 # pass it: ``levy_distance`` accepts and ignores it.
 DEFAULT_DL_TOL = 1e-6
-# Stand-in jump location when the value 1 is attained only in the limit.
-TAIL_LOCATION = 1e6
 # Spacing of the fixed sample grid in ``weakly_converges``.
 WEAK_GRID_STEP = 0.01
 

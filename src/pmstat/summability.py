@@ -32,7 +32,10 @@ A limit reading looks only at the tail window, rows ``tail_start(n)..n``
 of an n-row series, and only the rows a verdict reads are built: a fin
 limit reads the window of its A-series, a density ideal reads its
 A-series whole and the window of each B-series (``Ideal.reads_from``).
-A window equals that slice of the whole series bit for bit.
+A window equals that slice of the whole series bit for bit.  A null
+verdict builds no series where a closed form gives its reading
+(``ai_density_is_null``), and a limit search computes a candidate only
+when it can still win.
 
 Membership of a set in an ideal is decided in one place,
 ``Ideal.contains``; limit extraction asks it and adds no rule.
@@ -42,9 +45,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,10 +133,13 @@ def tail_start(n: int) -> int:
 def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
     """Tail-stabilization verdict for an ordinary limit, read off the tail window.
 
-    ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series;
-    callers slice or build only that window.  The verdict is
-    ``_extremes_verdict`` on its extremes and last value, with a pass over
-    the deviations only when the target lies strictly inside its range.
+    ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series.
+    The verdict is ``_extremes_verdict`` on its extremes and last value,
+    with a pass over the deviations only when the target lies strictly
+    inside its range.  This is the reading of a built window; limit
+    extraction shares one window's extremes across its targets, and a
+    null verdict takes them from ``SummMatrix.tail_extremes``, both bit
+    for bit equal to it.
     """
     if len(win) == 0:
         raise ValueError("empty partial-value sequence")
@@ -489,6 +496,13 @@ class TriangularMatrix(SummMatrix):
         mem = _member_array(member, self.support_bound(n))
         return mem if self._map is None else mem[self._mapped(n) - 1]
 
+    def max_row_for(self, horizon: int) -> int:
+        """The base class's row, with the weight sums up to it checked, so a
+        reading that needs no series still refuses sums that overflow."""
+        n = super().max_row_for(horizon)
+        self._weight_sums(n)
+        return n
+
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
         mem = self._row_members(member, n_rows)
@@ -522,10 +536,11 @@ class TriangularMatrix(SummMatrix):
         is the correctly rounded one that the series divides out (zero
         terms leave its sequential running sum at K_s), so the window's
         extremes and last value are its values at rows s and n_rows, bit
-        for bit.  Any other window is built by ``density_series`` from
-        the membership given.
+        for bit.  Any other window is built by ``density_series`` from the
+        membership array made here, so a set's indicator is computed once.
         """
-        mem = self._row_members(member, n_rows)
+        marks = _member_array(member, self.support_bound(n_rows))
+        mem = self._row_members(marks, n_rows)
         s = tail_start(n_rows)
         window = mem[s - 1 :]
         if self.power == 0:
@@ -541,7 +556,7 @@ class TriangularMatrix(SummMatrix):
             run *= mem[:s]
             before = np.cumsum(run, out=run)[-1]  # row s adds 0: K_s as the series sums it
             return float(before / sums[-1]), float(before / sums[s - 1]), float(before / sums[-1])
-        return super().tail_extremes(member, n_rows)
+        return super().tail_extremes(marks, n_rows)
 
     def nonvanishing_column(self) -> int | None:
         """Column phi(1) keeps the share w_1 / (w_1 + ... + w_n), which tends
@@ -634,6 +649,7 @@ class ExplicitMatrix(SummMatrix):
         if bad:
             raise ValueError(f"{name}: entries must be finite and non-negative, got {bad[0]}")
         self.name = name
+        self._bounds = tuple(accumulate(map(len, self.rows), max))
 
     def _row(self, n: int) -> tuple[float, ...]:
         if n > len(self.rows):
@@ -648,13 +664,13 @@ class ExplicitMatrix(SummMatrix):
         return range(1, len(self._row(n)) + 1)
 
     def support_bound(self, n: int) -> int:
-        return len(self._row(n))
+        """The longest of rows 1..n, so rows of uneven length still give a
+        bound that never falls."""
+        self._row(n)
+        return self._bounds[n - 1]
 
     def max_row_for(self, horizon: int) -> int:
-        best = 0
-        for n in range(1, len(self.rows) + 1):
-            if self.support_bound(n) <= horizon:
-                best = n
+        best = bisect_right(self._bounds, horizon)
         if best == 0:
             raise ValueError(f"horizon {horizon} below the support of the first row")
         return best
@@ -940,24 +956,30 @@ def _ideal_limit(
     part: np.ndarray,
     n: int,
     ideal: Ideal,
-    targets: tuple[float, ...],
+    targets: Iterable[float],
     tol: float,
 ) -> Verdict:
     """The best ``ideal_limit_at`` verdict over ``targets`` on ``part``, the
     rows ``ideal.reads_from(n)..n`` of an n-row series.
 
     A converged target wins by smallest residual; otherwise the smallest
-    residual wins with its status, and ties keep the earlier target.
-    Under a density ideal each distinct defect set, keyed by its packed
-    rows, is decided by ``Ideal.contains`` once per call, and two kinds of
-    work that cannot change the answer are skipped.  A target is converged
-    only if every epsilon is, and a non-converged target never beats a
-    converged one, so once some target has converged a later one stops at
-    its first non-converged epsilon and drops out.  A null target on a
-    series with no negative entry reads the series itself as its
-    deviations: fl(y - 0) = y and |y| = y for y >= 0.
+    residual wins with its status, and ties keep the earlier target.  So
+    the targets, which may be a lazy iterable, are read only until one
+    converges with residual 0: no later target can beat it.  The tail
+    window's extremes are taken once and shared by every target; a fin
+    target reads them (``_extremes_verdict``) and scans the window only
+    when it lies strictly inside their range.  Under a density ideal each
+    distinct defect set, keyed by its packed rows, is decided by
+    ``Ideal.contains`` once per call, and two kinds of work that cannot
+    change the answer are skipped.  A target is converged only if every
+    epsilon is, and a non-converged target never beats a converged one, so
+    once some target has converged a later one stops at its first
+    non-converged epsilon and drops out.  A null target on a series with
+    no negative entry reads the series itself as its deviations:
+    fl(y - 0) = y and |y| = y for y >= 0.
     """
     win = part[_tail_offset(n, ideal) :]
+    low, high, last = _extremes(win)
     decided: dict[bytes, Verdict] = {}
 
     # a nested function, so one target's row arrays are freed before the next target's are built
@@ -983,30 +1005,40 @@ def _ideal_limit(
             target,
             max(v.residual for v in sub.values()),
             tol,
-            float(win.min()),
-            float(win.max()),
+            low,
+            high,
             detail={name: v.to_json() for name, v in sub.items()},
         )
 
     best: Verdict | None = None
     for target in targets:
         if ideal.kind == "fin":
-            v = _tail_verdict(win, target, tol)
+            v = _extremes_verdict(low, high, last, target, tol, lambda t=target: float(np.abs(win - t).min()))
         else:
             v = density_limit_at(target, best is not None and best.converged)
         if v is not None and (best is None or (v.converged, -v.residual) > (best.converged, -best.residual)):
             best = v
+        if best.converged and best.residual == 0.0:
+            break
     return best
 
 
-def _candidates(part: np.ndarray, n: int, ideal: Ideal) -> tuple[float, ...]:
+def _candidates(part: np.ndarray, n: int, ideal: Ideal) -> Iterator[float]:
     """The default limit candidates of ``ideal_limit`` for ``part``, the
-    rows ``ideal.reads_from(n)..n`` of an n-row series."""
+    rows ``ideal.reads_from(n)..n`` of an n-row series, each computed only
+    when it is reached: the tail median is a copy and a partition of the
+    window."""
+
+    def raw() -> Iterator[float]:
+        yield float(part[-1])
+        yield float(np.median(part[_tail_offset(n, ideal) :]))
+        yield from (0.0, 0.5, 1.0)
+
     seen: list[float] = []
-    for c in (float(part[-1]), float(np.median(part[_tail_offset(n, ideal) :])), 0.0, 0.5, 1.0):
+    for c in raw():
         if not any(abs(c - s) <= 1e-12 for s in seen):
             seen.append(c)
-    return tuple(seen)
+            yield c
 
 
 def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdict:
@@ -1016,7 +1048,10 @@ def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdic
     landmarks 0, 1/2, 1, with near-duplicates dropped.  Converged
     candidates win by smallest residual; otherwise the smallest residual
     is reported with its (non-converged) status.  The candidates share
-    their density-ideal sub-verdicts (see ``ideal_limit_at``).
+    their density-ideal sub-verdicts (see ``ideal_limit_at``), and each is
+    computed only when reached: once one converges with residual 0 no
+    later one can win, so the tail median is not computed after a last
+    value that settles the answer.
     """
     part, n = _limit_input(y, ideal)
     return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
@@ -1059,8 +1094,25 @@ def ai_density_is_null(
     horizon: int = DEFAULT_HORIZON,
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
-    """Verdict for "the set has A^I-density zero"."""
-    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, (0.0,), tol)
+    """Verdict for "the set has A^I-density zero".
+
+    fin: the null reading of A's tail window from its extremes
+    (``SummMatrix.tail_extremes``), so a window that a closed form reads
+    (no member, or every row a member under unit weights) builds no
+    series.  density-zero(B): a set with no member among the indices A's
+    rows read has the zero series, and reads as the extraction of that
+    series does, with no series built: converged at 0 on every epsilon, as
+    rule 1 of ``Ideal.contains`` reads each zero defect.  Any other set
+    builds A's series once and extracts its null limit.
+    """
+    n = A.max_row_for(horizon)
+    if ideal.kind == "fin":
+        return _extremes_verdict(*A.tail_extremes(member, n), 0.0, tol)
+    marks = _member_array(member, A.support_bound(n))
+    if not marks.any():
+        v = _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
+        return replace(v, detail={f"eps={eps}": v.to_json() for eps in _eps_grid(tol)})
+    return _ideal_limit(A.density_series(marks, n), n, ideal, (0.0,), tol)
 
 
 def ai_density_is_full(

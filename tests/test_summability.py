@@ -49,6 +49,7 @@ from pmstat import (
     tail_start,
     weighted_mean,
 )
+from pmstat import summability
 from pmstat.summability import (
     REGULARITY_COLUMNS,
     SETTLE_FACTOR,
@@ -894,7 +895,7 @@ class TestSkippedWork:
         y = y - shift
         ideal = ideal_from_spec(ispec)
         part, n = _limit_input(y, ideal)
-        candidates = _candidates(part, n, ideal)
+        candidates = tuple(_candidates(part, n, ideal))
         separate = [ideal_limit_at(y, ideal, t, tol) for t in candidates]
         if ideal.kind == "density":
             # each target on its own, against |y - t| built for every target
@@ -905,3 +906,39 @@ class TestSkippedWork:
         want = _best([separate[i] for i in ordered])
         got = _ideal_limit(part, n, ideal, tuple(candidates[i] for i in ordered), tol)
         assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("bspec", ["cesaro", "squares", "weighted:1", "weighted:-1", "block:4", "identity"])
+    @pytest.mark.parametrize("aspec", ["cesaro", "squares", "weighted:0.5", "block:3", "identity", "constcol"])
+    def test_density_ideal_reads_a_set_with_no_member_in_closed_form(self, aspec: str, bspec: str) -> None:
+        ideal, horizon, tol = Ideal.density_zero(matrix_from_spec(bspec)), 1_000, 0.01
+        A = matrix_from_spec(aspec)
+        n = A.max_row_for(horizon)
+        zero = A.density_series(NO_INDICES, n)
+        assert not zero.any()
+        # the extraction the zero series had before its closed form, and the
+        # per-epsilon loop that builds a B-series for every defect
+        want = json.dumps(_ideal_limit(zero, n, ideal, (0.0,), tol).to_json())
+        assert json.dumps(_reference_ideal_limit_at(zero, ideal, 0.0, tol).to_json()) == want
+        A.density_series = ideal.matrix.density_series = None  # any series built would raise
+        # members only past the indices that A's rows read leave the series zero
+        past = A.support_bound(n) + 1
+        for member in (NO_INDICES, np.zeros(horizon, dtype=bool), index_block(past, past + 5)):
+            assert json.dumps(ai_density_is_null(A, ideal, member, horizon, tol).to_json()) == want
+
+    def test_a_last_value_that_settles_the_answer_computes_no_median(self, monkeypatch) -> None:
+        def no_median(*args, **kwargs):
+            raise AssertionError("the tail median was computed")
+
+        monkeypatch.setattr(summability.np, "median", no_median)
+        v = ai_density(cesaro1(), Ideal.fin(), EVENS, 10**5)
+        assert v.converged and v.value == 0.5 and v.residual == 0.0
+
+    def test_uneven_explicit_rows_bound_every_row_up_to_n(self) -> None:
+        # row 2 reads indices 1..4, so horizon 2 supports row 1 alone, even
+        # though row 3 is short enough
+        A = ExplicitMatrix([[1.0], [0.25] * 4, [0.5, 0.5]])
+        assert [A.support_bound(n) for n in (1, 2, 3)] == [1, 4, 4]
+        assert (A.max_row_for(2), A.max_row_for(3), A.max_row_for(4)) == (1, 1, 3)
+        ideal = Ideal.density_zero(cesaro1())
+        for member in (np.array([True, False]), np.array([False, False])):
+            assert ai_density_is_null(A, ideal, member, 2).to_json() == ai_density_is_null(A, ideal, member[:1], 1).to_json()

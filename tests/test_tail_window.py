@@ -17,10 +17,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pmstat import (
+    ALL_INDICES,
     CONVERGED,
     DIVERGED,
     EVENS,
     INCONCLUSIVE,
+    NO_INDICES,
     SQUARES,
     BlockMatrix,
     ConstantColumnMatrix,
@@ -257,3 +259,69 @@ class TestEndpointReading:
         B = matrix_from_spec(kind)
         win = B.density_series(member, rows, start=tail_start(rows))
         assert B.tail_extremes(member, rows) == (float(win.min()), float(win.max()), float(win[-1]))
+
+
+NULL_READING_MATRICES = {
+    **{spec: (lambda spec=spec: matrix_from_spec(spec)) for spec in (
+        "cesaro", "squares", "weighted:1", "weighted:0.5", "weighted:-1", "identity", "block:4",
+    )},
+    "explicit": _explicit,
+}
+
+
+class TestNullReadingsFromExtremes:
+    """A null reading builds no series that its closed forms already know."""
+
+    @given(
+        name=st.sampled_from(sorted(NULL_READING_MATRICES)),
+        member_kind=st.sampled_from(["array", "set"]),
+        set_spec=st.sampled_from(SET_SPECS),
+        window=st.sampled_from(["as drawn", "out", "in"]),
+        share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**16),
+        horizon=st.integers(24, 3000),
+        tol=st.sampled_from([1e-3, 0.01, 0.1]),
+    )
+    @example(name="cesaro", member_kind="array", set_spec="none", window="out", share=0.3, seed=0, horizon=400, tol=0.01)
+    @example(name="squares", member_kind="array", set_spec="none", window="in", share=0.0, seed=0, horizon=400, tol=0.01)
+    @example(name="weighted:-1", member_kind="array", set_spec="none", window="out", share=1.0, seed=0, horizon=400, tol=0.01)
+    @example(name="explicit", member_kind="set", set_spec="finite:1,2,9,40", window="as drawn", share=0.0, seed=0, horizon=24, tol=0.1)
+    def test_fin_null_reading_equals_the_built_window(
+        self, name, member_kind, set_spec, window, share, seed, horizon, tol
+    ) -> None:
+        A = NULL_READING_MATRICES[name]()
+        n = A.max_row_for(horizon)
+        s = tail_start(n)
+        if member_kind == "array":
+            member = np.random.default_rng(seed).random(horizon) < share
+            if window != "as drawn":
+                # every index that a row from s on reads past row s - 1
+                member[A.support_bound(s - 1) if s > 1 else 0 :] = window == "in"
+        else:
+            member = index_set_from_spec(set_spec)
+        got = ai_density_is_null(A, Ideal.fin(), member, horizon, tol).to_json()
+        want = _tail_verdict(A.density_series(member, n, start=s), 0.0, tol).to_json()
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize(
+        "spec, member, status",
+        [
+            ("cesaro", index_block(1, 100), CONVERGED),  # members before the window only
+            ("cesaro", index_block(4_000, 20_000), DIVERGED),  # every row of the window
+            ("cesaro", NO_INDICES, CONVERGED),
+            ("squares", SQUARES, DIVERGED),
+            ("squares", ~SQUARES, CONVERGED),
+            ("weighted:0", ALL_INDICES, DIVERGED),
+            ("weighted:1", index_block(1, 100), CONVERGED),
+            ("weighted:-1", NO_INDICES, CONVERGED),
+        ],
+    )
+    def test_fin_closed_forms_build_no_series(self, spec: str, member, status: str) -> None:
+        A = matrix_from_spec(spec)
+        A.density_series = None  # any series built would raise
+        assert ai_density_is_null(A, Ideal.fin(), member, 10**4, 0.01).status == status
+
+    def test_no_series_still_refuses_weight_sums_that_overflow(self) -> None:
+        for ideal in (Ideal.fin(), Ideal.density_zero(cesaro1())):
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                ai_density_is_null(weighted_mean(400), ideal, NO_INDICES, 1_000)
