@@ -303,20 +303,22 @@ def merged_locations(f: StepDistFn, g: StepDistFn) -> list[float]:
 
 
 def pointwise_leq(f: StepDistFn, g: StepDistFn) -> bool:
-    """Whether ``f(t) <= g(t)`` for every t.
-
-    Both functions are constant between consecutive merged jump
-    locations and equal to 1 beyond the last, so left-continuous
-    evaluation at the merged locations decides the order exactly.
-    """
-    return all(evaluate(f, x) <= evaluate(g, x) for x in merged_locations(f, g))
+    """Whether ``f(t) <= g(t)`` for every t: ``pointwise_gap(f, g) == 0``."""
+    return pointwise_gap(f, g) == 0.0
 
 
 def pointwise_gap(f: StepDistFn, g: StepDistFn) -> float:
-    """Largest violation ``max_t (f(t) - g(t))``, clipped below at 0."""
+    """Largest violation ``max_t (f(t) - g(t))``, clipped below at 0.
+
+    Both functions are constant on each open interval between consecutive
+    merged jump locations, 0 below the first and 1 above the last.  So the
+    right values at the merged locations are the plateaus that
+    left-continuous evaluation reads at the next location, and the largest
+    of their differences is the exact gap.
+    """
     worst = 0.0
     for x in merged_locations(f, g):
-        d = evaluate(f, x) - evaluate(g, x)
+        d = f.right_value(x) - g.right_value(x)
         if d > worst:
             worst = d
     return worst

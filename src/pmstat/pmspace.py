@@ -27,13 +27,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .distfn import (
     EPS0,
     StepDistFn,
     evaluate,
     is_list_of,
     levy_distance_to_zero,
-    pointwise_leq,
     unit_step,
 )
 from .triangle import MAXIMAL, TriangleFn
@@ -135,33 +136,47 @@ class FinitePMSpace:
     def validate_axioms(self) -> SpaceAxiomReport:
         """Check P-1 through P-4 exhaustively and report all violations.
 
-        P-4 is decided once per distinct triple ``(F_pq, F_qr, F_pr)``; a
-        line or an equilateral space has far fewer of those than triples
-        of points.
+        Each distinct d.d.f. in the table gets an integer code, so equality
+        of entries is equality of codes.  P-4 enumerates the code triples
+        ``(F_pq, F_qr, F_pr)`` of all point triples as one integer array and
+        decides each distinct triple once, by ``TriangleFn.at_most``, which
+        never builds ``tau(F_pq, F_qr)``; a line or an equilateral space has
+        far fewer distinct triples than triples of points.  Triples are
+        decided in the order the points first meet them, so an input error
+        (an overflowing jump-location sum) names the first such pair, and
+        violations are listed in (p, q, r) order.
         """
-        bad: list[tuple[str, tuple, str]] = []
-        for p in self.points:
-            if self.table[(p, p)] != EPS0:
-                bad.append(("P-1", (p,), "diagonal entry is not the unit step at 0"))
-        for p, q in itertools.combinations(self.points, 2):
-            if self.table[(p, q)] == EPS0:
-                bad.append(("P-2", (p, q), "off-diagonal entry equals the unit step at 0"))
-            if self.table[(p, q)] != self.table[(q, p)]:
-                bad.append(("P-3", (p, q), "table is not symmetric"))
         distinct: dict[StepDistFn, int] = {}
-        code = {pq: distinct.setdefault(f, len(distinct)) for pq, f in self.table.items()}
+        pts = self.points
+        codes = np.array(
+            [[distinct.setdefault(self.table[(p, q)], len(distinct)) for q in pts] for p in pts],
+            dtype=np.int64,
+        )
         fns = list(distinct)
-        holds: dict[tuple[int, int, int], bool] = {}
-        for p in self.points:
-            for q in self.points:
-                for r in self.points:
-                    key = (code[(p, q)], code[(q, r)], code[(p, r)])
-                    if key not in holds:
-                        holds[key] = pointwise_leq(self.tau(fns[key[0]], fns[key[1]]), fns[key[2]])
-                    if not holds[key]:
-                        bad.append(
-                            ("P-4", (p, q, r), "tau(F_pq, F_qr) exceeds F_pr somewhere")
-                        )
+        eps0 = distinct.get(EPS0, -1)
+        bad: list[tuple[str, tuple, str]] = []
+        for i, p in enumerate(pts):
+            if codes[i, i] != eps0:
+                bad.append(("P-1", (p,), "diagonal entry is not the unit step at 0"))
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            if codes[i, j] == eps0:
+                bad.append(("P-2", (pts[i], pts[j]), "off-diagonal entry equals the unit step at 0"))
+            if codes[i, j] != codes[j, i]:
+                bad.append(("P-3", (pts[i], pts[j]), "table is not symmetric"))
+        n, k = len(pts), len(fns)
+        # the code triple (F_pq, F_qr, F_pr) of every point triple, one base-k key each
+        triples = np.broadcast_arrays(codes[:, :, None], codes[None, :, :], codes[:, None, :])
+        pq, qr, pr = (c.ravel() for c in triples)
+        _, first, inverse = np.unique((pq * k + qr) * k + pr, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # distinct triples in the order the (p, q, r) loop meets them
+        at = first[order]
+        holds = np.empty(len(first), dtype=bool)
+        holds[order] = [
+            self.tau.at_most(fns[a], fns[b], fns[c])
+            for a, b, c in zip(pq[at].tolist(), qr[at].tolist(), pr[at].tolist())
+        ]
+        for p, q, r in np.argwhere(~holds[inverse].reshape(n, n, n)):
+            bad.append(("P-4", (pts[p], pts[q], pts[r]), "tau(F_pq, F_qr) exceeds F_pr somewhere"))
         return SpaceAxiomReport(tuple(bad))
 
     # -- strong topology ----------------------------------------------------
@@ -240,11 +255,6 @@ class FinitePMSpace:
             if others and min(self._dist[(l, e)] for e in others) == 0.0:
                 out.add(l)
         return frozenset(out)
-
-    def is_strongly_compact(self, members: Iterable[str]) -> bool:
-        """Every subset of a finite carrier is strongly compact."""
-        self._point_set(members)
-        return True
 
     def _point_set(self, members: Iterable[str]) -> frozenset[str]:
         m = frozenset(members)

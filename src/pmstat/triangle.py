@@ -16,7 +16,9 @@ both plateaus are constant and every t-norm here is nondecreasing, so
 the supremum at ``t`` is the best t-norm value over jump pairs whose
 locations sum below ``t``.  The result is a step function on the sum-set
 of jump locations; in particular the sup-convolution under the minimum
-t-norm sends unit steps at b and c to the unit step at b + c.
+t-norm sends unit steps at b and c to the unit step at b + c.  The same
+jump pairs decide the order ``tau(f, g) <= h`` (``TriangleFn.at_most``)
+without building ``tau(f, g)``.
 """
 
 from __future__ import annotations
@@ -67,17 +69,33 @@ def apply_maximal(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     return pointwise_min(f, g)
 
 
+def _tnorm(tag: str) -> Callable[[float, float], float]:
+    try:
+        return TNORMS[tag]
+    except KeyError:
+        raise ValueError(f"unknown t-norm tag {tag!r}, expected one of {sorted(TNORMS)}") from None
+
+
+def _check_location_sums(f: StepDistFn, g: StepDistFn) -> None:
+    # the last locations have the largest sum, and their values (both 1)
+    # make the last jump of the result there, so the result has a jump at an
+    # overflowing sum exactly when that sum overflows
+    fl, gl = f.support_end, g.support_end
+    if fl + gl == math.inf:
+        raise ValueError(f"jump-location sum overflows: {fl!r} + {gl!r} is beyond the float range")
+
+
 def apply_supconv(tnorm: str, f: StepDistFn, g: StepDistFn) -> StepDistFn:
     """Sup-convolution of f and g under a t-norm, exact on the sum-set.
 
     ``tnorm`` is a tag from ``TNORMS``; an unknown tag, or a t-norm
     function, is a ValueError.  A jump whose location l + m overflows the
-    float range is an input error that names l and m.
+    float range is an input error that names l and m.  The jump list is
+    built canonical (strictly increasing rounded sums and running
+    maxima), so the result is validated once, by ``StepDistFn`` itself.
     """
-    try:
-        T = TNORMS[tnorm]
-    except KeyError:
-        raise ValueError(f"unknown t-norm tag {tnorm!r}, expected one of {sorted(TNORMS)}") from None
+    T = _tnorm(tnorm)
+    _check_location_sums(f, g)
     pairs = sorted(
         (fl + gl, T(fv, gv)) for fl, fv in f.jumps for gl, gv in g.jumps
     )
@@ -90,12 +108,7 @@ def apply_supconv(tnorm: str, f: StepDistFn, g: StepDistFn) -> StepDistFn:
                 out[-1] = (s, run)
             else:
                 out.append((s, run))
-    if out and out[-1][0] == math.inf:
-        fl, gl = next(
-            (fl, gl) for fl, fv in f.jumps for gl, gv in g.jumps if fl + gl == math.inf and T(fv, gv) == run
-        )
-        raise ValueError(f"jump-location sum overflows: {fl!r} + {gl!r} is beyond the float range")
-    return StepDistFn.from_pairs(out)
+    return StepDistFn(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,27 @@ class TriangleFn:
         if self.kind == "maximal":
             return apply_maximal(f, g)
         return apply_supconv(self.kind, f, g)
+
+    def at_most(self, f: StepDistFn, g: StepDistFn, h: StepDistFn) -> bool:
+        """Whether ``self(f, g) <= h`` everywhere, without building ``self(f, g)``.
+
+        A sup-convolution is ``max{T(v, w) : l + m < t}`` over jump pairs
+        ``(l, v)`` of f and ``(m, w)`` of g, so it stays below h exactly
+        when ``T(v, w) <= h.right_value(l + m)`` for every pair, on the
+        same rounded sums ``apply_supconv`` builds.  An overflowing sum
+        raises as ``apply_supconv`` does.  The maximal kind builds its
+        pointwise minimum and compares.
+        """
+        if self.kind == "maximal":
+            return pointwise_leq(apply_maximal(f, g), h)
+        T = _tnorm(self.kind)
+        _check_location_sums(f, g)
+        bound = h.right_value
+        for l, v in f.jumps:
+            for m, w in g.jumps:
+                if T(v, w) > bound(l + m):
+                    return False
+        return True
 
 
 MAXIMAL = TriangleFn("maximal")

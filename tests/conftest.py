@@ -42,6 +42,21 @@ def step_fns(draw, max_jumps: int = 5) -> StepDistFn:
     return StepDistFn.from_pairs([(l / 100.0, v) for l, v in zip(locs, vals)])
 
 
+@st.composite
+def wide_step_fns(draw, max_jumps: int = 4) -> StepDistFn:
+    """Step functions at arbitrary float locations, so that location sums
+    round, with some near the top of the float range, so that they overflow."""
+    n = draw(st.integers(1, max_jumps))
+    location = st.one_of(
+        st.floats(0.0, 4.0),
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e308, 1.7e308]),
+    )
+    locs = draw(st.lists(location, min_size=n, max_size=n, unique=True).map(sorted))
+    height = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    vals = draw(st.lists(height, min_size=n - 1, max_size=n - 1, unique=True).map(sorted)) + [1.0]
+    return StepDistFn.from_pairs(zip(locs, vals))
+
+
 @pytest.fixture
 def eq3() -> FinitePMSpace:
     return build_equilateral(("a", "b", "c"), StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)]))

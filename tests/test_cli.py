@@ -299,6 +299,17 @@ class TestMatrixAndDensityCommands:
             assert main(["density", "evens", "--matrix", "weighted:400", "--N", "1000"]) == 2
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seq", ["const:a", "except:a:evens"])
+    def test_overflowing_density_ideal_exit_2_with_or_without_members(
+        self, seq: str, capsys: pytest.CaptureFixture
+    ) -> None:
+        # const:a has no defect at all; B is refused before its empty reading
+        args = ["converge", "--space", "equilateral:3:eps:0.5", "--seq", seq, "--limit", "a"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--ideal", "density:weighted:400", "--N", "10000"]) == 2
+        assert "weight sums for power 400.0 overflow from row 6" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["-0.1", "NaN", "Infinity"])
     @pytest.mark.parametrize("cmd", [["matrix-check"], ["density", "evens"]])
     def test_bad_file_entries_exit_2(

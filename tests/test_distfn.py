@@ -25,7 +25,7 @@ from pmstat import (
 
 from pmstat.distfn import _levy_candidates, levy_feasible
 
-from conftest import step_fns
+from conftest import step_fns, wide_step_fns
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
 
@@ -332,6 +332,16 @@ class TestPointwiseOps:
     @given(step_fns(), step_fns())
     def test_gap_zero_iff_leq(self, f: StepDistFn, g: StepDistFn) -> None:
         assert (pointwise_gap(f, g) == 0.0) == pointwise_leq(f, g)
+
+    @given(st.one_of(step_fns(), wide_step_fns()), st.one_of(step_fns(), wide_step_fns()))
+    def test_gap_equals_largest_evaluate_difference(self, f: StepDistFn, g: StepDistFn) -> None:
+        # left-continuous evaluation at the merged locations, and at points
+        # between and beyond them, where both functions are constant
+        locs = merged_locations(f, g)
+        probes = locs + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [locs[-1] * 2 + 1, math.inf]
+        diffs = [evaluate(f, x) - evaluate(g, x) for x in probes]
+        assert pointwise_gap(f, g) == max(0.0, *diffs)
+        assert pointwise_leq(f, g) == all(d <= 0.0 for d in diffs)
 
 
 class TestWeakConvergence:

@@ -6,19 +6,23 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_fns, wide_step_fns
 from pmstat import (
     EPS0,
     MAXIMAL,
+    TRIANGLE_KINDS,
     AxiomViolation,
     FinitePMSpace,
     StepDistFn,
     TriangleFn,
     build_equilateral,
     build_metric_induced,
+    evaluate,
     from_table,
+    merged_locations,
     unit_step,
 )
 
@@ -196,6 +200,69 @@ class TestAxiomValidation:
         assert exc.value.witness in {("p", "q", "r"), ("r", "q", "p")}
 
 
+def _reference_violations(space: FinitePMSpace) -> tuple:
+    """P-1 to P-4 by the definition: one tau(F_pq, F_qr) built and compared
+    per point triple, in (p, q, r) order."""
+    pts, table = space.points, space.table
+    bad = [("P-1", (p,), "diagonal entry is not the unit step at 0") for p in pts if table[(p, p)] != EPS0]
+    for p, q in itertools.combinations(pts, 2):
+        if table[(p, q)] == EPS0:
+            bad.append(("P-2", (p, q), "off-diagonal entry equals the unit step at 0"))
+        if table[(p, q)] != table[(q, p)]:
+            bad.append(("P-3", (p, q), "table is not symmetric"))
+    for p, q, r in itertools.product(pts, repeat=3):
+        lower = space.tau(table[(p, q)], table[(q, r)])
+        if not all(evaluate(lower, x) <= evaluate(table[(p, r)], x) for x in merged_locations(lower, table[(p, r)])):
+            bad.append(("P-4", (p, q, r), "tau(F_pq, F_qr) exceeds F_pr somewhere"))
+    return tuple(bad)
+
+
+@st.composite
+def _tables(draw) -> FinitePMSpace:
+    # entries from a small pool, EPS0 included, so entries repeat and any of
+    # P-1 to P-4 can fail, in any mix
+    n = draw(st.integers(1, 5))
+    pool = [EPS0] + draw(st.lists(st.one_of(step_fns(3), wide_step_fns(3)), min_size=1, max_size=4))
+    pick = st.integers(0, len(pool) - 1)
+    pts = tuple(f"p{i}" for i in range(n))
+    table = {}
+    for i, p in enumerate(pts):
+        table[(p, p)] = pool[draw(pick) if draw(st.integers(0, 3)) == 0 else 0]
+        for q in pts[i + 1 :]:
+            table[(p, q)] = table[(q, p)] = pool[draw(pick)]
+            if draw(st.integers(0, 5)) == 0:
+                table[(q, p)] = pool[draw(pick)]
+    return from_table(pts, table, TriangleFn(draw(st.sampled_from(TRIANGLE_KINDS))), validate=False)
+
+
+class TestValidationAgainstReference:
+    @given(_tables())
+    @settings(max_examples=200)
+    def test_same_violations_in_the_same_order(self, space: FinitePMSpace) -> None:
+        try:
+            expected = _reference_violations(space)
+        except ValueError as exc:
+            # an overflowing location sum names the pair the triple loop meets first
+            with pytest.raises(ValueError) as again:
+                space.validate_axioms()
+            assert str(again.value) == str(exc)
+            return
+        assert space.validate_axioms().violations == expected
+
+    @pytest.mark.parametrize("kind", TRIANGLE_KINDS)
+    def test_planted_violations(self, kind: str) -> None:
+        pts = ("a", "b", "c", "d")
+        table = {(p, q): EPS0 if p == q else F_HALF for p in pts for q in pts}
+        table[("a", "a")] = F_HALF  # P-1
+        table[("b", "c")] = table[("c", "b")] = EPS0  # P-2
+        table[("a", "d")] = unit_step(0.5)  # P-3
+        table[("c", "d")] = table[("d", "c")] = unit_step(2.0)  # P-4: far above F_cb then F_bd
+        space = from_table(pts, table, TriangleFn(kind), validate=False)
+        violations = space.validate_axioms().violations
+        assert violations == _reference_violations(space)
+        assert {v[0] for v in violations} == {"P-1", "P-2", "P-3", "P-4"}
+
+
 class TestStrongTopology:
     def test_neighborhood_at_thresholds(self, eq3: FinitePMSpace) -> None:
         assert eq3.strong_neighborhood("a", 0.5) == frozenset({"a"})
@@ -238,6 +305,8 @@ class TestStrongTopology:
             assert sp.strong_closure(()) == frozenset()
             assert sp.strong_closure((pts[0],)) == frozenset({pts[0]})
             assert sp.strong_closure(pts) == frozenset(pts)
+        with pytest.raises(ValueError, match="unknown points"):
+            eq3.strong_closure(("a", "nope"))
 
     def test_no_set_limit_points_on_valid_space(self, eq3: FinitePMSpace) -> None:
         assert eq3.set_limit_points(("a", "b", "c")) == frozenset()
@@ -247,12 +316,6 @@ class TestStrongTopology:
         sp = _degenerate_pair()
         assert sp.set_limit_points(("p", "q")) == frozenset({"p", "q"})
         assert sp.strong_closure(("p",)) == frozenset({"p", "q"})
-
-    def test_compactness_is_universal(self, eq3: FinitePMSpace) -> None:
-        assert eq3.is_strongly_compact(("a", "b"))
-        assert eq3.is_strongly_compact(())
-        with pytest.raises(ValueError, match="unknown"):
-            eq3.is_strongly_compact(("a", "nope"))
 
 
 class TestSerialization:

@@ -526,7 +526,7 @@ class TestIdeals:
 
     def test_empty_set_reads_zero_with_no_series(self) -> None:
         B = ExplicitMatrix([[1.0], [0.5, 0.5]])
-        B.density_series = B.max_row_for = None  # any series or row count would raise
+        B.density_series = B.tail_extremes = None  # any series would raise
         v = Ideal.density_zero(B).contains(np.zeros(10, dtype=bool), 10)
         assert v.to_json() == Verdict(CONVERGED, 0.0, 0.0, DEFAULT_TOL, 0.0, 0.0).to_json()
 

@@ -325,3 +325,10 @@ class TestNullReadingsFromExtremes:
         for ideal in (Ideal.fin(), Ideal.density_zero(cesaro1())):
             with pytest.raises(ValueError, match="overflow from row 6"):
                 ai_density_is_null(weighted_mean(400), ideal, NO_INDICES, 1_000)
+        # B's sums refuse a set with no member as they refuse one with members
+        overflowing = Ideal.density_zero(weighted_mean(400))
+        for member in (NO_INDICES, index_block(1, 100)):
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                overflowing.contains(member, 1_000)
+            with pytest.raises(ValueError, match="overflow from row 6"):
+                ai_density_is_null(cesaro1(), overflowing, member, 1_000)

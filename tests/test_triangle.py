@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import step_fns
+from conftest import step_fns, wide_step_fns
 from pmstat import (
     EPS0,
     MAXIMAL,
@@ -23,6 +24,7 @@ from pmstat import (
     dominates,
     evaluate,
     levy_distance,
+    merged_locations,
     pointwise_gap,
     pointwise_max,
     pointwise_min,
@@ -134,6 +136,9 @@ class TestSupConvolution:
         g = StepDistFn.from_pairs([(1.7e308, 1.0)])
         with pytest.raises(ValueError, match=r"sum overflows: 1e\+308 \+ 1\.7e\+308 "):
             apply_supconv(tag, f, g)
+        with pytest.raises(ValueError, match=r"sum overflows: 1e\+308 \+ 1\.7e\+308 "):
+            TriangleFn(tag).at_most(f, g, EPS0)
+        assert MAXIMAL.at_most(f, g, f)
 
     def test_result_is_canonical(self) -> None:
         for f in _sample_fns(3, 8):
@@ -166,6 +171,45 @@ class TestTriangleFn:
     def test_unknown_kind_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown triangle function"):
             TriangleFn("sum")
+
+
+def _reference_leq(f: StepDistFn, g: StepDistFn) -> bool:
+    # left-continuous evaluation at the merged locations decides the order
+    return all(evaluate(f, x) <= evaluate(g, x) for x in merged_locations(f, g))
+
+
+class TestAtMost:
+    """``TriangleFn.at_most(f, g, h)`` is build-and-compare without the build."""
+
+    @given(
+        st.sampled_from(TRIANGLE_KINDS),
+        st.one_of(step_fns(), wide_step_fns()),
+        st.one_of(step_fns(), wide_step_fns()),
+        st.one_of(step_fns(), wide_step_fns()),
+        st.sampled_from(["op", "max", "min", "other"]),
+    )
+    @settings(max_examples=300)
+    def test_equals_build_and_compare(self, kind: str, f: StepDistFn, g: StepDistFn, r: StepDistFn, how: str) -> None:
+        op = TriangleFn(kind)
+        try:
+            built = op(f, g)
+        except ValueError as exc:
+            # an overflowing location sum: the same input error, built or not
+            with pytest.raises(ValueError) as again:
+                op.at_most(f, g, r)
+            assert str(again.value) == str(exc)
+            return
+        h = {"op": built, "max": pointwise_max(built, r), "min": pointwise_min(built, r), "other": r}[how]
+        assert op.at_most(f, g, h) == _reference_leq(built, h)
+        if how in ("op", "max"):
+            assert op.at_most(f, g, h)
+
+    def test_reads_the_rounded_sum(self) -> None:
+        # 0.1 + 0.2 rounds to 0.30000000000000004, just above 0.3
+        f, g = unit_step(0.1), unit_step(0.2)
+        assert TriangleFn("min").at_most(f, g, unit_step(0.1 + 0.2))
+        assert not TriangleFn("min").at_most(f, g, unit_step(math.nextafter(0.1 + 0.2, 1.0)))
+        assert TriangleFn("min").at_most(f, g, unit_step(0.3))
 
 
 class TestAxiomChecks:
