@@ -136,33 +136,28 @@ class FinitePMSpace:
     def validate_axioms(self) -> SpaceAxiomReport:
         """Check P-1 through P-4 exhaustively and report all violations.
 
-        Each distinct d.d.f. in the table gets an integer code, so equality
-        of entries is equality of codes.  P-4 enumerates the code triples
-        ``(F_pq, F_qr, F_pr)`` of all point triples as one integer array and
-        decides each distinct triple once, by ``TriangleFn.at_most``, which
-        never builds ``tau(F_pq, F_qr)``; a line or an equilateral space has
-        far fewer distinct triples than triples of points.  Triples are
-        decided in the order the points first meet them, so an input error
-        (an overflowing jump-location sum) names the first such pair, and
-        violations are listed in (p, q, r) order.
+        P-4 gives each distinct d.d.f. of the table a code and enumerates
+        the code triples ``(F_pq, F_qr, F_pr)`` of all point triples as one
+        integer array.  Each distinct triple is decided once, by
+        ``TriangleFn.at_most``, in the order the (p, q, r) loop meets it, so
+        an overflowing jump-location sum names the pair that loop meets
+        first; violations are listed in (p, q, r) order.
         """
+        bad: list[tuple[str, tuple, str]] = []
+        for p in self.points:
+            if self.table[(p, p)] != EPS0:
+                bad.append(("P-1", (p,), "diagonal entry is not the unit step at 0"))
+        for p, q in itertools.combinations(self.points, 2):
+            if self.table[(p, q)] == EPS0:
+                bad.append(("P-2", (p, q), "off-diagonal entry equals the unit step at 0"))
+            if self.table[(p, q)] != self.table[(q, p)]:
+                bad.append(("P-3", (p, q), "table is not symmetric"))
         distinct: dict[StepDistFn, int] = {}
         pts = self.points
         codes = np.array(
-            [[distinct.setdefault(self.table[(p, q)], len(distinct)) for q in pts] for p in pts],
-            dtype=np.int64,
+            [[distinct.setdefault(self.table[(p, q)], len(distinct)) for q in pts] for p in pts], dtype=np.int64
         )
         fns = list(distinct)
-        eps0 = distinct.get(EPS0, -1)
-        bad: list[tuple[str, tuple, str]] = []
-        for i, p in enumerate(pts):
-            if codes[i, i] != eps0:
-                bad.append(("P-1", (p,), "diagonal entry is not the unit step at 0"))
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            if codes[i, j] == eps0:
-                bad.append(("P-2", (pts[i], pts[j]), "off-diagonal entry equals the unit step at 0"))
-            if codes[i, j] != codes[j, i]:
-                bad.append(("P-3", (pts[i], pts[j]), "table is not symmetric"))
         n, k = len(pts), len(fns)
         # the code triple (F_pq, F_qr, F_pr) of every point triple, one base-k key each
         triples = np.broadcast_arrays(codes[:, :, None], codes[None, :, :], codes[:, None, :])

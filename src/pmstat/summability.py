@@ -853,11 +853,11 @@ class Ideal:
         member, diverged when the members there exceed a tol share.
         density-zero(B): the null reading of B's tail window on the rows
         that fit the horizon (``SummMatrix.tail_extremes``), under three
-        rules in order.  B's rows are found first, so a B it cannot read
-        (weight sums that overflow) is refused for every set.  A set with
-        no member reads (0, 0, 0) with no series built.  One that does not converge and has no member from
-        ``tail_start(horizon)`` on converges with residual 0, as fin reads
-        it (Fin is a subset of every admissible ideal).  A diverged set
+        rules in order, once B has found its rows, so a B whose weight sums
+        overflow is refused for every set.  A set with no member reads
+        (0, 0, 0) with no series built.  One that does not converge and has
+        no member from ``tail_start(horizon)`` on converges with residual
+        0, as fin reads it (Fin is a subset of every admissible ideal).  A diverged set
         whose tail minimum is within SETTLE_FACTOR * tol is inconclusive.
         """
         marks = _member_array(member, horizon)
@@ -872,7 +872,7 @@ class Ideal:
             else:
                 status = INCONCLUSIVE
             return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
-        n = self.matrix.max_row_for(horizon)  # refuses a B that fails here, member or not
+        n = self.matrix.max_row_for(horizon)
         if not marks.any():
             return _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
         v = _extremes_verdict(*self.matrix.tail_extremes(marks, n), 0.0, tol)
@@ -1104,16 +1104,16 @@ def ai_density_is_null(
     series.  density-zero(B): a set with no member among the indices A's
     rows read has the zero series, and reads as the extraction of that
     series does, with no series built: converged at 0 on every epsilon, as
-    rule 1 of ``Ideal.contains`` reads each zero defect, once B has found
-    its rows as ``Ideal.contains`` does.  Any other set
-    builds A's series once and extracts its null limit.
+    rule 1 of ``Ideal.contains`` reads each zero defect once B has found
+    its rows.  Any other set builds A's series once and extracts its null
+    limit.
     """
     n = A.max_row_for(horizon)
     if ideal.kind == "fin":
         return _extremes_verdict(*A.tail_extremes(member, n), 0.0, tol)
     marks = _member_array(member, A.support_bound(n))
     if not marks.any():
-        ideal.matrix.max_row_for(n)  # B refuses here as its defect reading would
+        ideal.matrix.max_row_for(n)  # refuses a B that a defect reading refuses
         v = _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
         return replace(v, detail={f"eps={eps}": v.to_json() for eps in _eps_grid(tol)})
     return _ideal_limit(A.density_series(marks, n), n, ideal, (0.0,), tol)
