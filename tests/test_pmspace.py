@@ -256,7 +256,7 @@ class TestValidationAgainstReference:
         table[("a", "a")] = F_HALF  # P-1
         table[("b", "c")] = table[("c", "b")] = EPS0  # P-2
         table[("a", "d")] = unit_step(0.5)  # P-3
-        table[("c", "d")] = table[("d", "c")] = unit_step(2.0)  # P-4: far above F_cb then F_bd
+        table[("c", "d")] = table[("d", "c")] = unit_step(2.0)  # P-4: 0 up to 2, below tau(F_cb, F_bd) = F_HALF
         space = from_table(pts, table, TriangleFn(kind), validate=False)
         violations = space.validate_axioms().violations
         assert violations == _reference_violations(space)
