@@ -12,10 +12,10 @@ detector below is exact in t.
 All detectors are pure functions of (sequence, matrix, ideal, horizon,
 tolerance) and return ``Verdict`` values; nothing here claims an actual
 limit, only tail behavior up to the horizon.  Membership of an index k
-in a neighborhood is evaluated both through the distribution function
-``F_{x_k L}(t) > 1 - t`` and through the equivalent exact Levy gap
-``dist(x_k, L) < t``; a disagreement away from the float knife edge is
-an internal error.
+in a neighborhood is read from ``FinitePMSpace.strong_neighborhood``,
+``F_{L x_k}(t) > 1 - t``, and cross-checked against the equivalent exact
+Levy gap ``dist(L, x_k) < t``; a disagreement away from the float knife
+edge is an internal error.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class IndexedSequence:
         return [self.space.points[c] for c in self.value_codes(n).tolist()]
 
     def value_codes(self, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError(f"horizon must be at least 1, got {n}")
         if n > len(self._codes):
             codes = np.asarray(self.codes(n), dtype=np.int64)
             codes.flags.writeable = False
@@ -201,19 +203,21 @@ def _check_point(space: FinitePMSpace, p: str) -> None:
 def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
     """Index set ``{ k : x_k not in N_target(t) }``.
 
-    Computed from ``F_{x_k, target}(t) <= 1 - t`` and cross-checked
-    against the exact gap form ``dist(x_k, target) >= t``; the two agree
-    by construction except possibly one float ulp at the knife edge.
+    Read from ``space.strong_neighborhood(target, t)``, the one definition
+    of ``F_{target, x_k}(t) > 1 - t``, and cross-checked against the exact
+    gap form ``dist(target, x_k) >= t``; the two agree by construction
+    except possibly one float ulp at the knife edge.
     """
     space = x.space
-    by_f = {p: space.ddf(p, target)(t) <= 1.0 - t for p in space.points}
+    near = space.strong_neighborhood(target, t)
+    outside = {p: p not in near for p in space.points}
     for p in space.points:
-        by_gap = space.dist(p, target) >= t
-        if by_f[p] != by_gap and abs(space.dist(p, target) - t) > _KNIFE_EDGE:
+        by_gap = space.dist(target, p) >= t
+        if outside[p] != by_gap and abs(space.dist(target, p) - t) > _KNIFE_EDGE:
             raise RuntimeError(
                 f"neighborhood forms disagree for ({p}, {target}) at t={t}"
             )
-    return _point_set(x, f"defect({target},t={t})", by_f)
+    return _point_set(x, f"defect({target},t={t})", outside)
 
 
 def _grid(space: FinitePMSpace) -> tuple[float, ...]:
@@ -462,7 +466,7 @@ def gamma_set(
     """Statistical cluster points: the hit sets stay nonthin at every level.
 
     A carrier point c belongs when for every threshold t the index set
-    ``{ k : F_{x_k c}(t) > 1 - t }`` fails to have A^I-density zero.
+    ``{ k : F_{c x_k}(t) > 1 - t }`` fails to have A^I-density zero.
     Inconclusive density verdicts are flagged with a warning and treated
     as thin, matching the finite-horizon reading of nonthin.
     """

@@ -9,15 +9,17 @@ distribution function ``F_pq`` instead of a number, subject to:
 * P-4: ``F_pr >= tau(F_pq, F_qr)`` pointwise, for a triangle function tau.
 
 The strong topology is generated by the neighborhoods
-``N_p(t) = { q : F_pq(t) > 1 - t }``.  The membership test is equivalent
-to ``levy_distance(F_pq, unit_step(0)) < t``, so on a finite carrier the
-whole topology is controlled by the finite set of exact pairwise values
-``dist(p, q) = levy_distance_to_zero(F_pq)`` ("gap values").  By P-2
-every off-diagonal gap is positive, which makes the strong topology on a
-finite carrier discrete: every subset is closed and strongly compact and
-no subset has limit points.  The methods below still compute these
-notions from their definitions, so degenerate tables built with
-``validate=False`` are handled honestly.
+``N_p(t) = { q : F_pq(t) > 1 - t }``.  ``strong_neighborhood`` is the one
+place that evaluates this inequality; vicinities, the composition slack
+and the defect sets of ``convergence`` read it.  Membership is
+equivalent to ``levy_distance(F_pq, unit_step(0)) < t``, so on a finite
+carrier the whole topology is controlled by the finite set of exact
+pairwise values ``dist(p, q) = levy_distance_to_zero(F_pq)`` ("gap
+values").  By P-2 every off-diagonal gap is positive, which makes the
+strong topology on a finite carrier discrete: every subset is closed and
+strongly compact and no subset has limit points.  The methods below
+still compute these notions from their definitions, so degenerate tables
+built with ``validate=False`` are handled honestly.
 """
 
 from __future__ import annotations
@@ -124,13 +126,6 @@ class FinitePMSpace:
         """
         return self._thresholds
 
-    @property
-    def min_gap(self) -> float:
-        """Smallest positive gap value; below it every neighborhood is a singleton."""
-        if not self._thresholds:
-            raise ValueError("single-point space has no positive gaps")
-        return self._thresholds[0]
-
     # -- validation --------------------------------------------------------
 
     def validate_axioms(self) -> SpaceAxiomReport:
@@ -187,37 +182,28 @@ class FinitePMSpace:
         )
 
     def strong_vicinity(self, u: float) -> frozenset[tuple[str, str]]:
-        """All ordered pairs within strong distance u: ``{(p,q) : F_pq(u) > 1-u}``."""
+        """All ordered pairs within strong distance u: ``{(p,q) : q in N_p(u)}``."""
         if u <= 0.0:
             raise ValueError(f"vicinity parameter must be positive, got {u}")
-        return frozenset(
-            (p, q)
-            for p in self.points
-            for q in self.points
-            if evaluate(self.table[(p, q)], u) > 1.0 - u
-        )
+        return frozenset((p, q) for p in self.points for q in self.strong_neighborhood(p, u))
 
     def vicinity_composition_alpha(self, u: float) -> float:
-        """A slack alpha in (0, u] with ``V(alpha) о V(alpha) <= V(u)``.
+        """A slack alpha in (0, u] with ``V(alpha) o V(alpha) <= V(u)``.
 
-        Searches the candidate grid {u} plus all thresholds at or below u
-        in descending order and returns the first (largest) value that
+        The composition stays inside V(u) exactly when ``N_q(alpha)`` lies
+        in ``N_p(u)`` for every p and every q in ``N_p(alpha)``.  Searches
+        the candidate grid {u} plus all thresholds at or below u in
+        descending order and returns the first (largest) value that
         works.  On a valid space the smallest positive gap always works,
-        because V at that level is the diagonal.
+        because every neighborhood at that level is a singleton.
         """
         if u <= 0.0:
             raise ValueError(f"vicinity parameter must be positive, got {u}")
-        target = self.strong_vicinity(u)
+        target = {p: self.strong_neighborhood(p, u) for p in self.points}
         cands = sorted({u} | {t for t in self._thresholds if t <= u}, reverse=True)
         for alpha in cands:
-            v = self.strong_vicinity(alpha)
-            composed = {
-                (p, r)
-                for (p, q1) in v
-                for (q2, r) in v
-                if q1 == q2
-            }
-            if composed <= target:
+            near = {p: self.strong_neighborhood(p, alpha) for p in self.points}
+            if all(near[q] <= target[p] for p in self.points for q in near[p]):
                 return alpha
         raise ValueError(
             f"no composition slack found down to {cands[-1]}; vicinities do not compose"
@@ -238,18 +224,13 @@ class FinitePMSpace:
         )
 
     def set_limit_points(self, members: Iterable[str]) -> frozenset[str]:
-        """Points l such that every N_l(t) meets the set away from l.
+        """Points l in the strong closure of the set without l.
 
         Empty on every valid finite space (off-diagonal gaps are
         positive); nonempty only for degenerate unvalidated tables.
         """
         m = self._point_set(members)
-        out = set()
-        for l in self.points:
-            others = m - {l}
-            if others and min(self._dist[(l, e)] for e in others) == 0.0:
-                out.add(l)
-        return frozenset(out)
+        return frozenset(l for l in self.points if l in self.strong_closure(m - {l}))
 
     def _point_set(self, members: Iterable[str]) -> frozenset[str]:
         m = frozenset(members)
@@ -335,14 +316,14 @@ def build_metric_induced(
 ) -> FinitePMSpace:
     """The space with ``F_pq = unit_step(d(p, q))``.
 
-    ``d`` must be a metric on the points; symmetry, positivity, and the
-    triangle inequality are verified exhaustively and a violation is
-    rejected with its witness.  The triangle function is the
-    sup-convolution under the minimum t-norm, under which unit steps add
-    their locations, so P-4 is the triangle inequality itself: both
-    decide ``d(p,r) <= d(p,q) + d(q,r)`` on the float sum, with no slack,
-    so a violation by rounding alone is reported here with its size in
-    ulps of d(p,r).
+    ``d`` must be a metric on the points; signs, self-distances, symmetry
+    and positivity are verified here, and a violation is rejected with its
+    witness.  The triangle function is the sup-convolution under the
+    minimum t-norm, under which unit steps add their locations, so P-4 is
+    the triangle inequality itself: it decides ``d(p,r) <= d(p,q) + d(q,r)``
+    on the float sum, with no slack, in (p, q, r) order.  Its first
+    violation is re-raised as ``triangle-inequality``, with the size in
+    ulps of d(p,r), so a violation by rounding alone is named.
     """
     pts = tuple(points)
 
@@ -372,18 +353,18 @@ def build_metric_induced(
             raise AxiomViolation("metric", (p, q), "asymmetric distances")
         if vals[(p, q)] == 0.0:
             raise AxiomViolation("metric", (p, q), "zero distance between distinct points")
-    for p in pts:
-        for q in pts:
-            for r in pts:
-                direct, via = vals[(p, r)], vals[(p, q)] + vals[(q, r)]
-                if direct > via:
-                    raise AxiomViolation(
-                        "triangle-inequality",
-                        (p, q, r),
-                        f"d(p,r)={direct!r} exceeds d(p,q)+d(q,r)={via!r} "
-                        f"by {direct - via:.3g} ({(direct - via) / math.ulp(direct):.3g} ulp)",
-                    )
     table = {
         (p, q): EPS0 if p == q else unit_step(vals[(p, q)]) for p in pts for q in pts
     }
-    return from_table(pts, table, TriangleFn("min"))
+    try:
+        return from_table(pts, table, TriangleFn("min"))
+    except AxiomViolation as exc:
+        # the checks above leave only P-4, which is the triangle inequality here
+        p, q, r = exc.witness
+        direct, via = vals[(p, r)], vals[(p, q)] + vals[(q, r)]
+        raise AxiomViolation(
+            "triangle-inequality",
+            exc.witness,
+            f"d(p,r)={direct!r} exceeds d(p,q)+d(q,r)={via!r} "
+            f"by {direct - via:.3g} ({(direct - via) / math.ulp(direct):.3g} ulp)",
+        ) from None

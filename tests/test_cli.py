@@ -65,7 +65,7 @@ class TestSpecParsing:
         assert eq.points == ("a", "b", "c")
         line = space_from_spec("line:4:0.2")
         assert line.points == ("v0", "v1", "v2", "v3")
-        assert line.min_gap == pytest.approx(0.2)
+        assert line.thresholds()[0] == pytest.approx(0.2)
 
     def test_space_spec_bounds(self) -> None:
         with pytest.raises(ValueError, match="1..26"):

@@ -319,3 +319,25 @@ class TestLimitAndClusterSets:
         assert v.status == DIVERGED
         with pytest.raises(ValueError, match="unknown carrier point"):
             stat_bounded_check(alternator, cesaro, fin_ideal, ("a", "zz"))
+
+
+_HORIZON_READERS = {
+    "strong_conv_detect": lambda x, A, I, n: strong_conv_detect(x, "a", horizon=n),
+    "ai_stat_conv_detect": lambda x, A, I, n: ai_stat_conv_detect(x, "a", A, I, horizon=n),
+    "ai_stat_cauchy_detect": lambda x, A, I, n: ai_stat_cauchy_detect(x, A, I, horizon=n),
+    "lemma_cauchy_predicates": lambda x, A, I, n: lemma_cauchy_predicates(x, A, I, horizon=n),
+    "lambda_set": lambda x, A, I, n: lambda_set(x, A, I, horizon=n),
+    "gamma_set": lambda x, A, I, n: gamma_set(x, A, I, horizon=n),
+    "strong_limit_point_set": lambda x, A, I, n: strong_limit_point_set(x, n),
+    "stat_bounded_check": lambda x, A, I, n: stat_bounded_check(x, A, I, ("a",), horizon=n),
+}
+
+
+class TestHorizonBelowOne:
+    @pytest.mark.parametrize("horizon", [0, -1])
+    @pytest.mark.parametrize("name", sorted(_HORIZON_READERS))
+    def test_refused(self, name, horizon, eq3, cesaro, fin_ideal) -> None:
+        # a horizon below 1 has no value to read: a ValueError, never a
+        # None, a ZeroDivisionError or an empty point set
+        with pytest.raises(ValueError, match="horizon"):
+            _HORIZON_READERS[name](constant_sequence(eq3, "a"), cesaro, fin_ideal, horizon)

@@ -22,9 +22,11 @@ from pmstat import (
     build_metric_induced,
     evaluate,
     from_table,
+    from_values,
     merged_locations,
     unit_step,
 )
+from pmstat.convergence import _neighborhood_defect
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
 
@@ -35,6 +37,24 @@ def _degenerate_pair() -> FinitePMSpace:
     return from_table(("p", "q"), table, MAXIMAL, validate=False)
 
 
+def _loop_triangle_violation(pts: tuple, d: dict) -> tuple | None:
+    """The triangle check by a triple loop over the metric: the axiom,
+    witness and message of the first (p, q, r) with d(p,r) > d(p,q) + d(q,r)."""
+
+    def dist(p: str, q: str) -> float:
+        return 0.0 if p == q else d.get((p, q), d.get((q, p)))
+
+    for p, q, r in itertools.product(pts, repeat=3):
+        direct, via = dist(p, r), dist(p, q) + dist(q, r)
+        if direct > via:
+            detail = (
+                f"d(p,r)={direct!r} exceeds d(p,q)+d(q,r)={via!r} "
+                f"by {direct - via:.3g} ({(direct - via) / math.ulp(direct):.3g} ulp)"
+            )
+            return "triangle-inequality", (p, q, r), f"triangle-inequality violated at {(p, q, r)}: {detail}"
+    return None
+
+
 class TestConstruction:
     def test_equilateral_basics(self, eq3: FinitePMSpace) -> None:
         assert eq3.points == ("a", "b", "c")
@@ -43,7 +63,6 @@ class TestConstruction:
         assert eq3.dist("a", "b") == 0.5
         assert eq3.dist("c", "c") == 0.0
         assert eq3.thresholds() == (0.5,)
-        assert eq3.min_gap == 0.5
         assert eq3.tau.kind == "maximal"
 
     def test_equilateral_rejects_unit_step_at_zero(self) -> None:
@@ -55,8 +74,7 @@ class TestConstruction:
     def test_single_point_carrier(self) -> None:
         sp = build_equilateral(("only",), EPS0)
         assert sp.validate_axioms().ok
-        with pytest.raises(ValueError, match="no positive gaps"):
-            sp.min_gap
+        assert sp.thresholds() == ()
 
     def test_empty_carrier_rejected(self) -> None:
         with pytest.raises(ValueError, match="at least one point"):
@@ -125,19 +143,33 @@ class TestConstruction:
                 d[(p, q)] = abs(ks[i] * step - ks[j] * step)
             else:
                 d[(p, q)] = data.draw(st.floats(1e-3, 10.0))
-        try:
+        expected = _loop_triangle_violation(pts, d)
+        if expected is None:
             build_metric_induced(pts, d)
-            accepted = True
-        except AxiomViolation as exc:
-            assert exc.axiom == "triangle-inequality"
-            accepted = False
+        else:
+            with pytest.raises(AxiomViolation) as exc:
+                build_metric_induced(pts, d)
+            assert (exc.value.axiom, exc.value.witness, str(exc.value)) == expected
         table = {
             (p, q): EPS0 if p == q else unit_step(d.get((p, q), d.get((q, p))))
             for p in pts
             for q in pts
         }
         space = from_table(pts, table, TriangleFn("min"), validate=False)
-        assert accepted == space.validate_axioms().ok
+        assert (expected is None) == space.validate_axioms().ok
+
+    def test_overflow_is_raised_before_a_triangle_violation(self) -> None:
+        # (a, b, c) breaks the inequality, and d(d,a) + d(a,d) overflows:
+        # P-4 decides every triple before it lists one, so the overflow wins
+        d = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 3.0}
+        d.update({(p, "d"): 1e308 for p in "abc"})
+        assert _loop_triangle_violation(tuple("abcd"), d)[1] == ("a", "b", "c")
+        with pytest.raises(ValueError, match=r"jump-location sum overflows: 1e\+308 \+ 1e\+308") as exc:
+            build_metric_induced(tuple("abcd"), d)
+        assert not isinstance(exc.value, AxiomViolation)
+        # an infinite distance has no unit step, whatever else it breaks
+        with pytest.raises(ValueError, match="step location must be finite"):
+            build_metric_induced(tuple("abc"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): math.inf})
 
     def test_distances_above_one_saturate(self) -> None:
         sp = build_metric_induced(("p", "q"), {("p", "q"): 3.0})
@@ -316,6 +348,64 @@ class TestStrongTopology:
         sp = _degenerate_pair()
         assert sp.set_limit_points(("p", "q")) == frozenset({"p", "q"})
         assert sp.strong_closure(("p",)) == frozenset({"p", "q"})
+
+
+def _reference_vicinity(space: FinitePMSpace, u: float) -> frozenset:
+    """``{(p, q) : F_pq(u) > 1 - u}`` from the table."""
+    return frozenset(
+        (p, q) for p in space.points for q in space.points if evaluate(space.table[(p, q)], u) > 1.0 - u
+    )
+
+
+def _reference_alpha(space: FinitePMSpace, u: float) -> float | None:
+    """The largest grid value alpha whose composed pair set V(alpha) o V(alpha)
+    lies in V(u); None where there is none."""
+    target = _reference_vicinity(space, u)
+    for alpha in sorted({u} | {t for t in space.thresholds() if t <= u}, reverse=True):
+        v = _reference_vicinity(space, alpha)
+        if {(p, r) for (p, q1) in v for (q2, r) in v if q1 == q2} <= target:
+            return alpha
+    return None
+
+
+def _reference_limit_points(space: FinitePMSpace, members: frozenset) -> frozenset:
+    """Points l with ``min dist(l, e) == 0`` over the members other than l."""
+    return frozenset(
+        l
+        for l in space.points
+        if members - {l} and min(space.dist(l, e) for e in members - {l}) == 0.0
+    )
+
+
+class TestNeighborhoodReadersAgainstReference:
+    @given(_tables(), st.data())
+    @settings(max_examples=150)
+    def test_readers_of_strong_neighborhood(self, space: FinitePMSpace, data) -> None:
+        for u in space.thresholds() + (0.05, 0.37, 1.0):
+            assert space.strong_vicinity(u) == _reference_vicinity(space, u)
+            expected = _reference_alpha(space, u)
+            if expected is None:
+                with pytest.raises(ValueError, match="vicinities do not compose"):
+                    space.vicinity_composition_alpha(u)
+            else:
+                assert space.vicinity_composition_alpha(u) == expected
+        members = frozenset(data.draw(st.lists(st.sampled_from(space.points))))
+        assert space.set_limit_points(members) == _reference_limit_points(space, members)
+
+    @given(_tables(), st.data())
+    @settings(max_examples=150)
+    def test_defect_set_is_the_complement_of_the_neighborhood(self, space: FinitePMSpace, data) -> None:
+        values = data.draw(st.lists(st.sampled_from(space.points), min_size=1, max_size=12))
+        x = from_values(space, values, space.points[0])
+        symmetric = all(space.table[(p, q)] == space.table[(q, p)] for p in space.points for q in space.points)
+        for c in space.points:
+            for t in space.thresholds() + (0.05, 0.37, 1.0):
+                got = _neighborhood_defect(x, c, t).indicator(len(values)).tolist()
+                near = space.strong_neighborhood(c, t)
+                assert got == [v not in near for v in values]
+                if symmetric:
+                    # on a P-3 table this is also the F_{x_k, c} form
+                    assert got == [evaluate(space.table[(v, c)], t) <= 1.0 - t for v in values]
 
 
 class TestSerialization:
