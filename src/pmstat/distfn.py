@@ -13,7 +13,8 @@ This module implements the piecewise-constant members of the family:
   and to 1 strictly above ``b``;
 * the modified Levy metric ``levy_distance``, computed exactly by a
   binary search over a finite candidate set of slacks, with one
-  feasibility test (``levy_feasible``) per step;
+  feasibility test (``levy_feasible``) per step, and a one-test bound
+  ``levy_within`` that can prove the distance at most a given slack;
 * an exact closed form ``levy_distance_to_zero`` for the distance to the
   unit step at 0 (the maximal d.d.f.);
 * the pointwise partial order and pointwise min / max;
@@ -246,12 +247,13 @@ def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> 
     the locations l nor the roots of ``a (l +- a) = 1`` are needed.  The distance is the smallest candidate whose next
     open interval is feasible; a binary search over the sorted candidates
     finds it with one feasibility test per step, at the midpoint of that
-    interval.  Feasible slacks form the closed interval [distance, 1], so
-    when two candidates are adjacent floats and no float lies between
-    them, the test is made at the lower one instead.  The result is exact
-    up to the rounding of the candidate arithmetic (a difference or
-    reciprocal of floats), and it is symmetric in f and g because the
-    candidate set and the test are.
+    interval.  In exact arithmetic feasible slacks form the closed
+    interval [distance, 1], so when two candidates are adjacent floats and
+    no float lies between them, the test is made at the lower one instead;
+    in floats a slack just below a candidate can already be feasible (see
+    ``levy_within``).  The result is exact up to the rounding of the
+    candidate arithmetic (a difference or reciprocal of floats), and it is
+    symmetric in f and g because the candidate set and the test are.
 
     ``tol`` is kept for callers of the earlier bisection; it must be
     positive and does not change the answer.
@@ -270,6 +272,34 @@ def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> 
         else:
             lo = mid + 1
     return cands[lo]
+
+
+def levy_within(f: StepDistFn, g: StepDistFn, a: float) -> bool:
+    """A sufficient test of ``levy_distance(f, g) <= a``, far cheaper than the distance.
+
+    True proves the bound; False proves nothing.  In float arithmetic
+    ``levy_feasible`` is monotone in the slack (the sums ``m + a``, the
+    right values read there and the range end ``1/a`` each move one way
+    as a grows), so the search in ``levy_distance`` returns the first
+    candidate whose test point, at or above it, is feasible.  A feasible
+    candidate c therefore bounds the distance by c.  A feasible slack
+    that is not a candidate does not: ``m + a`` can round up onto a jump
+    location l while ``a < l - m``, so the distance between unit steps at
+    8 and 8 + 2**-49 is 2**-49, although 1.5 * 2**-50 is feasible.
+
+    The candidate tried is the largest ``|l - m|`` or ``|v - w|`` at most
+    a over jumps paired by position, when f and g have as many jumps.
+    For two functions that differ by rounding, as regrouped
+    sup-convolutions do, that is usually their distance.
+    """
+    if not a > 0.0 or len(f.jumps) != len(g.jumps):
+        return False
+    c = 0.0
+    for (l, v), (m, w) in zip(f.jumps, g.jumps):
+        for d in (abs(l - m), abs(v - w)):
+            if c < d <= a:
+                c = d
+    return levy_feasible(f, g, c)
 
 
 def levy_distance_to_zero(f: StepDistFn) -> float:
@@ -314,18 +344,47 @@ def pointwise_gap(f: StepDistFn, g: StepDistFn) -> float:
     merged jump locations, 0 below the first and 1 above the last.  So the
     right values at the merged locations are the plateaus that
     left-continuous evaluation reads at the next location, and the largest
-    of their differences is the exact gap.
+    of their differences is the exact gap.  One merge walk of the two jump
+    lists reads those right values in order.
     """
     worst = 0.0
-    for x in merged_locations(f, g):
-        d = f.right_value(x) - g.right_value(x)
+    fl, fv, gl, gv = f._locs, f._vals, g._locs, g._vals
+    nf, ng = len(fl), len(gl)
+    i = j = 0
+    v = w = 0.0
+    while i < nf or j < ng:
+        l = fl[i] if i < nf else math.inf
+        m = gl[j] if j < ng else math.inf
+        if l <= m:
+            v = fv[i]
+            i += 1
+        if m <= l:
+            w = gv[j]
+            j += 1
+        d = v - w
         if d > worst:
             worst = d
     return worst
 
 
 def _pointwise(f: StepDistFn, g: StepDistFn, pick: Callable[[float, float], float]) -> StepDistFn:
-    pairs = [(x, pick(f.right_value(x), g.right_value(x))) for x in merged_locations(f, g)]
+    # the merge walk of pointwise_gap; a shared location is read as f's,
+    # as the union in merged_locations keeps it
+    pairs: list[tuple[float, float]] = []
+    fl, fv, gl, gv = f._locs, f._vals, g._locs, g._vals
+    nf, ng = len(fl), len(gl)
+    i = j = 0
+    v = w = 0.0
+    while i < nf or j < ng:
+        l = fl[i] if i < nf else math.inf
+        m = gl[j] if j < ng else math.inf
+        if l <= m:
+            v = fv[i]
+            i += 1
+        if m <= l:
+            w = gv[j]
+            j += 1
+        pairs.append((l if l <= m else m, pick(v, w)))
     return StepDistFn.from_pairs(pairs)
 
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .distfn import (
     DEFAULT_DL_TOL,
     EPS0,
     StepDistFn,
     levy_distance,
+    levy_within,
     pointwise_gap,
     pointwise_leq,
     pointwise_max,
@@ -201,6 +202,25 @@ def _worst(
     return AxiomCheck(name, worst <= tol, worst, "" if at is None else witness.format(*at))
 
 
+def _levy_residuals(
+    pairs: Iterable[tuple[tuple[int, ...], StepDistFn, StepDistFn]]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """``(indices, levy_distance(f, g))`` for the pairs that can win ``_worst``.
+
+    Only the first strictly largest residual wins, so a pair whose
+    distance ``levy_within`` proves at most the largest one so far is
+    skipped without its candidate search.
+    """
+    worst = 0.0
+    for key, f, g in pairs:
+        if levy_within(f, g, worst):
+            continue
+        d = levy_distance(f, g)
+        if d > worst:
+            worst = d
+        yield key, d
+
+
 def check_triangle_axioms(
     op: Callable[[StepDistFn, StepDistFn], StepDistFn],
     sample: Sequence[StepDistFn],
@@ -217,41 +237,71 @@ def check_triangle_axioms(
     rounding: regrouped jump-location sums can put a jump of
     ``((f, g), h)`` one ulp from that of ``(f, (g, h))``.  ``dl_tol`` is
     accepted for callers of the earlier bisection metric and has no
-    effect.
+    effect.  A negative or NaN ``tol`` is a ValueError; a sample entry
+    or op value that is not a ``StepDistFn`` is a TypeError.
 
-    Each op value is built once per check: the table ``prod[i][j] =
-    op(f_i, f_j)`` serves commutativity, the inner op of associativity
-    and the lower side of monotonicity.  The raised side ``op(max(f_i,
-    f_j), g)`` is one function for (i, j) and (j, i), so it is built once
-    per unordered pair.  The diagonal is skipped where its answer is
-    known: ``max(f, f)`` is f, so the raised side for i = j is ``prod[i][k]``
-    with gap 0, and ``prod[i][i]`` is at Levy distance 0 from itself.  A
-    residual of 0 never wins the worst case, so the report is the same.
+    ``op`` must be pure: its value depends only on the two functions.
+    Every op application goes through a memo keyed by the two jump lists,
+    so each distinct op value is built once per pass.  The table
+    ``prod[i][j] = op(f_i, f_j)`` stays for the whole check: it serves
+    commutativity, the inner op of associativity and the lower side of
+    monotonicity.  The associativity values are dropped when that pass
+    ends.  The raised side ``op(max(f_i, f_j), g)`` is one function for
+    (i, j) and (j, i), and when ``max(f_i, f_j)`` is f_i it is the table
+    entry, found without a build.
+
+    The diagonal is skipped where its answer is known: ``max(f, f)`` is
+    f, so the raised side for i = j is ``prod[i][k]`` with gap 0, and
+    ``prod[i][i]`` is at Levy distance 0 from itself.  A Levy distance is
+    computed only where ``levy_within`` cannot prove it at most the
+    largest residual so far.  A residual of 0, or one no larger than an
+    earlier one, never wins the worst case, so the report is the one
+    every tuple and every distance would give.
     """
     if not sample:
         raise ValueError("empty sample")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    for i, f in enumerate(sample):
+        if not isinstance(f, StepDistFn):
+            raise TypeError(f"sample entry {i} is a {type(f).__name__}, not a StepDistFn")
+    memo: dict[tuple, StepDistFn] = {}
+
+    def apply(f: StepDistFn, g: StepDistFn) -> StepDistFn:
+        key = (f.jumps, g.jumps)
+        h = memo.get(key)
+        if h is None:
+            h = op(f, g)
+            if not isinstance(h, StepDistFn):
+                raise TypeError(f"op returned a {type(h).__name__}, not a StepDistFn")
+            memo[key] = h
+        return h
+
     n = len(sample)
-    prod = [[op(f, g) for g in sample] for f in sample]
+    prod = [[apply(f, g) for g in sample] for f in sample]
+    table = dict(memo)
     every, first6 = range(n), range(min(n, 6))
-    commutative = _worst("commutative", tol, "pair ({}, {})", (
-        ((i, j), levy_distance(prod[i][j], prod[j][i])) for i in every for j in every if i != j
+    commutative = _worst("commutative", tol, "pair ({}, {})", _levy_residuals(
+        ((i, j), prod[i][j], prod[j][i]) for i in every for j in every if i != j
     ))
-    associative = _worst("associative", tol, "triple ({}, {}, {})", (
-        ((i, j, k), levy_distance(op(prod[i][j], sample[k]), op(sample[i], prod[j][k])))
+    associative = _worst("associative", tol, "triple ({}, {}, {})", _levy_residuals(
+        ((i, j, k), apply(prod[i][j], sample[k]), apply(sample[i], prod[j][k]))
         for i in first6 for j in first6 for k in first6
     ))
+    # later passes rarely ask for an associativity value: keep the table only
+    memo.clear()
+    memo.update(table)
     gaps: dict[tuple[int, int, int], float] = {}
     for i in every:
         for j in range(i + 1, n):
             upper = pointwise_max(sample[i], sample[j])
             for k, g in enumerate(sample):
-                raised = op(upper, g)
+                raised = apply(upper, g)
                 gaps[i, j, k] = pointwise_gap(prod[i][k], raised)
                 gaps[j, i, k] = pointwise_gap(prod[j][k], raised)
     monotone = _worst("monotone", tol, "f={} raised by {}, g={}", sorted(gaps.items()))
-    identity = _worst("identity", tol, "element {}", (
-        ((i,), max(levy_distance(op(EPS0, f), f), levy_distance(op(f, EPS0), f)))
-        for i, f in enumerate(sample)
+    identity = _worst("identity", tol, "element {}", _levy_residuals(
+        ((i,), h, f) for i, f in enumerate(sample) for h in (apply(EPS0, f), apply(f, EPS0))
     ))
     return TriangleAxiomReport((commutative, associative, monotone, identity))
 

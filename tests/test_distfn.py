@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pmstat import (
@@ -23,7 +23,7 @@ from pmstat import (
     weakly_converges,
 )
 
-from pmstat.distfn import _levy_candidates, levy_feasible
+from pmstat.distfn import _levy_candidates, levy_feasible, levy_within
 
 from conftest import step_fns, wide_step_fns
 
@@ -39,6 +39,34 @@ def float_step_fns(draw, max_jumps: int = 5) -> StepDistFn:
         st.lists(st.floats(1e-3, 1.0, exclude_max=True), min_size=n - 1, max_size=n - 1, unique=True).map(sorted)
     )
     return StepDistFn.from_pairs(zip(locs, vals + [1.0]))
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def near_copies(draw, f: StepDistFn) -> StepDistFn:
+    """f with each location, and each value below 1, moved by a few ulps."""
+    moves = st.integers(-3, 3)
+    pairs = [
+        (max(0.0, _nudge(l, draw(moves))), v if v == 1.0 else _nudge(v, draw(moves)))
+        for l, v in f.jumps
+    ]
+    try:
+        return StepDistFn.from_pairs(pairs)
+    except ValueError:  # two neighbours moved onto or past each other
+        assume(False)
+
+
+@st.composite
+def levy_pairs(draw) -> tuple[StepDistFn, StepDistFn]:
+    """Independent pairs, and pairs that differ by rounding only."""
+    f = draw(st.one_of(step_fns(), float_step_fns()))
+    g = draw(st.one_of(step_fns(), float_step_fns(), near_copies(f)))
+    return f, g
 
 
 def _sandwich_holds(f: StepDistFn, g: StepDistFn, a: float) -> bool:
@@ -301,6 +329,46 @@ class TestExactLevySearch:
         assert levy_distance(f, g, tol=1e-1) == levy_distance(f, g, tol=1e-9) == levy_distance(f, g)
 
 
+class TestLevyWithin:
+    """``levy_within`` may skip a candidate search only where the search would
+    return at most the slack; a feasible slack that is no candidate is not enough."""
+
+    # 8 + 2**-49 is the next float above 8: the sum 8 + a rounds onto it
+    # for every a above 2**-50, half the candidate l - m
+    NEAR_F, NEAR_G = unit_step(8.0 + 2**-49), unit_step(8.0)
+
+    def test_feasible_slack_below_the_distance(self) -> None:
+        assert levy_distance(self.NEAR_F, self.NEAR_G) == 2**-49
+        a = 1.5 * 2**-50
+        assert levy_feasible(self.NEAR_F, self.NEAR_G, a)
+        assert not levy_within(self.NEAR_F, self.NEAR_G, a)
+        assert levy_within(self.NEAR_F, self.NEAR_G, 2**-49)
+
+    def test_nothing_is_within_a_nonpositive_slack(self) -> None:
+        for a in (0.0, -1.0, math.nan):
+            assert not levy_within(F_HALF, F_HALF, a)
+
+    @given(levy_pairs(), st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_candidate_slacks_bound_the_distance(self, pair, extra: list[float]) -> None:
+        f, g = pair
+        d = levy_distance(f, g)
+        cands = _levy_candidates(f, g)
+        slacks = sorted(
+            {x for c in cands for x in (c, math.nextafter(c, 0.0), math.nextafter(c, 2.0))} | set(extra)
+        )
+        verdicts = [levy_feasible(f, g, a) for a in slacks]
+        # float feasibility is monotone in the slack
+        assert verdicts == sorted(verdicts)
+        for a, feasible in zip(slacks, verdicts):
+            if a in cands and feasible:
+                assert d <= a
+            if feasible:
+                # any feasible slack bounds the distance by the next candidate
+                assert d <= min((c for c in cands if c >= a), default=1.0)
+            if levy_within(f, g, a):
+                assert d <= a
+
+
 class TestPointwiseOps:
     def test_merged_locations(self) -> None:
         assert merged_locations(F_HALF, unit_step(0.5)) == [0.25, 0.5, 0.75]
@@ -342,6 +410,33 @@ class TestPointwiseOps:
         diffs = [evaluate(f, x) - evaluate(g, x) for x in probes]
         assert pointwise_gap(f, g) == max(0.0, *diffs)
         assert pointwise_leq(f, g) == all(d <= 0.0 for d in diffs)
+
+    @given(st.one_of(step_fns(), wide_step_fns()), st.one_of(step_fns(), wide_step_fns()), st.data())
+    def test_merge_walk_reads_every_plateau(self, f: StepDistFn, h: StepDistFn, data) -> None:
+        # g shares some of f's jumps (shared locations, equal plateaus) and
+        # takes others from h; the walk must read both at every location
+        keep = data.draw(st.lists(st.booleans(), min_size=len(f.jumps), max_size=len(f.jumps)))
+        take = data.draw(st.lists(st.booleans(), min_size=len(h.jumps), max_size=len(h.jumps)))
+        chosen = dict(j for j, k in zip(h.jumps, take) if k)
+        chosen.update(j for j, k in zip(f.jumps, keep) if k)
+        chosen[f.support_end] = 1.0
+        run, pairs = 0.0, []
+        for loc in sorted(chosen):
+            run = max(run, chosen[loc])
+            pairs.append((loc, run))
+        g = StepDistFn.from_pairs(pairs)
+        for a, b in ((f, g), (g, f)):
+            locs = merged_locations(a, b)
+            probes = locs + [0.5 * (x + y) for x, y in zip(locs, locs[1:])] + [locs[-1] * 2 + 1]
+            lo, hi = pointwise_min(a, b), pointwise_max(a, b)
+            assert pointwise_gap(a, b) == max(0.0, *(evaluate(a, x) - evaluate(b, x) for x in probes))
+            for x in probes:
+                assert evaluate(lo, x) == min(evaluate(a, x), evaluate(b, x))
+                assert evaluate(hi, x) == max(evaluate(a, x), evaluate(b, x))
+            # the jump lists the earlier bisect form built, bit for bit
+            for got, pick in ((lo, min), (hi, max)):
+                want = StepDistFn.from_pairs((x, pick(a.right_value(x), b.right_value(x))) for x in locs)
+                assert got.jumps == want.jumps
 
 
 class TestWeakConvergence:

@@ -33,7 +33,7 @@ from pmstat import (
     t_product,
     unit_step,
 )
-from pmstat.triangle import AxiomCheck, TriangleAxiomReport
+from pmstat.triangle import AxiomCheck, TriangleAxiomReport, _worst
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
 
@@ -248,6 +248,21 @@ class TestAxiomChecks:
         with pytest.raises(ValueError, match="empty"):
             check_triangle_axioms(MAXIMAL, [])
 
+    @pytest.mark.parametrize("tol", [-1e-12, -1.0, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol: float) -> None:
+        # such a tol used to report every axiom failed
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            check_triangle_axioms(MAXIMAL, _sample_fns(13, 3), tol=tol)
+
+    def test_sample_entry_must_be_a_step_function(self) -> None:
+        with pytest.raises(TypeError, match="sample entry 1 is a float, not a StepDistFn"):
+            check_triangle_axioms(MAXIMAL, [F_HALF, 0.5])
+
+    def test_op_value_must_be_a_step_function(self) -> None:
+        # this op used to die with an AttributeError on 'float'.jumps
+        with pytest.raises(TypeError, match="op returned a float, not a StepDistFn"):
+            check_triangle_axioms(lambda f, g: 0.5, _sample_fns(13, 3))
+
     def test_domination_chain(self) -> None:
         sample = _sample_fns(17, 7)
         chain = [MAXIMAL, TriangleFn("min"), TriangleFn("prod"), TriangleFn("luka")]
@@ -332,3 +347,101 @@ class TestOperationTable:
         check_triangle_axioms(op, _sample_fns(13, n)[:n])
         # 1,002 for n = 10, where building every op value afresh makes 3,084
         assert len(calls) <= n * n + 2 * min(n, 6) ** 3 + n * n * (n - 1) // 2 + 2 * n
+
+
+def _table_reference_check(op, sample, tol: float = 1e-9) -> TriangleAxiomReport:
+    """The checker as it was before the memo and the Levy prune: one table of
+    op values, every other op value built where it is used, every distance
+    computed."""
+    n = len(sample)
+    prod = [[op(f, g) for g in sample] for f in sample]
+    every, first6 = range(n), range(min(n, 6))
+    commutative = _worst("commutative", tol, "pair ({}, {})", (
+        ((i, j), levy_distance(prod[i][j], prod[j][i])) for i in every for j in every if i != j
+    ))
+    associative = _worst("associative", tol, "triple ({}, {}, {})", (
+        ((i, j, k), levy_distance(op(prod[i][j], sample[k]), op(sample[i], prod[j][k])))
+        for i in first6 for j in first6 for k in first6
+    ))
+    gaps = {}
+    for i in every:
+        for j in range(i + 1, n):
+            upper = pointwise_max(sample[i], sample[j])
+            for k, g in enumerate(sample):
+                raised = op(upper, g)
+                gaps[i, j, k] = pointwise_gap(prod[i][k], raised)
+                gaps[j, i, k] = pointwise_gap(prod[j][k], raised)
+    monotone = _worst("monotone", tol, "f={} raised by {}, g={}", sorted(gaps.items()))
+    identity = _worst("identity", tol, "element {}", (
+        ((i,), max(levy_distance(op(EPS0, f), f), levy_distance(op(f, EPS0), f)))
+        for i, f in enumerate(sample)
+    ))
+    return TriangleAxiomReport((commutative, associative, monotone, identity))
+
+
+def _ulp_shift(f: StepDistFn, ulps: int) -> StepDistFn:
+    # every location moved up by the same number of ulps keeps the order
+    pairs = []
+    for loc, val in f.jumps:
+        for _ in range(ulps):
+            loc = math.nextafter(loc, math.inf)
+        pairs.append((loc, val))
+    return StepDistFn.from_pairs(pairs)
+
+
+@st.composite
+def axiom_samples(draw) -> list[StepDistFn]:
+    """1 to 10 functions of 1 to 6 jumps, with EPS0, repeats and ulp-shifted copies."""
+    out: list[StepDistFn] = []
+    for _ in range(draw(st.integers(1, 10))):
+        how = draw(st.sampled_from(["new", "new", "eps0", "repeat", "shift"]))
+        if how == "eps0":
+            out.append(EPS0)
+        elif how == "repeat" and out:
+            out.append(draw(st.sampled_from(out)))
+        elif how == "shift" and out:
+            out.append(_ulp_shift(draw(st.sampled_from(out)), draw(st.integers(1, 3))))
+        else:
+            out.append(draw(st.one_of(step_fns(max_jumps=6), wide_step_fns(max_jumps=6))))
+    return out
+
+
+SAME_REPORT_OPS = {
+    **{kind: TriangleFn(kind) for kind in TRIANGLE_KINDS},
+    "projection": lambda f, g: f,
+    # f + 2g under the minimum t-norm: neither commutative nor associative
+    "skewed": lambda f, g: apply_supconv("min", f, apply_supconv("min", g, g)),
+}
+
+
+class TestSameReport:
+    """The memo, the Levy prune and the merge walk leave every report as it was."""
+
+    @pytest.mark.parametrize("name", sorted(SAME_REPORT_OPS))
+    @settings(max_examples=20)
+    @given(sample=axiom_samples(), tol=st.sampled_from([0.0, 1e-12, 2e-6, 0.05]))
+    def test_matches_the_table_reference(self, name: str, sample, tol: float) -> None:
+        op = SAME_REPORT_OPS[name]
+        try:
+            want = json.dumps(_table_reference_check(op, sample, tol=tol).to_json())
+        except ValueError as exc:
+            # a location sum beyond the float range: the same first error
+            with pytest.raises(ValueError) as again:
+                check_triangle_axioms(op, sample, tol=tol)
+            assert str(again.value) == str(exc)
+            return
+        assert json.dumps(check_triangle_axioms(op, sample, tol=tol).to_json()) == want
+
+    def test_a_feasible_worst_does_not_hide_a_larger_residual(self) -> None:
+        # element 0 sets the worst identity residual to 3 * 2**-51; element
+        # 1 is at 2**-49, where 8 + a rounds onto 8 + 2**-49 for every
+        # slack a above 2**-50, so that worst is already feasible for it
+        a, b = unit_step(2.0), unit_step(8.0)
+        shifted = {a: unit_step(2.0 + 3 * 2**-51), b: unit_step(8.0 + 2**-49)}
+
+        def op(f, g):
+            return shifted.get(g, g) if f == EPS0 else shifted.get(f, f) if g == EPS0 else f
+
+        rep = check_triangle_axioms(op, [a, b], tol=0.0)
+        assert rep["identity"] == AxiomCheck("identity", False, 2**-49, "element 1")
+        assert rep.to_json() == _table_reference_check(op, [a, b], tol=0.0).to_json()
