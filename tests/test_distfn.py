@@ -427,7 +427,7 @@ class TestPointwiseOps:
         g = StepDistFn.from_pairs(pairs)
         for a, b in ((f, g), (g, f)):
             locs = merged_locations(a, b)
-            probes = locs + [0.5 * (x + y) for x, y in zip(locs, locs[1:])] + [locs[-1] * 2 + 1]
+            probes = locs + [x + 0.5 * (y - x) for x, y in zip(locs, locs[1:])] + [locs[-1] * 2 + 1]
             lo, hi = pointwise_min(a, b), pointwise_max(a, b)
             assert pointwise_gap(a, b) == max(0.0, *(evaluate(a, x) - evaluate(b, x) for x in probes))
             for x in probes:
