@@ -307,24 +307,17 @@ def levy_distance_to_zero(f: StepDistFn) -> float:
 
     Equals ``inf { t > 0 : f(t) > 1 - t }``.  On each plateau (a, b] with
     value v the condition reads ``t > max(a, 1 - v)``, so the infimum is
-    the smallest such candidate that actually lies inside its plateau.
-    For a unit step at b this gives ``min(b, 1)``.
+    the smallest such candidate that actually lies inside its plateau:
+    the first one, since a later candidate is at least its plateau start,
+    past this plateau.  For a unit step at b this gives ``min(b, 1)``.
     """
-    locs = f._locs
-    vals = f._vals
-    best = math.inf
-    # plateaus: leading (0, locs[0]] at 0, inner ones, final (locs[-1], inf) at 1
-    pieces: list[tuple[float, float, float]] = []
-    if locs[0] > 0.0:
-        pieces.append((0.0, locs[0], 0.0))
-    for i in range(len(locs) - 1):
-        pieces.append((locs[i], locs[i + 1], vals[i]))
-    pieces.append((locs[-1], math.inf, 1.0))
-    for a, b, v in pieces:
-        cand = max(a, 1.0 - v)
-        if cand < b and cand < best:
-            best = cand
-    return best
+    a, v = 0.0, 0.0
+    for b, w in f.jumps:
+        c = max(a, 1.0 - v)
+        if c < b:
+            return c
+        a, v = b, w
+    return a
 
 
 def merged_locations(f: StepDistFn, g: StepDistFn) -> list[float]:

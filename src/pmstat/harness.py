@@ -8,10 +8,10 @@ checks between results that the theory forces to agree.  Negative
 controls that must fail are reported alongside; the suite passes when
 every regular check passes and every control fails.
 
-Also here: independent brute-force oracles for the Levy metric and for
-matrix densities.  They share only the elementary evaluation primitive
-with the library and are deliberately slow; tests freeze their outputs
-against the fast implementations.
+Also here: deliberately slow oracles for the Levy metric, which shares
+only the evaluation primitive with the library, and for matrix
+densities, the generic row loop over scalar rows and set predicates;
+tests freeze their outputs against the fast implementations.
 """
 
 from __future__ import annotations
@@ -157,13 +157,10 @@ def oracle_levy_distance(f: StepDistFn, g: StepDistFn, step: float = 0.01) -> fl
 
 
 def oracle_density(A: SummMatrix, member: IndexSet, n_rows: int) -> np.ndarray:
-    """Row-by-row density via raw matrix entries; small n_rows only."""
-    return np.array(
-        [
-            sum(A.entry(n, k) for k in A.row_support(n) if member.fn(k))
-            for n in range(1, n_rows + 1)
-        ]
-    )
+    """The generic row loop of ``SummMatrix`` on the indicator of the scalar
+    ``member.fn``: no kind's array series is read; small n_rows only."""
+    mem = np.array([member.fn(k) for k in range(1, A.support_bound(n_rows) + 1)], dtype=bool)
+    return SummMatrix.density_series(A, mem, n_rows)
 
 
 # ---------------------------------------------------------------------------

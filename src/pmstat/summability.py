@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -88,6 +89,8 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.status not in (CONVERGED, INCONCLUSIVE, DIVERGED):
             raise ValueError(f"unknown status {self.status!r}")
+        if not self.tol >= 0.0:  # NaN too: it would make every comparison against it false
+            raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
         if self.status == CONVERGED and self.residual > self.tol:
             raise ValueError(
                 f"converged verdict with residual {self.residual} above tol {self.tol}"
@@ -260,7 +263,12 @@ NO_INDICES = IndexSet("none", lambda k: False, lambda n: np.zeros(n, dtype=bool)
 
 
 def finite_set(members: Iterable[int]) -> IndexSet:
-    ms = frozenset(int(m) for m in members)
+    ms = set()
+    for m in members:
+        try:
+            ms.add(operator.index(m))
+        except TypeError:
+            raise ValueError(f"finite-set member {m!r} is not an integer") from None
     if any(m < 1 for m in ms):
         raise ValueError("indices start at 1")
     label = ",".join(str(m) for m in sorted(ms))
@@ -359,18 +367,16 @@ def _check_window(n_rows: int, start: int) -> None:
 
 
 class SummMatrix:
-    """Base class: a matrix given by entries with finite row support.
+    """Base class: a matrix given by its rows, each of finite support.
 
-    Subclasses override the vectorized paths; the generic fallbacks loop
-    over ``row_support`` and suit only small horizons.
+    ``row`` is the scalar form that oracles and tests compare against; the
+    generic fallbacks loop over it, and subclasses override them with arrays.
     """
 
     name: str = "abstract"
 
-    def entry(self, n: int, k: int) -> float:
-        raise NotImplementedError
-
-    def row_support(self, n: int) -> Iterable[int]:
+    def row(self, n: int) -> Iterable[tuple[int, float]]:
+        """The entries ``(k, a_nk)`` of row n, in increasing column order."""
         raise NotImplementedError
 
     def support_bound(self, n: int) -> int:
@@ -393,10 +399,8 @@ class SummMatrix:
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         """Partial A-densities ``y_n = sum_{m in M} a_nm`` for rows n = start..n_rows."""
         _check_window(n_rows, start)
-        rows = range(start, n_rows + 1)
-        top = max(max(self.row_support(n), default=1) for n in rows)
-        mem = _member_array(member, top)
-        return np.array([sum(self.entry(n, k) for k in self.row_support(n) if mem[k - 1]) for n in rows])
+        mem = _member_array(member, self.support_bound(n_rows))
+        return np.array([sum(a for k, a in self.row(n) if mem[k - 1]) for n in range(start, n_rows + 1)])
 
     def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
         """The least, greatest and last partial A-density over the tail
@@ -480,16 +484,10 @@ class TriangularMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return int(self._map(n)) if self._map is not None else n
 
-    def row_support(self, n: int) -> Iterable[int]:
-        return (int(v) for v in self._mapped(n))
-
-    def entry(self, n: int, k: int) -> float:
-        phi = self._map or (lambda j: j)
-        j = bisect_left(range(1, n + 1), k, key=phi) + 1
-        if j > n or phi(j) != k:
-            return 0.0
+    def row(self, n: int) -> list[tuple[int, float]]:
         total = self._weight_sums(n)[-1]  # raises before the power can overflow
-        return float(np.float64(j) ** self.power / total)
+        # scalar powers: NumPy's array power rounds some fractional powers differently
+        return [(k, float(np.float64(j) ** self.power / total)) for j, k in enumerate(self._mapped(n).tolist(), 1)]
 
     def _row_members(self, member: Membership, n: int) -> np.ndarray:
         """Whether phi(j) is a member, for rows j = 1..n."""
@@ -569,11 +567,8 @@ class IdentityMatrix(SummMatrix):
 
     name = "identity"
 
-    def entry(self, n: int, k: int) -> float:
-        return 1.0 if n == k else 0.0
-
-    def row_support(self, n: int) -> Iterable[int]:
-        return (n,)
+    def row(self, n: int) -> tuple[tuple[int, float], ...]:
+        return ((n, 1.0),)
 
     def support_bound(self, n: int) -> int:
         return n
@@ -589,11 +584,8 @@ class ConstantColumnMatrix(SummMatrix):
     col = 1
     name = "constcol:1"
 
-    def entry(self, n: int, k: int) -> float:
-        return 1.0 if k == self.col else 0.0
-
-    def row_support(self, n: int) -> Iterable[int]:
-        return (self.col,)
+    def row(self, n: int) -> tuple[tuple[int, float], ...]:
+        return ((self.col, 1.0),)
 
     def support_bound(self, n: int) -> int:
         return self.col
@@ -615,11 +607,8 @@ class BlockMatrix(SummMatrix):
         self.m = m
         self.name = f"block:{m}"
 
-    def entry(self, n: int, k: int) -> float:
-        return 1.0 / self.m if (n - 1) * self.m < k <= n * self.m else 0.0
-
-    def row_support(self, n: int) -> Iterable[int]:
-        return range((n - 1) * self.m + 1, n * self.m + 1)
+    def row(self, n: int) -> list[tuple[int, float]]:
+        return [(k, 1.0 / self.m) for k in range((n - 1) * self.m + 1, n * self.m + 1)]
 
     def support_bound(self, n: int) -> int:
         return n * self.m
@@ -651,22 +640,15 @@ class ExplicitMatrix(SummMatrix):
         self.name = name
         self._bounds = tuple(accumulate(map(len, self.rows), max))
 
-    def _row(self, n: int) -> tuple[float, ...]:
+    def row(self, n: int) -> Iterable[tuple[int, float]]:
         if n > len(self.rows):
             raise ValueError(f"row {n} beyond the {len(self.rows)} given rows")
-        return self.rows[n - 1]
-
-    def entry(self, n: int, k: int) -> float:
-        row = self._row(n)
-        return row[k - 1] if k <= len(row) else 0.0
-
-    def row_support(self, n: int) -> Iterable[int]:
-        return range(1, len(self._row(n)) + 1)
+        return enumerate(self.rows[n - 1], 1)
 
     def support_bound(self, n: int) -> int:
         """The longest of rows 1..n, so rows of uneven length still give a
         bound that never falls."""
-        self._row(n)
+        self.row(n)
         return self._bounds[n - 1]
 
     def max_row_for(self, horizon: int) -> int:
@@ -777,6 +759,8 @@ def check_regularity(
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     rows = min(horizon, A.max_row_for(horizon))
     w0 = tail_start(rows)
 

@@ -7,6 +7,9 @@ shrunk counterexamples readable.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -17,6 +20,7 @@ from pmstat import (
     build_equilateral,
     build_metric_induced,
     cesaro1,
+    matrix_from_spec,
 )
 
 settings.register_profile(
@@ -78,3 +82,21 @@ def cesaro():
 @pytest.fixture
 def fin_ideal():
     return Ideal.fin()
+
+
+@pytest.fixture
+def file_matrix(tmp_path):
+    """Make a random ``file:`` matrix from a seed: rows of uneven length
+    1..12 with non-negative entries, about a third of them 0."""
+
+    def make(seed: int, n_rows: int = 30):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(n_rows):
+            length = int(rng.integers(1, 13))
+            rows.append((rng.random(length) * (rng.random(length) < 0.7)).tolist())
+        path = tmp_path / f"rows-{seed}.json"
+        path.write_text(json.dumps(rows))
+        return matrix_from_spec(f"file:{path}")
+
+    return make

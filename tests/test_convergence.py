@@ -158,6 +158,15 @@ class TestStatisticalConvergence:
         for cand in ("a", "b", "c"):
             assert not ai_stat_conv_detect(alternator, cand, cesaro, fin_ideal).converged
 
+    @pytest.mark.parametrize("tol", [float("nan"), -0.5])
+    def test_nan_or_negative_tol_is_refused(self, except_squares, cesaro, fin_ideal, tol: float) -> None:
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ai_stat_conv_detect(except_squares, "a", cesaro, fin_ideal, 1000, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ai_stat_cauchy_detect(except_squares, cesaro, fin_ideal, 1000, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            strong_conv_detect(except_squares, "a", 1000, tol)
+
     def test_splicing_on_null_set_preserves_verdict(self, except_squares, cesaro, fin_ideal) -> None:
         y = splice(except_squares, ~POWERS_OF_TWO, "c")
         v = ai_stat_conv_detect(y, "a", cesaro, fin_ideal, tol=0.02)

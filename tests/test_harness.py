@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+from bisect import bisect_left
 
 import jsonschema
 import numpy as np
@@ -34,10 +35,17 @@ from pmstat.harness import (
 )
 from pmstat.summability import (
     EVENS,
+    NO_INDICES,
+    POWERS_OF_TWO,
     SQUARES,
     BlockMatrix,
+    ConstantColumnMatrix,
     IdentityMatrix,
+    SummMatrix,
+    TriangularMatrix,
     cesaro1,
+    finite_set,
+    matrix_from_spec,
     squares_rows,
 )
 
@@ -81,6 +89,57 @@ class TestOracles:
             want = oracle_density(A, member, 40)
             got = A.density_series(member, 40)
             assert np.allclose(got, want, atol=1e-9)
+
+
+def _entry(A: SummMatrix, n: int, k: int) -> float:
+    """Entry a_nk from each kind's closed form, one cell at a time."""
+    if isinstance(A, TriangularMatrix):
+        phi = A._map or (lambda j: j)
+        j = bisect_left(range(1, n + 1), k, key=phi) + 1
+        if j > n or phi(j) != k:
+            return 0.0
+        return float(np.float64(j) ** A.power / A._weight_sums(n)[-1])
+    if isinstance(A, IdentityMatrix):
+        return 1.0 if n == k else 0.0
+    if isinstance(A, ConstantColumnMatrix):
+        return 1.0 if k == A.col else 0.0
+    if isinstance(A, BlockMatrix):
+        return 1.0 / A.m if (n - 1) * A.m < k <= n * A.m else 0.0
+    row = A.rows[n - 1]
+    return row[k - 1] if k <= len(row) else 0.0
+
+
+def _row_support(A: SummMatrix, n: int) -> range | tuple[int, ...]:
+    if isinstance(A, TriangularMatrix):
+        return tuple(int(v) for v in A._mapped(n))
+    if isinstance(A, IdentityMatrix):
+        return (n,)
+    if isinstance(A, ConstantColumnMatrix):
+        return (A.col,)
+    if isinstance(A, BlockMatrix):
+        return range((n - 1) * A.m + 1, n * A.m + 1)
+    return range(1, len(A.rows[n - 1]) + 1)
+
+
+def _entry_oracle_density(A: SummMatrix, member, n_rows: int) -> np.ndarray:
+    """The density oracle as it was read cell by cell, from ``_entry`` and ``_row_support``."""
+    return np.array(
+        [sum(_entry(A, n, k) for k in _row_support(A, n) if member.fn(k)) for n in range(1, n_rows + 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cesaro", "identity", "constcol", "squares", "block:1", "block:7",
+     "weighted:0", "weighted:1", "weighted:0.5", "weighted:2", "weighted:-0.5", "file:1", "file:2"],
+)
+def test_density_oracle_is_bit_identical_to_the_entry_oracle(spec: str, file_matrix) -> None:
+    A = file_matrix(int(spec[5:])) if spec.startswith("file:") else matrix_from_spec(spec)
+    rows = min(200, A.max_row_for(40_000))
+    for member in (EVENS, SQUARES, POWERS_OF_TWO, finite_set([1, 3, 50]), NO_INDICES):
+        got = oracle_density(A, member, rows)
+        want = _entry_oracle_density(A, member, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (spec, member.name)
 
 
 class TestIndexSetsForInstances:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -83,6 +84,11 @@ class TestVerdict:
         rich = Verdict(DIVERGED, 0.0, 0.9, 0.1, 0.2, 0.8, witness=3).to_json()
         assert rich["tail_low"] == 0.2 and rich["witness"] == 3
 
+    @pytest.mark.parametrize("tol", [float("nan"), -0.5, -1e-300])
+    def test_tol_must_be_a_number_at_least_zero(self, tol: float) -> None:
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            Verdict(INCONCLUSIVE, 0.0, 0.9, tol)
+
     def test_tail_start(self) -> None:
         assert tail_start(10) == 5
         assert tail_start(7) == 4
@@ -117,6 +123,13 @@ class TestIndexSets:
         assert np.array_equal(s.indicator(4), np.array([False, False, True, False]))
         with pytest.raises(ValueError, match="start at 1"):
             finite_set([0, 3])
+        assert finite_set([np.int64(3)]).name == "finite:3"
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", None])
+    def test_finite_set_refuses_members_that_are_not_integers(self, bad) -> None:
+        # 2.5 was once truncated to the member 2
+        with pytest.raises(ValueError, match=re.escape(f"finite-set member {bad!r} is not an integer")):
+            finite_set([1, bad])
 
     def test_multiples(self) -> None:
         s = multiples(3, 1)
@@ -148,11 +161,16 @@ class TestIndexSets:
             bad.indicator(5)
 
 
+BUILT_IN_KINDS = [
+    "cesaro", "identity", "constcol", "squares", "block:1", "block:7",
+    "weighted:0", "weighted:1", "weighted:0.5", "weighted:2", "weighted:-0.5", "weighted:-2",
+]
+
+
 class TestMatrices:
     def test_cesaro_entries_and_density(self) -> None:
         A = cesaro1()
-        assert A.entry(5, 3) == pytest.approx(0.2)
-        assert A.entry(5, 6) == 0.0
+        assert A.row(5) == [(k, 0.2) for k in range(1, 6)]
         y = A.density_series(EVENS, 1000)
         assert y[0] == 0.0
         assert y[1] == 0.5
@@ -163,8 +181,7 @@ class TestMatrices:
         A = squares_rows()
         assert A.support_bound(10) == 100
         assert A.max_row_for(10_000) == 100
-        assert A.entry(5, 4) == pytest.approx(0.2)
-        assert A.entry(5, 3) == 0.0
+        assert A.row(5) == [(1, 0.2), (4, 0.2), (9, 0.2), (16, 0.2), (25, 0.2)]
         assert np.all(A.density_series(SQUARES, 50) == 1.0)
         # squares j*j with j even are exactly half of the first 100 rows
         assert A.density_series(EVENS, 100)[-1] == 0.5
@@ -187,7 +204,7 @@ class TestMatrices:
 
     def test_identity_matrix(self) -> None:
         A = IdentityMatrix()
-        assert A.entry(3, 3) == 1.0 and A.entry(3, 2) == 0.0
+        assert list(A.row(3)) == [(3, 1.0)]
         assert np.array_equal(A.density_series(EVENS, 6), EVENS.indicator(6).astype(float))
 
     def test_constant_column_matrix(self) -> None:
@@ -197,15 +214,15 @@ class TestMatrices:
 
     def test_explicit_matrix(self, tmp_path) -> None:
         A = ExplicitMatrix([[1.0], [0.5, 0.5]])
-        assert A.entry(2, 1) == 0.5
+        assert list(A.row(2)) == [(1, 0.5), (2, 0.5)]
         assert A.max_row_for(1) == 1
         assert A.max_row_for(5) == 2
         with pytest.raises(ValueError, match="beyond"):
-            A.entry(3, 1)
+            A.row(3)
         path = tmp_path / "rows.json"
         path.write_text(json.dumps([[1.0], [0.25, 0.75]]))
         B = ExplicitMatrix.from_file(str(path))
-        assert B.entry(2, 2) == 0.75
+        assert list(B.row(2)) == [(1, 0.25), (2, 0.75)]
         with pytest.raises(ValueError, match="no rows"):
             ExplicitMatrix([])
 
@@ -222,48 +239,46 @@ class TestMatrices:
     def test_explicit_matrix_rejects_negative_and_non_finite(self, bad: float) -> None:
         with pytest.raises(ValueError, match="finite and non-negative"):
             ExplicitMatrix([[1.0], [bad, 0.5]])
-        assert ExplicitMatrix([[0.0, 1.0], [-0.0, 1.0]]).entry(2, 1) == 0.0
-
-    @pytest.mark.parametrize(
-        "make",
-        [cesaro1, squares_rows, lambda: BlockMatrix(7), IdentityMatrix, lambda: weighted_mean(2.0)],
-        ids=["cesaro", "squares", "block7", "identity", "weighted2"],
-    )
-    def test_vectorized_density_matches_generic_loops(self, make) -> None:
-        A = make()
-        rows = min(60, A.max_row_for(3600))
-        for member in (EVENS, SQUARES, finite_set([2, 3, 50])):
-            fast = A.density_series(member, rows)
-            slow = SummMatrix.density_series(A, member, rows)
-            assert np.allclose(fast, slow, atol=1e-12), (A.name, member.name)
+        assert list(ExplicitMatrix([[0.0, 1.0], [-0.0, 1.0]]).row(2)) == [(1, 0.0), (2, 1.0)]
 
     @staticmethod
-    def _row_formula_entry(A: TriangularMatrix, n: int, k: int) -> float:
-        """``entry`` as a whole-row computation: map row n, weigh it, normalise."""
-        mapped = A._mapped(n)
-        idx = np.searchsorted(mapped, k)
-        if idx >= n or mapped[idx] != k:
-            return 0.0
+    def _array_row(A: TriangularMatrix, n: int) -> list[tuple[int, float]]:
+        """Row n as one array computation: map it, weigh it, normalise."""
         w = A._weights(n)
-        return float(w[idx] / w.sum())
+        return list(zip(A._mapped(n).tolist(), (w / w.sum()).tolist()))
 
     @pytest.mark.parametrize("spec", ["cesaro", "weighted:1", "weighted:0.5", "squares"])
-    def test_entry_matches_row_formula(self, spec: str, monkeypatch) -> None:
+    def test_row_matches_array_formula(self, spec: str) -> None:
         A = matrix_from_spec(spec)
-        cells = [(n, k) for n in (1, 2, 7, 64, 300) for k in range(0, A.support_bound(n) + 3)]
-        expected = [self._row_formula_entry(A, n, k) for n, k in cells]
-        # once the weight sums are cached, entry reads them and one weight,
-        # never a whole row
-        A._weight_sums(300)
-        monkeypatch.setattr(A, "_mapped", None)
-        monkeypatch.setattr(A, "_weights", None)
-        got = [A.entry(n, k) for n, k in cells]
-        if spec == "weighted:0.5":
-            # a fractional power rounds differently in NumPy's array and
-            # scalar paths, and a running sum differs from a pairwise one
-            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
-        else:
-            assert got == expected
+        for n in (1, 2, 7, 64, 300):
+            want = self._array_row(A, n)
+            got = A.row(n)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            got, expected = [a for _, a in got], [a for _, a in want]
+            if spec == "weighted:0.5":
+                # a fractional power rounds differently in NumPy's array and
+                # scalar paths, and a running sum differs from a pairwise one
+                assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+            else:
+                assert got == expected
+
+    @pytest.mark.parametrize("spec", BUILT_IN_KINDS + ["file:1", "file:2", "file:3"])
+    def test_rows_are_sorted_non_negative_and_sum_to_the_series(self, spec: str, file_matrix) -> None:
+        A = file_matrix(int(spec[5:])) if spec.startswith("file:") else matrix_from_spec(spec)
+        rows = min(60, A.max_row_for(3600))
+        for n in range(1, rows + 1):
+            row = list(A.row(n))
+            cols = [k for k, _ in row]
+            assert 1 <= cols[0] and cols[-1] <= A.support_bound(n), (spec, n)
+            assert all(j < k for j, k in zip(cols, cols[1:])), (spec, n)
+            assert all(a >= 0.0 for _, a in row), (spec, n)
+        rng = np.random.default_rng(len(spec))
+        members = [rng.random(A.support_bound(rows)) < share for share in (0.0, 0.1, 0.5, 0.9, 1.0)]
+        for member in members + [EVENS, SQUARES, finite_set([2, 3, 50])]:
+            for start in (1, tail_start(rows)):
+                fast = A.density_series(member, rows, start)
+                slow = SummMatrix.density_series(A, member, rows, start)
+                assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12), (spec, start)
 
     @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weights_rejected(self, power: float) -> None:
@@ -282,9 +297,10 @@ class TestMatrices:
                 A.density_series(EVENS, 6)
             with pytest.raises(ValueError, match="overflow from row 6"):
                 A.density_series(EVENS, 1000)
+            # the weight sums are read when the row is asked for, not when it is iterated
             with pytest.raises(ValueError, match="overflow from row 6"):
-                A.entry(1000, 3)
-            assert A.entry(5, 5) > 0.0
+                A.row(1000)
+            assert A.row(5)[-1][1] > 0.0
             # every weight j ** 102.5 up to j = 1000 is finite; their sums are not
             with pytest.raises(ValueError, match="overflow"):
                 check_regularity(weighted_mean(102.5), 1000)
@@ -425,10 +441,10 @@ class TestRegularity:
 
     @staticmethod
     def _brute_regularity(A: SummMatrix, horizon: int, tol: float) -> list[tuple[str, bool, float, float]]:
-        """The three conditions straight from ``entry`` and ``row_support``."""
+        """The three conditions straight from ``row``."""
         rows = min(horizon, A.max_row_for(horizon))
         w0 = tail_start(rows)
-        entries = [{k: A.entry(n, k) for k in A.row_support(n)} for n in range(1, rows + 1)]
+        entries = [dict(A.row(n)) for n in range(1, rows + 1)]
         abs_sums = [sum(abs(a) for a in row.values()) for row in entries]
         running = np.maximum.accumulate(abs_sums)
         growth = float(running[-1] - running[w0 - 1])
@@ -628,6 +644,18 @@ class TestDensities:
             ideal_limit_at(np.array([]), Ideal.fin(), 0.0)
         with pytest.raises(ValueError, match="at least 10"):
             ai_density(cesaro1(), Ideal.fin(), EVENS, horizon=5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -0.5])
+    def test_nan_or_negative_tol_is_refused(self, tol: float) -> None:
+        # once an inconclusive and a diverged answer, for sets of density 1/2 and 0
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ai_density(cesaro1(), Ideal.fin(), EVENS, 1000, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ai_density_is_null(cesaro1(), Ideal.fin(), SQUARES, 1000, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            ai_density_is_null(cesaro1(), Ideal.density_zero(cesaro1()), SQUARES, 1000, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            check_regularity(cesaro1(), 100, tol)
 
     def test_limit_search_finds_value(self) -> None:
         y = 0.5 + 1.0 / np.arange(1, 2001)
