@@ -39,7 +39,6 @@ from .summability import (
     SummMatrix,
     Verdict,
     ai_density_is_null,
-    combined_status,
     nonthin,
     tail_start,
 )
@@ -248,9 +247,12 @@ def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> tuple[
 
 def _null_row(
     x: IndexedSequence, c: str, A: SummMatrix, ideal: Ideal, horizon: int, tol: float
-) -> dict[float, Verdict]:
-    """Null verdicts of the defect sets ``{ k : x_k not in N_c(t) }`` over the threshold grid."""
-    return {t: ai_density_is_null(A, ideal, _neighborhood_defect(x, c, t), horizon, tol) for t in _grid(x.space)}
+) -> dict[str, Verdict]:
+    """Null verdicts of the defect sets ``{ k : x_k not in N_c(t) }``, keyed
+    ``t=<t>`` over the threshold grid in increasing t."""
+    return {
+        f"t={t}": ai_density_is_null(A, ideal, _neighborhood_defect(x, c, t), horizon, tol) for t in _grid(x.space)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +274,6 @@ def strong_conv_detect(
     return Verdict(status, limit, residual, tol, witness=k0)
 
 
-def _aggregate(per_t: dict[float, Verdict], value: object, tol: float, witness: object = None) -> Verdict:
-    status = combined_status(v.status for v in per_t.values())
-    residual = max((v.residual for v in per_t.values()), default=0.0)
-    detail = {f"t={t}": v.to_json() for t, v in sorted(per_t.items())}
-    return Verdict(status, value, residual, tol, witness=witness, detail=detail)
-
-
 def ai_stat_conv_detect(
     x: IndexedSequence,
     limit: str,
@@ -293,7 +288,7 @@ def ai_stat_conv_detect(
     must have A^I-density zero within tol.
     """
     _check_point(x.space, limit)
-    return _aggregate(_null_row(x, limit, A, ideal, horizon, tol), limit, tol)
+    return Verdict.all_of(_null_row(x, limit, A, ideal, horizon, tol), limit, tol)
 
 
 def ai_stat_cauchy_detect(
@@ -313,7 +308,7 @@ def ai_stat_cauchy_detect(
 
 
 def _anchor_search(
-    x: IndexedSequence, horizon: int, tol: float, row: Callable[[str], dict[float, Verdict]]
+    x: IndexedSequence, horizon: int, tol: float, row: Callable[[str], dict[str, Verdict]]
 ) -> Verdict:
     """The Cauchy anchor search over the null-verdict rows ``row(c)``, in
     order of first visit: the first converged anchor, else the earliest
@@ -324,7 +319,7 @@ def _anchor_search(
     best: Verdict | None = None
     for k, c in visits:
         p = x.space.points[c]
-        v = _aggregate(row(p), p, tol, witness=k + 1)
+        v = Verdict.all_of(row(p), p, tol, witness=k + 1)
         if v.converged:
             return v
         if best is None or v.residual < best.residual:
@@ -360,30 +355,30 @@ def lemma_cauchy_predicates(
     p1 = _anchor_search(x, horizon, tol, row)
     anchor = p1.value
 
-    per_g2: dict[float, Verdict] = {}
+    per_g2: dict[str, Verdict] = {}
     for g in _grid(space):
         try:
             slack = space.vicinity_composition_alpha(g)
         except ValueError:
             slack = g
         # the slack is g or a threshold below it, so it is on the grid
-        null_v = row(anchor)[slack]
+        null_v = row(anchor)[f"t={slack}"]
         removal = _neighborhood_defect(x, anchor, slack)
         kept = [space.points[c] for c in np.unique(x.value_codes(horizon)[~removal.indicator(horizon)])]
         gaps = [space.dist(a, b) for a in kept for b in kept]
         pair_gap = max((d - g + tol for d in gaps if d >= g), default=0.0)
         if pair_gap > 0.0 and null_v.converged:
-            per_g2[g] = Verdict(DIVERGED, anchor, max(null_v.residual, pair_gap), tol)
+            per_g2[f"t={g}"] = Verdict(DIVERGED, anchor, max(null_v.residual, pair_gap), tol)
         else:
-            per_g2[g] = null_v
-    p2 = _aggregate(per_g2, anchor, tol)
+            per_g2[f"t={g}"] = null_v
+    p2 = Verdict.all_of(per_g2, anchor, tol)
 
-    per_g3: dict[float, Verdict] = {}
+    per_g3: dict[str, Verdict] = {}
     for g in _grid(space):
-        bad = {c: not row(c)[g].converged for c in space.points}
+        bad = {c: not row(c)[f"t={g}"].converged for c in space.points}
         outer = _point_set(x, f"rows-with-bad-defect(t={g})", bad)
-        per_g3[g] = ai_density_is_null(A, ideal, outer, horizon, tol)
-    p3 = _aggregate(per_g3, anchor, tol)
+        per_g3[f"t={g}"] = ai_density_is_null(A, ideal, outer, horizon, tol)
+    p3 = Verdict.all_of(per_g3, anchor, tol)
 
     return p1, p2, p3
 
@@ -423,9 +418,9 @@ def ai_star_conv_detect(
         raise ValueError("a limit point is required unless cauchy=True")
     _check_point(x.space, target)
     j0, inner = _entry_index(x.space, sub, target)
-    residual = comp_v.residual if inner == CONVERGED else max(comp_v.residual, (j0 - 1) / kept)
-    status = combined_status((comp_v.status, inner))
-    return Verdict(status, target, residual, tol, witness={"subsequence_entry": j0, "kept": kept})
+    entry_v = Verdict(inner, target, 0.0 if inner == CONVERGED else (j0 - 1) / kept, tol)
+    parts = {"complement-null": comp_v, "entry": entry_v}
+    return Verdict.all_of(parts, target, tol, witness={"subsequence_entry": j0, "kept": kept})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ This module implements the piecewise-constant members of the family:
 * an exact closed form ``levy_distance_to_zero`` for the distance to the
   unit step at 0 (the maximal d.d.f.);
 * the pointwise partial order and pointwise min / max;
-* a finite-horizon weak-convergence verdict.
+* a finite-horizon weak-convergence ``Verdict``, read on the Levy
+  distances to the limit, since weak convergence of d.d.f.s is
+  convergence in the modified Levy metric.
 
 A d.d.f. that reaches 1 only in the limit has no exact finite-jump
 representation; approximate it with a final jump at a large declared
@@ -31,13 +33,14 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .summability import Verdict
 
 # Tolerance of the earlier bisection metric.  Kept for callers that still
 # pass it: ``levy_distance`` accepts and ignores it.
 DEFAULT_DL_TOL = 1e-6
-# Spacing of the fixed sample grid in ``weakly_converges``.
-WEAK_GRID_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -320,11 +323,6 @@ def levy_distance_to_zero(f: StepDistFn) -> float:
     return a
 
 
-def merged_locations(f: StepDistFn, g: StepDistFn) -> list[float]:
-    """Sorted union of jump locations; a shared refinement grid."""
-    return sorted(set(f._locs) | set(g._locs))
-
-
 def pointwise_leq(f: StepDistFn, g: StepDistFn) -> bool:
     """Whether ``f(t) <= g(t)`` for every t: ``pointwise_gap(f, g) == 0``."""
     return pointwise_gap(f, g) == 0.0
@@ -361,8 +359,7 @@ def pointwise_gap(f: StepDistFn, g: StepDistFn) -> float:
 
 
 def _pointwise(f: StepDistFn, g: StepDistFn, pick: Callable[[float, float], float]) -> StepDistFn:
-    # the merge walk of pointwise_gap; a shared location is read as f's,
-    # as the union in merged_locations keeps it
+    # the merge walk of pointwise_gap
     pairs: list[tuple[float, float]] = []
     fl, fv, gl, gv = f._locs, f._vals, g._locs, g._vals
     nf, ng = len(fl), len(gl)
@@ -391,69 +388,17 @@ def pointwise_max(f: StepDistFn, g: StepDistFn) -> StepDistFn:
     return _pointwise(f, g, max)
 
 
-@dataclass(frozen=True)
-class WeakConvergence:
-    """Finite-horizon weak-convergence verdict for a d.d.f. sequence.
+def weakly_converges(fs: Sequence[StepDistFn], f: StepDistFn, horizon: int, tol: float) -> Verdict:
+    """Weak convergence of ``fs`` to ``f`` at a finite horizon, as a ``Verdict``.
 
-    ``sup_residual`` is the worst pointwise deviation at sampled
-    continuity points of the target over the tail window;
-    ``dl_residual`` is the worst Levy distance over the same window.
-    Weak convergence is equivalent to Levy-distance convergence, so both
-    must be small for a true verdict.
+    Weak convergence of d.d.f.s is convergence in the modified Levy
+    metric (Schweizer and Sklar, *Probabilistic Metric Spaces*, 1983,
+    section 4.2), so this is the ordinary-limit verdict of the Levy
+    distances ``levy_distance(fs_k, f)``, k = 1..horizon, to 0: it reads
+    the tail window ``tail_start(horizon)..horizon``.
     """
+    from .summability import Ideal, ideal_limit_at  # summability imports this module
 
-    ok: bool
-    sup_residual: float
-    dl_residual: float
-    window: tuple[int, int]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def weakly_converges(
-    fs: Sequence[StepDistFn],
-    f: StepDistFn,
-    horizon: int,
-    tol: float,
-) -> WeakConvergence:
-    """Check weak convergence of ``fs`` to ``f`` at a finite horizon.
-
-    Samples |fs_k - f| at continuity points of ``f`` (midpoints between
-    jumps plus a fixed grid of step ``WEAK_GRID_STEP``, skipping the jump
-    locations themselves) for every k in the tail window
-    [horizon/2, horizon], and cross-checks with the Levy distance.
-    """
-    if not fs:
-        raise ValueError("empty function sequence")
     if not 1 <= horizon <= len(fs):
         raise ValueError(f"horizon {horizon} outside [1, {len(fs)}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    lo = max(1, math.ceil(horizon / 2))
-    tail = fs[lo - 1 : horizon]
-    hi_loc = max([f.support_end] + [h.support_end for h in tail]) + 1.0
-    samples: list[float] = []
-    locs = f.locations
-    for i in range(len(locs) - 1):
-        samples.append(0.5 * (locs[i] + locs[i + 1]))
-    steps = int(hi_loc / WEAK_GRID_STEP) + 1
-    jump_set = set(locs)
-    for j in range(1, steps + 1):
-        x = j * WEAK_GRID_STEP
-        if all(abs(x - loc) > 1e-12 for loc in jump_set):
-            samples.append(x)
-    samples.append(hi_loc + 1.0)
-
-    sup_res = 0.0
-    dl_res = 0.0
-    for h in tail:
-        for x in samples:
-            d = abs(evaluate(h, x) - evaluate(f, x))
-            if d > sup_res:
-                sup_res = d
-        dl = levy_distance(h, f)
-        if dl > dl_res:
-            dl_res = dl
-    ok = sup_res <= tol and dl_res <= tol
-    return WeakConvergence(ok, sup_res, dl_res, (lo, horizon))
+    return ideal_limit_at([levy_distance(h, f) for h in fs[:horizon]], Ideal.fin(), 0.0, tol)

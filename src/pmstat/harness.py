@@ -60,6 +60,7 @@ from .summability import (
     Ideal,
     IndexSet,
     SummMatrix,
+    Verdict,
     ai_density_is_null,
     ai_nonthin,
     a_density_partial,
@@ -571,13 +572,8 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
 
     dist_mat = np.array([[space.dist(p, q) for q in pts] for p in pts])
     pd = dist_mat[x.value_codes(N), y.value_codes(N)]
-    worst = 0.0
-    ok = True
-    for t in grid:
-        v = ai_density_is_null(A, ideal, pd >= t, N, tol)
-        ok = ok and v.converged
-        worst = max(worst, v.residual)
-    add("pointwise-gap-to-spliced-sequence-is-null", ok, worst)
+    v = Verdict.all_of({f"t={t}": ai_density_is_null(A, ideal, pd >= t, N, tol) for t in grid}, 0.0, tol)
+    add("pointwise-gap-to-spliced-sequence-is-null", v.converged, v.residual)
 
     lam = lambda_set(x, A, ideal, N, tol)
     add("statistical-limit-points-match-expected", lam == inst.expected_lambda, detail=sorted(lam))
@@ -620,15 +616,14 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
 
     if cauchy.converged:
         anchor = cauchy.value
-        ok = True
-        worst = 0.0
+        parts = {}
         for t in grid:
             for eps in (0.25, tol):
                 far = {p: 1.0 - space.ddf(p, anchor)(t) >= eps for p in pts}
-                v = ai_density_is_null(A, ideal, conv._point_set(x, f"far({anchor},t={t})", far), N, tol)
-                ok = ok and v.converged
-                worst = max(worst, v.residual)
-        add("ddf-at-anchor-statistically-one", ok, worst)
+                far_set = conv._point_set(x, f"far({anchor},t={t})", far)
+                parts[f"t={t},eps={eps}"] = ai_density_is_null(A, ideal, far_set, N, tol)
+        v = Verdict.all_of(parts, anchor, tol)
+        add("ddf-at-anchor-statistically-one", v.converged, v.residual)
 
     return checks
 

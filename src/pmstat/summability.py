@@ -49,7 +49,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class Verdict:
     tail window, and ``status`` one of converged / inconclusive /
     diverged.  ``tail_low`` and ``tail_high`` bracket the raw partial
     values over the tail window and serve as liminf / limsup proxies.
+    ``detail`` holds the named sub-verdicts that ``all_of`` combined.
     """
 
     status: str
@@ -84,7 +85,7 @@ class Verdict:
     tail_low: float | None = None
     tail_high: float | None = None
     witness: object = None
-    detail: dict | None = None
+    detail: Mapping[str, "Verdict"] | None = None
 
     def __post_init__(self) -> None:
         if self.status not in (CONVERGED, INCONCLUSIVE, DIVERGED):
@@ -116,16 +117,24 @@ class Verdict:
         if self.witness is not None:
             out["witness"] = self.witness
         if self.detail is not None:
-            out["detail"] = self.detail
+            out["detail"] = {name: v.to_json() for name, v in self.detail.items()}
         return out
 
+    @classmethod
+    def all_of(cls, parts: Mapping[str, "Verdict"], value: object, tol: float, **fields: object) -> "Verdict":
+        """The conjunction of named sub-verdicts, kept as its ``detail``.
 
-def combined_status(statuses: Iterable[str]) -> str:
-    """All converged: converged; any diverged: diverged; else inconclusive."""
-    statuses = list(statuses)
-    if all(s == CONVERGED for s in statuses):
-        return CONVERGED
-    return DIVERGED if DIVERGED in statuses else INCONCLUSIVE
+        Converged when every part is, diverged when any part is, else
+        inconclusive; the residual is the largest part residual (0.0 with
+        no parts).  ``fields`` are the other ``Verdict`` fields.
+        """
+        statuses = [v.status for v in parts.values()]
+        if all(s == CONVERGED for s in statuses):
+            status = CONVERGED
+        else:
+            status = DIVERGED if DIVERGED in statuses else INCONCLUSIVE
+        residual = max((v.residual for v in parts.values()), default=0.0)
+        return cls(status, value, residual, tol, detail=parts, **fields)
 
 
 def tail_start(n: int) -> int:
@@ -400,7 +409,7 @@ class SummMatrix:
         """Partial A-densities ``y_n = sum_{m in M} a_nm`` for rows n = start..n_rows."""
         _check_window(n_rows, start)
         mem = _member_array(member, self.support_bound(n_rows))
-        return np.array([sum(a for k, a in self.row(n) if mem[k - 1]) for n in range(start, n_rows + 1)])
+        return np.array([sum((a for k, a in self.row(n) if mem[k - 1]), 0.0) for n in range(start, n_rows + 1)])
 
     def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
         """The least, greatest and last partial A-density over the tail
@@ -843,7 +852,10 @@ class Ideal:
         no member from ``tail_start(horizon)`` on converges with residual
         0, as fin reads it (Fin is a subset of every admissible ideal).  A diverged set
         whose tail minimum is within SETTLE_FACTOR * tol is inconclusive.
+        A horizon below 1 is a ValueError.
         """
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
         marks = _member_array(member, horizon)
         if self.kind == "fin":
             w0 = tail_start(horizon)
@@ -986,15 +998,7 @@ def _ideal_limit(
             if must_converge and not v.converged:
                 return None
             sub[f"eps={eps}"] = v
-        return Verdict(
-            combined_status(v.status for v in sub.values()),
-            target,
-            max(v.residual for v in sub.values()),
-            tol,
-            low,
-            high,
-            detail={name: v.to_json() for name, v in sub.items()},
-        )
+        return Verdict.all_of(sub, target, tol, tail_low=low, tail_high=high)
 
     best: Verdict | None = None
     for target in targets:
@@ -1099,7 +1103,7 @@ def ai_density_is_null(
     if not marks.any():
         ideal.matrix.max_row_for(n)  # refuses a B that a defect reading refuses
         v = _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
-        return replace(v, detail={f"eps={eps}": v.to_json() for eps in _eps_grid(tol)})
+        return Verdict.all_of({f"eps={eps}": v for eps in _eps_grid(tol)}, 0.0, tol, tail_low=0.0, tail_high=0.0)
     return _ideal_limit(A.density_series(marks, n), n, ideal, (0.0,), tol)
 
 

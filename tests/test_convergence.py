@@ -222,18 +222,27 @@ class TestAnchorOrder:
         codes = present[rng.integers(0, len(present), size=horizon)]
         codes[rng.random(horizon) < skew] = codes[0]
         x = SimpleNamespace(space=SimpleNamespace(points=points), value_codes=lambda n: codes[:n].astype(np.int64))
-        visits = []
 
-        def record(per_t, value, tol, witness=None):
-            visits.append((value, witness))
-            return convergence.Verdict(DIVERGED, value, 1.0, tol, witness=witness)
+        def search(converge_at=None):
+            # the rows of the visited points, in visit order; only converge_at's row converges
+            visits = []
 
-        aggregate, convergence._aggregate = convergence._aggregate, record
-        try:
-            convergence._anchor_search(x, horizon, 0.01, lambda p: {})
-        finally:
-            convergence._aggregate = aggregate
-        assert visits == self._reference_visits(codes, points)
+            def row(p):
+                visits.append(p)
+                hit = p == converge_at
+                return {"t=1.0": convergence.Verdict(CONVERGED if hit else DIVERGED, p, 0.0 if hit else 1.0, 0.01)}
+
+            return convergence._anchor_search(x, horizon, 0.01, row), visits
+
+        want = self._reference_visits(codes, points)
+        v, visits = search()
+        assert visits == [p for p, _ in want]
+        # every residual ties, so the first visit is reported
+        assert (v.status, v.value, v.witness) == (DIVERGED, *want[0])
+        for i, (p, k) in enumerate(want):
+            v, visits = search(p)
+            assert (v.status, v.value, v.witness) == (CONVERGED, p, k)
+            assert visits == [q for q, _ in want[: i + 1]]
 
 
 class TestWitnessedConvergence:

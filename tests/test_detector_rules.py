@@ -69,20 +69,20 @@ class TestSharedNullVerdicts:
             for inst in generate_suite(1):
                 x, A, ideal, space = inst.x, inst.matrix, inst.ideal, inst.space
                 p1, p2, p3 = conv.lemma_cauchy_predicates(x, A, ideal, N, TOL)
-                assert p1.to_json() == conv.ai_stat_cauchy_detect(x, A, ideal, N, TOL).to_json(), inst.name
+                assert p1 == conv.ai_stat_cauchy_detect(x, A, ideal, N, TOL), inst.name
                 convs = {c: conv.ai_stat_conv_detect(x, c, A, ideal, N, TOL) for c in space.points}
                 codes = x.value_codes(N)
                 for g in conv._grid(space):
                     key = f"t={g}"
-                    bad = [i for i, c in enumerate(space.points) if convs[c].detail[key]["status"] != CONVERGED]
+                    bad = [i for i, c in enumerate(space.points) if not convs[c].detail[key].converged]
                     outer = ai_density_is_null(A, ideal, np.isin(codes, bad), N, TOL)
-                    assert p3.detail[key] == outer.to_json(), (inst.name, g)
+                    assert p3.detail[key] == outer, (inst.name, g)
                     try:
                         slack = space.vicinity_composition_alpha(g)
                     except ValueError:
                         slack = g
                     removal = convs[p1.value].detail[f"t={slack}"]
-                    assert p2.detail[key] == removal or p2.detail[key]["status"] == DIVERGED, (inst.name, g)
+                    assert p2.detail[key] == removal or p2.detail[key].status == DIVERGED, (inst.name, g)
 
 
 # a random prefix, then a run of one point, so that every entry status occurs
@@ -135,13 +135,17 @@ class TestOneEntryRule:
         residual = comp_v.residual if inner_ok else max(comp_v.residual, (j0 - 1) / kept)
         late = not inner_ok and j0 > kept - kept // 10
         status = CONVERGED if ok else (DIVERGED if comp_v.status == DIVERGED or late else INCONCLUSIVE)
-        assert v.to_json() == {
-            "status": status,
-            "value": target,
-            "residual": min(residual, TOL) if ok else residual,
-            "tol": TOL,
-            "witness": {"subsequence_entry": j0, "kept": kept},
-        }
+        assert (v.status, v.value, v.residual, v.tol, v.tail_low, v.witness) == (
+            status,
+            target,
+            min(residual, TOL) if ok else residual,
+            TOL,
+            None,
+            {"subsequence_entry": j0, "kept": kept},
+        )
+        # its parts: the complement's null verdict and the entry reading
+        assert v.detail["complement-null"] == comp_v
+        assert v.detail["entry"].converged == inner_ok
 
     @given(codes=codes_st)
     def test_lambda_admission(self, codes: list[int]) -> None:

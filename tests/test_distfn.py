@@ -14,7 +14,6 @@ from pmstat import (
     evaluate,
     levy_distance,
     levy_distance_to_zero,
-    merged_locations,
     pointwise_gap,
     pointwise_leq,
     pointwise_max,
@@ -24,6 +23,7 @@ from pmstat import (
 )
 
 from pmstat.distfn import _levy_candidates, levy_feasible, levy_within
+from pmstat.summability import CONVERGED, DIVERGED, INCONCLUSIVE, tail_start
 
 from conftest import step_fns, wide_step_fns
 
@@ -294,6 +294,14 @@ class TestExactLevySearch:
         for a in (0.781, 0.785, 0.789, 0.8):
             assert not levy_feasible(self.DEFECT_F, self.DEFECT_G, a)
 
+    def test_a_jump_exactly_at_the_range_end_is_not_tested(self) -> None:
+        # a = 0.5 reads x in (0, 2): g's jump at 2.0 lies on the end, so it is
+        # not read, though 1.0 - f+(2.5) = 0.6 exceeds a
+        f = StepDistFn.from_pairs([(0.1, 0.4), (3.0, 1.0)])
+        g = unit_step(2.0)
+        assert levy_feasible(f, g, 0.5)
+        assert levy_feasible(g, f, 0.5)
+
     @given(float_step_fns())
     def test_distance_to_eps0_is_closed_form_bit_for_bit(self, f: StepDistFn) -> None:
         assert levy_distance(f, EPS0) == levy_distance_to_zero(f)
@@ -370,9 +378,6 @@ class TestLevyWithin:
 
 
 class TestPointwiseOps:
-    def test_merged_locations(self) -> None:
-        assert merged_locations(F_HALF, unit_step(0.5)) == [0.25, 0.5, 0.75]
-
     def test_leq_reflexive_and_eps0_maximal(self) -> None:
         assert pointwise_leq(F_HALF, F_HALF)
         assert pointwise_leq(F_HALF, EPS0)
@@ -405,7 +410,7 @@ class TestPointwiseOps:
     def test_gap_equals_largest_evaluate_difference(self, f: StepDistFn, g: StepDistFn) -> None:
         # left-continuous evaluation at the merged locations, and at points
         # between and beyond them, where both functions are constant
-        locs = merged_locations(f, g)
+        locs = sorted({*f.locations, *g.locations})
         probes = locs + [0.5 * (a + b) for a, b in zip(locs, locs[1:])] + [locs[-1] * 2 + 1, math.inf]
         diffs = [evaluate(f, x) - evaluate(g, x) for x in probes]
         assert pointwise_gap(f, g) == max(0.0, *diffs)
@@ -426,7 +431,7 @@ class TestPointwiseOps:
             pairs.append((loc, run))
         g = StepDistFn.from_pairs(pairs)
         for a, b in ((f, g), (g, f)):
-            locs = merged_locations(a, b)
+            locs = sorted({*a.locations, *b.locations})
             probes = locs + [x + 0.5 * (y - x) for x, y in zip(locs, locs[1:])] + [locs[-1] * 2 + 1]
             lo, hi = pointwise_min(a, b), pointwise_max(a, b)
             assert pointwise_gap(a, b) == max(0.0, *(evaluate(a, x) - evaluate(b, x) for x in probes))
@@ -440,30 +445,41 @@ class TestPointwiseOps:
 
 
 class TestWeakConvergence:
+    # the ordinary-limit verdict of the Levy distances to the limit
     def test_constant_sequence_converges(self) -> None:
-        fs = [F_HALF] * 40
-        v = weakly_converges(fs, F_HALF, horizon=40, tol=0.01)
-        assert v.ok and bool(v)
-        assert v.sup_residual == 0.0 and v.dl_residual == 0.0
-        assert v.window == (20, 40)
+        v = weakly_converges([F_HALF] * 40, F_HALF, horizon=40, tol=0.01)
+        assert v.converged and bool(v)
+        assert (v.value, v.residual, v.tail_low, v.tail_high) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_reads_the_tail_window(self) -> None:
+        # a far function just before index tail_start(40) = 20 is not read; one at 20 is
+        assert tail_start(40) == 20
+        far = unit_step(0.4)
+        v = weakly_converges([far] * 19 + [F_HALF] * 21, F_HALF, horizon=40, tol=0.01)
+        assert v.converged
+        v = weakly_converges([far] * 20 + [F_HALF] * 20, F_HALF, horizon=40, tol=0.01)
+        assert v.status == INCONCLUSIVE and v.tail_high == levy_distance(far, F_HALF)
+        # the functions past the horizon are not read either
+        assert weakly_converges([F_HALF] * 40 + [far], F_HALF, horizon=40, tol=0.01).converged
 
     def test_shrinking_steps_converge_to_eps0(self) -> None:
         fs = [unit_step(1.0 / k) for k in range(1, 401)]
         v = weakly_converges(fs, EPS0, horizon=400, tol=0.02)
-        # sampled sup misses the spike left of each jump, Levy residual 1/200
-        assert v.ok
-        assert v.dl_residual == 1.0 / 200
+        # the Levy distances 1/k read 1/400 last and at most 1/200 over the window
+        assert v.status == CONVERGED
+        assert v.residual == 1.0 / 400 and v.tail_high == 1.0 / 200
 
     def test_stalled_sequence_fails(self) -> None:
-        fs = [unit_step(0.4)] * 60
-        v = weakly_converges(fs, EPS0, horizon=60, tol=0.02)
-        assert not v.ok
-        assert v.dl_residual == 0.4
+        v = weakly_converges([unit_step(0.4)] * 60, EPS0, horizon=60, tol=0.02)
+        assert v.status == DIVERGED
+        assert v.residual == 0.4
 
     def test_argument_validation(self) -> None:
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="horizon"):
             weakly_converges([], EPS0, horizon=1, tol=0.1)
         with pytest.raises(ValueError, match="horizon"):
             weakly_converges([EPS0], EPS0, horizon=5, tol=0.1)
-        with pytest.raises(ValueError, match="positive"):
-            weakly_converges([EPS0], EPS0, horizon=1, tol=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            weakly_converges([EPS0], EPS0, horizon=1, tol=-0.1)
+        # tol 0 is accepted, as by every Verdict
+        assert weakly_converges([EPS0], EPS0, horizon=1, tol=0.0).converged

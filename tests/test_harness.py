@@ -124,7 +124,7 @@ def _row_support(A: SummMatrix, n: int) -> range | tuple[int, ...]:
 def _entry_oracle_density(A: SummMatrix, member, n_rows: int) -> np.ndarray:
     """The density oracle as it was read cell by cell, from ``_entry`` and ``_row_support``."""
     return np.array(
-        [sum(_entry(A, n, k) for k in _row_support(A, n) if member.fn(k)) for n in range(1, n_rows + 1)]
+        [sum((_entry(A, n, k) for k in _row_support(A, n) if member.fn(k)), 0.0) for n in range(1, n_rows + 1)]
     )
 
 

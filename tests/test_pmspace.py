@@ -23,7 +23,6 @@ from pmstat import (
     evaluate,
     from_table,
     from_values,
-    merged_locations,
     unit_step,
 )
 from pmstat.convergence import _neighborhood_defect
@@ -243,8 +242,8 @@ def _reference_violations(space: FinitePMSpace) -> tuple:
         if table[(p, q)] != table[(q, p)]:
             bad.append(("P-3", (p, q), "table is not symmetric"))
     for p, q, r in itertools.product(pts, repeat=3):
-        lower = space.tau(table[(p, q)], table[(q, r)])
-        if not all(evaluate(lower, x) <= evaluate(table[(p, r)], x) for x in merged_locations(lower, table[(p, r)])):
+        lower, upper = space.tau(table[(p, q)], table[(q, r)]), table[(p, r)]
+        if not all(evaluate(lower, x) <= evaluate(upper, x) for x in sorted({*lower.locations, *upper.locations})):
             bad.append(("P-4", (p, q, r), "tau(F_pq, F_qr) exceeds F_pr somewhere"))
     return tuple(bad)
 

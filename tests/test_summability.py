@@ -61,6 +61,7 @@ from pmstat.summability import (
     _ideal_limit,
     _limit_input,
     _tail_verdict,
+    nonthin,
 )
 
 
@@ -83,6 +84,33 @@ class TestVerdict:
         assert "tail_low" not in lean and "witness" not in lean
         rich = Verdict(DIVERGED, 0.0, 0.9, 0.1, 0.2, 0.8, witness=3).to_json()
         assert rich["tail_low"] == 0.2 and rich["witness"] == 3
+
+    def test_all_of_is_the_conjunction_of_its_parts(self) -> None:
+        ok = Verdict(CONVERGED, 0.0, 0.01, 0.1)
+        unsure = Verdict(INCONCLUSIVE, 0.0, 0.3, 0.1)
+        bad = Verdict(DIVERGED, 0.0, 0.2, 0.1)
+        for parts, status, residual in (
+            ({"a": ok, "b": ok}, CONVERGED, 0.01),
+            ({"a": ok, "b": unsure}, INCONCLUSIVE, 0.3),
+            ({"a": unsure, "b": bad}, DIVERGED, 0.3),
+            ({"a": bad, "b": ok}, DIVERGED, 0.2),
+            ({}, CONVERGED, 0.0),
+        ):
+            v = Verdict.all_of(parts, "p", 0.1, witness=7)
+            assert (v.status, v.value, v.residual, v.tol, v.witness) == (status, "p", residual, 0.1, 7)
+            assert v.detail is parts
+
+    def test_json_writes_the_parts_recursively(self) -> None:
+        inner = Verdict.all_of({"eps=0.1": Verdict(CONVERGED, 0.0, 0.0, 0.1, 0.0, 0.0)}, 0.0, 0.1)
+        outer = Verdict.all_of({"t=0.5": inner}, "a", 0.1)
+        assert outer.to_json() == {
+            "status": CONVERGED,
+            "value": "a",
+            "residual": 0.0,
+            "tol": 0.1,
+            "detail": {"t=0.5": inner.to_json()},
+        }
+        assert outer.to_json()["detail"]["t=0.5"]["detail"]["eps=0.1"]["tail_low"] == 0.0
 
     @pytest.mark.parametrize("tol", [float("nan"), -0.5, -1e-300])
     def test_tol_must_be_a_number_at_least_zero(self, tol: float) -> None:
@@ -225,6 +253,12 @@ class TestMatrices:
         assert list(B.row(2)) == [(1, 0.25), (2, 0.75)]
         with pytest.raises(ValueError, match="no rows"):
             ExplicitMatrix([])
+
+    def test_explicit_series_is_float_on_a_window_with_no_member(self) -> None:
+        # the generic row loop sums no entry on such a window: still float64, as every kind
+        A = ExplicitMatrix([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]])
+        assert A.density_series(NO_INDICES, 4).dtype == np.float64
+        assert A.density_series(finite_set([4]), 4).tolist() == [0.0, 0.0, 0.0, 0.25]
 
     @pytest.mark.parametrize("rows", [[1, 2], 5, "rows", [[1.0], "ab"], [[True]], [[None]], [[1.0], [{"a": 1}]]])
     def test_explicit_matrix_rejects_rows_that_are_not_number_lists(self, rows) -> None:
@@ -540,6 +574,12 @@ class TestIdeals:
         assert v.converged and v.residual == 0.0
         assert (v.tail_low, v.tail_high) == (raw.tail_low, raw.tail_high)
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_is_refused(self, horizon: int) -> None:
+        for ideal in (Ideal.fin(), Ideal.density_zero(cesaro1())):
+            with pytest.raises(ValueError, match="horizon must be at least 1"):
+                ideal.contains(EVENS, horizon)
+
     def test_empty_set_reads_zero_with_no_series(self) -> None:
         B = ExplicitMatrix([[1.0], [0.5, 0.5]])
         B.density_series = B.tail_extremes = None  # any series would raise
@@ -553,6 +593,19 @@ class TestIdeals:
         assert ideal.name == "density-zero(cesaro)"
         with pytest.raises(ValueError, match="cannot parse"):
             ideal_from_spec("maximal")
+
+
+class TestTies:
+    """Each boundary of the verdict rules, held at an exact tie."""
+
+    def test_a_window_spread_of_exactly_settle_factor_tol_converges(self) -> None:
+        assert SETTLE_FACTOR * 0.25 == 1.0
+        assert _extremes_verdict(0.0, 1.0, 0.0, 0.0, 0.25).status == CONVERGED
+        assert _extremes_verdict(0.0, 1.5, 0.0, 0.0, 0.25).status == INCONCLUSIVE
+
+    def test_a_tail_low_equal_to_tol_is_thin(self) -> None:
+        assert not nonthin(Verdict(DIVERGED, 0.0, 0.5, 0.25, tail_low=0.25, tail_high=0.5))
+        assert nonthin(Verdict(DIVERGED, 0.0, 0.5, 0.25, tail_low=0.2500001, tail_high=0.5))
 
 
 class TestDensities:
@@ -727,7 +780,7 @@ def _reference_ideal_limit_at(y: np.ndarray, ideal: Ideal, target: float, tol: f
     w0 = tail_start(len(y))
     win = y[w0 - 1 :]
     dev = np.abs(y - target)
-    sub: dict[str, dict] = {}
+    sub: dict[str, Verdict] = {}
     worst = 0.0
     statuses = []
     for eps in _eps_grid(tol):
@@ -738,7 +791,7 @@ def _reference_ideal_limit_at(y: np.ndarray, ideal: Ideal, target: float, tol: f
             v = replace(v, status=CONVERGED, residual=0.0)
         elif v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
             v = replace(v, status=INCONCLUSIVE)
-        sub[f"eps={eps}"] = v.to_json()
+        sub[f"eps={eps}"] = v
         worst = max(worst, v.residual)
         statuses.append(v.status)
     if all(s == CONVERGED for s in statuses):
@@ -805,11 +858,8 @@ class TestSharedDefectVerdicts:
     @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="squares", tol=0.01, target=0.0)
     def test_matches_the_per_epsilon_loop(self, y, mspec, tol, target) -> None:
         ideal = ideal_from_spec(f"density:{mspec}")
-        assert ideal_limit(y, ideal, tol).to_json() == _reference_ideal_limit(y, ideal, tol).to_json()
-        assert (
-            ideal_limit_at(y, ideal, target, tol).to_json()
-            == _reference_ideal_limit_at(y, ideal, target, tol).to_json()
-        )
+        assert ideal_limit(y, ideal, tol) == _reference_ideal_limit(y, ideal, tol)
+        assert ideal_limit_at(y, ideal, target, tol) == _reference_ideal_limit_at(y, ideal, target, tol)
 
     def test_one_series_per_distinct_nonempty_defect(self) -> None:
         B = cesaro1()
@@ -878,13 +928,13 @@ class TestSharedDefectVerdicts:
         else:
             v = ideal_limit_at(y, ideal, target, tol)
         defects = {f"eps={eps}": np.abs(y - target) >= eps for eps in _eps_grid(tol)}
-        assert v.detail == {name: ideal.contains(d, len(y), tol).to_json() for name, d in defects.items()}
+        assert v.detail == {name: ideal.contains(d, len(y), tol) for name, d in defects.items()}
 
     def test_empty_defect_takes_its_closed_form(self) -> None:
         B = cesaro1()
         B.density_series = None  # any series built would raise
         v = ideal_limit_at(np.full(50, 0.5), Ideal.density_zero(B), 0.5, 0.01)
-        closed = Verdict(CONVERGED, 0.0, 0.0, 0.01, 0.0, 0.0).to_json()
+        closed = Verdict(CONVERGED, 0.0, 0.0, 0.01, 0.0, 0.0)
         assert v.converged
         assert len(v.detail) == len(_eps_grid(0.01))
         assert all(d == closed for d in v.detail.values())
@@ -928,12 +978,12 @@ class TestSkippedWork:
         if ideal.kind == "density":
             # each target on its own, against |y - t| built for every target
             for t, v in zip(candidates, separate):
-                assert v.to_json() == _reference_ideal_limit_at(y, ideal, t, tol).to_json()
-        assert ideal_limit(y, ideal, tol).to_json() == _best(separate).to_json()
+                assert v == _reference_ideal_limit_at(y, ideal, t, tol)
+        assert ideal_limit(y, ideal, tol) == _best(separate)
         ordered = [i for i in order if i < len(candidates)]
         want = _best([separate[i] for i in ordered])
         got = _ideal_limit(part, n, ideal, tuple(candidates[i] for i in ordered), tol)
-        assert got.to_json() == want.to_json()
+        assert got == want
 
     @pytest.mark.parametrize("bspec", ["cesaro", "squares", "weighted:1", "weighted:-1", "block:4", "identity"])
     @pytest.mark.parametrize("aspec", ["cesaro", "squares", "weighted:0.5", "block:3", "identity", "constcol"])

@@ -24,7 +24,6 @@ from pmstat import (
     dominates,
     evaluate,
     levy_distance,
-    merged_locations,
     pointwise_gap,
     pointwise_max,
     pointwise_min,
@@ -175,7 +174,7 @@ class TestTriangleFn:
 
 def _reference_leq(f: StepDistFn, g: StepDistFn) -> bool:
     # left-continuous evaluation at the merged locations decides the order
-    return all(evaluate(f, x) <= evaluate(g, x) for x in merged_locations(f, g))
+    return all(evaluate(f, x) <= evaluate(g, x) for x in sorted({*f.locations, *g.locations}))
 
 
 class TestAtMost:
