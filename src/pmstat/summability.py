@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -910,6 +911,38 @@ def _eps_grid(tol: float) -> tuple[float, ...]:
     return tuple(sorted((g for g in grid if g > 0.0), reverse=True))
 
 
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_PLACE = 0x7FF0_0000_0000_0000  # the bits of inf, its place in float order; -inf is at -_INF_PLACE
+
+
+def _defect_bounds(target: float, eps: float) -> tuple[float, float]:
+    """(lo, hi) with |fl(y - target)| >= eps exactly when y <= lo or y >= hi,
+    for finite y and target and eps > 0; a side no finite y reaches is -inf
+    or inf.  fl(y - t) is nondecreasing in y, so hi, the least float with
+    fl(hi - t) >= eps, is bracketed around fl(t + eps) and bisected over
+    float order; fl(y - t) = -fl(-y + t) makes lo the negated hi of -t.
+    """
+
+    def at(k: int) -> float:  # the float at place k of float order, 0.0 at 0
+        return _F64.unpack(_I64.pack(k if k >= 0 else -k | -(1 << 63)))[0]
+
+    def least(t: float) -> float:
+        def holds(k: int) -> bool:
+            return at(k) - t >= eps  # false at -inf, true at inf
+
+        i = _I64.unpack(_F64.pack(t + eps))[0]
+        k, d = (i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)), 1
+        while holds(max(-_INF_PLACE, k - d)) or not holds(min(_INF_PLACE, k + d)):
+            d *= 2
+        lo, hi = max(-_INF_PLACE, k - d), min(_INF_PLACE, k + d)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        return at(hi)
+
+    return -least(-target), least(target)
+
+
 def ideal_limit_at(
     y: np.ndarray,
     ideal: Ideal,
@@ -925,8 +958,7 @@ def ideal_limit_at(
     set in an extraction, across the epsilon grid and, in
     ``ideal_limit``, across the candidate limits, where a candidate that
     can no longer beat a converged one stops at its first non-converged
-    epsilon.  A null target on a ``y`` with no negative entry reads ``y``
-    itself as its deviations, with no copy; any other reads |y - target|.
+    epsilon.  A non-finite target is a ValueError.
     """
     return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
 
@@ -972,25 +1004,41 @@ def _ideal_limit(
     change the answer are skipped.  A target is converged only if every
     epsilon is, and a non-converged target never beats a converged one, so
     once some target has converged a later one stops at its first
-    non-converged epsilon and drops out.  A null target on a series with
-    no negative entry reads the series itself as its deviations:
-    fl(y - 0) = y and |y| = y for y >= 0.
+    non-converged epsilon and drops out.  A defect set is read against
+    ``_defect_bounds`` with no deviation built: the longest suffix, from the
+    tail window back to row 1 by halving, inside or beyond the bounds is
+    filled, and only the rows before it are compared.
     """
-    win = part[_tail_offset(n, ideal) :]
+    w = _tail_offset(n, ideal)
+    win = part[w:]
     low, high, last = _extremes(win)
+    # the least and greatest rows of the suffixes part[m:] for m = w, w // 2, ..., 1, 0
+    starts = [w >> j for j in range(w.bit_length() + 1)]
+    lows = np.minimum.accumulate([low, *np.minimum.reduceat(part[:w], starts[:0:-1])[::-1]]).tolist()
+    highs = np.maximum.accumulate([high, *np.maximum.reduceat(part[:w], starts[:0:-1])[::-1]]).tolist()
     decided: dict[bytes, Verdict] = {}
 
-    # a nested function, so one target's row arrays are freed before the next target's are built
+    def defect_rows(lo: float, hi: float) -> np.ndarray:
+        # fill the longest suffix that lies inside (lo, hi) or beyond one bound
+        m, fill = len(part), False
+        for start, s_low, s_high in zip(starts, lows, highs):
+            beyond = s_low >= hi or s_high <= lo
+            if not (beyond or lo < s_low and s_high < hi):
+                break
+            m, fill = start, beyond
+        defect = np.zeros(len(part), dtype=bool)
+        defect[m:] = fill
+        if highs[-1] >= hi:
+            np.greater_equal(part[:m], hi, out=defect[:m])
+        if lows[-1] <= lo:
+            defect[:m] |= part[:m] <= lo
+        return defect
+
+    # a nested function, so a target that can no longer win returns at its first unsettled epsilon
     def density_limit_at(target: float, must_converge: bool) -> Verdict | None:
-        # targets are distinct, so the sign pass runs at most once per extraction
-        if target == 0.0 and part.min() >= 0.0:  # false on NaN
-            dev = part
-        else:
-            dev = part - target
-            np.abs(dev, out=dev)
         sub: dict[str, Verdict] = {}
         for eps in _eps_grid(tol):
-            defect = dev >= eps
+            defect = defect_rows(*_defect_bounds(target, eps))
             key = np.packbits(defect).tobytes()
             v = decided.get(key)
             if v is None:
@@ -1002,6 +1050,8 @@ def _ideal_limit(
 
     best: Verdict | None = None
     for target in targets:
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target}")
         if ideal.kind == "fin":
             v = _extremes_verdict(low, high, last, target, tol, lambda t=target: float(np.abs(win - t).min()))
         else:

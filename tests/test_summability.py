@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -56,6 +58,7 @@ from pmstat.summability import (
     SETTLE_FACTOR,
     TriangularMatrix,
     _candidates,
+    _defect_bounds,
     _eps_grid,
     _extremes_verdict,
     _ideal_limit,
@@ -736,6 +739,14 @@ class TestDensities:
             with pytest.raises(ValueError, match=rf"finite, got {bad} at row {row}\b"):
                 ideal_limit(y, ideal)
 
+    @pytest.mark.parametrize("spec", ["fin", "density:cesaro", "density:weighted:1"])
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_targets_rejected(self, spec: str, target: float) -> None:
+        # a NaN target once converged under a density ideal with value nan and
+        # residual 0.0, and read inconclusive with residual nan under fin
+        with pytest.raises(ValueError, match=rf"target must be finite, got {target}$"):
+            ideal_limit_at(np.full(100, 0.5), ideal_from_spec(spec), target)
+
     def test_ai_density_of_evens_is_half(self) -> None:
         v = ai_density(cesaro1(), Ideal.fin(), EVENS)
         assert v.converged
@@ -819,20 +830,81 @@ def _reference_ideal_limit(y: np.ndarray, ideal: Ideal, tol: float) -> Verdict:
 
 
 LEVELS = [0.0, 0.25, 0.5, 1.0, 0.49, 0.97, 0.03]
+EPS_VALUES = sorted({eps for tol in (0.01, 0.02, 0.05) for eps in _eps_grid(tol)})
+
+
+def _edges(t: float, eps: float) -> list[float]:
+    """fl(t + eps) and fl(t - eps), each with the floats one ulp either side."""
+    return [math.nextafter(c, to) for c in (t + eps, t - eps) for to in (-math.inf, c, math.inf)]
 
 
 @st.composite
 def partial_sequences(draw) -> np.ndarray:
-    """Piecewise-constant or decaying partial values over 16..400 rows."""
-    n = draw(st.integers(16, 400))
-    if draw(st.booleans()):
+    """Piecewise-constant, decaying, or edge-valued partial values, over
+    16..400 rows or, so that the suffix ladder has many rungs, 4096..9000
+    rows, and sometimes negated.  Edge values lie at a level plus or minus
+    an epsilon of the grid, or one ulp off, where a defect begins."""
+    n = draw(st.one_of(st.integers(16, 400), st.integers(4096, 9000)))
+    kind = draw(st.sampled_from(["steps", "decay", "edges"]))
+    if kind == "steps":
         cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=4, unique=True)))
         levels = draw(st.lists(st.sampled_from(LEVELS), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
-        return np.repeat(levels, np.diff([0, *cuts, n])).astype(float)
-    limit = draw(st.sampled_from(LEVELS))
-    scale = draw(st.sampled_from([-1.0, -0.3, 0.2, 1.0]))
-    rate = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    return limit + scale / np.arange(1, n + 1) ** rate
+        y = np.repeat(levels, np.diff([0, *cuts, n])).astype(float)
+    elif kind == "decay":
+        limit = draw(st.sampled_from(LEVELS))
+        scale = draw(st.sampled_from([-1.0, -0.3, 0.2, 1.0]))
+        rate = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        y = limit + scale / np.arange(1, n + 1) ** rate
+    else:
+        edges = _edges(draw(st.sampled_from(LEVELS)), draw(st.sampled_from(EPS_VALUES)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        # edge values early, then a settled tail at the level's upper edge
+        y = rng.choice(edges, n)
+        y[draw(st.integers(1, n - 1)) :] = edges[1]
+    return -y if draw(st.booleans()) else y
+
+
+class TestDefectBounds:
+    """``_defect_bounds(t, eps)`` gives the exact rows where |y - t| >= eps."""
+
+    @staticmethod
+    def _agrees_near(t: float, eps: float) -> None:
+        lo, hi = _defect_bounds(t, eps)
+        probes = []
+        for bound in (lo, hi):
+            # a side no finite y reaches is probed at the greatest finite magnitude
+            c = bound if math.isfinite(bound) else math.copysign(sys.float_info.max, bound)
+            probes += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+        y = np.array([p for p in probes if math.isfinite(p)])
+        with np.errstate(over="ignore"):
+            want = np.abs(y - t) >= eps
+        assert np.array_equal((y <= lo) | (y >= hi), want), (t, eps, lo, hi)
+
+    @given(
+        magnitude=st.floats(1e-300, 1e300),
+        sign=st.sampled_from([1.0, -1.0]),
+        tol=st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.3, 1.0]),
+        pick=st.integers(0, 4),
+    )
+    def test_bounds_agree_with_the_deviation_one_ulp_either_side(self, magnitude, sign, tol, pick) -> None:
+        grid = _eps_grid(tol)
+        self._agrees_near(sign * magnitude, grid[pick % len(grid)])
+
+    @given(
+        t=st.sampled_from([0.0, -0.0, *LEVELS, *(-v for v in LEVELS)]),
+        eps=st.sampled_from(EPS_VALUES),
+        shift=st.sampled_from([0.0, 1.0, -1.0]),
+    )
+    def test_bounds_at_targets_an_epsilon_away_from_zero(self, t, eps, shift) -> None:
+        # a target at -eps puts hi just below 0.0, far from fl(t + eps) in float order
+        self._agrees_near(t + shift * eps, eps)
+
+    def test_a_side_no_finite_row_reaches_is_infinite(self) -> None:
+        top = sys.float_info.max
+        assert _defect_bounds(top, 0.01) == (math.nextafter(top, 0.0), math.inf)
+        assert _defect_bounds(-top, 0.01) == (-math.inf, math.nextafter(-top, 0.0))
+        self._agrees_near(top, 0.01)
+        self._agrees_near(-top, 0.01)
 
 
 class TestSharedDefectVerdicts:
@@ -856,6 +928,10 @@ class TestSharedDefectVerdicts:
     @example(y=np.r_[np.zeros(50), np.ones(350)], mspec="squares", tol=0.01, target=0.0)
     @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="cesaro", tol=0.01, target=0.0)
     @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="squares", tol=0.01, target=0.0)
+    # rows at 0.5 + eps and one ulp either side, then a tail a whole unit away
+    # over a long ladder; and a negated decay, whose defects lie below -eps
+    @example(y=np.r_[np.tile(_edges(0.5, 0.05), 100), np.full(5000, 1.5)], mspec="cesaro", tol=0.05, target=0.5)
+    @example(y=-0.5 - 0.3 / np.arange(1, 4097), mspec="weighted:1", tol=0.01, target=-0.5)
     def test_matches_the_per_epsilon_loop(self, y, mspec, tol, target) -> None:
         ideal = ideal_from_spec(f"density:{mspec}")
         assert ideal_limit(y, ideal, tol) == _reference_ideal_limit(y, ideal, tol)
@@ -951,9 +1027,9 @@ def _best(verdicts: list[Verdict]) -> Verdict:
 
 
 class TestSkippedWork:
-    """A target that can no longer win stops early, and a null target on a
-    series with no negative entry reads the series as its deviations;
-    neither changes an answer."""
+    """A target that can no longer win stops early, and a defect set
+    compares only the rows before the longest suffix that lies inside its
+    bounds or beyond one of them; neither changes an answer."""
 
     IDEALS = ["fin", "density:cesaro", "density:weighted:0", "density:weighted:1", "density:weighted:0.5"]
 
@@ -965,10 +1041,12 @@ class TestSkippedWork:
         order=st.permutations(range(5)),
     )
     # the converged null target first, then last; then a series that
-    # approaches 0 from below, whose null target keeps the abs pass
+    # approaches 0 from below, whose null target has its defects below -eps,
+    # and a long one, whose early rows cross both bounds before a settled tail
     @example(y=np.zeros(200), shift=0.0, ispec="density:cesaro", tol=0.01, order=[0, 1, 2, 3, 4])
     @example(y=np.zeros(200), shift=0.0, ispec="density:cesaro", tol=0.01, order=[4, 3, 2, 1, 0])
     @example(y=-0.3 / np.arange(1, 301), shift=0.0, ispec="density:weighted:1", tol=0.01, order=[2, 0, 1, 3, 4])
+    @example(y=np.cos(np.arange(5000.0)) / np.arange(1, 5001), shift=0.0, ispec="density:cesaro", tol=0.01, order=[0, 1, 2, 3, 4])
     def test_best_of_separate_targets(self, y, shift, ispec, tol, order) -> None:
         y = y - shift
         ideal = ideal_from_spec(ispec)
