@@ -919,25 +919,23 @@ def _defect_bounds(target: float, eps: float) -> tuple[float, float]:
     """(lo, hi) with |fl(y - target)| >= eps exactly when y <= lo or y >= hi,
     for finite y and target and eps > 0; a side no finite y reaches is -inf
     or inf.  fl(y - t) is nondecreasing in y, so hi, the least float with
-    fl(hi - t) >= eps, is bracketed around fl(t + eps) and bisected over
-    float order; fl(y - t) = -fl(-y + t) makes lo the negated hi of -t.
+    fl(hi - t) >= eps, is fl(t + eps) or a neighbour when one ulp around it
+    brackets the bound, and else bisected over float order; fl(y - t) =
+    -fl(-y + t) makes lo the negated hi of -t.
     """
 
     def at(k: int) -> float:  # the float at place k of float order, 0.0 at 0
         return _F64.unpack(_I64.pack(k if k >= 0 else -k | -(1 << 63)))[0]
 
     def least(t: float) -> float:
-        def holds(k: int) -> bool:
-            return at(k) - t >= eps  # false at -inf, true at inf
-
-        i = _I64.unpack(_F64.pack(t + eps))[0]
-        k, d = (i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)), 1
-        while holds(max(-_INF_PLACE, k - d)) or not holds(min(_INF_PLACE, k + d)):
-            d *= 2
-        lo, hi = max(-_INF_PLACE, k - d), min(_INF_PLACE, k + d)
+        c = t + eps
+        below, above = math.nextafter(c, -math.inf), math.nextafter(c, math.inf)
+        if below - t < eps <= above - t:
+            return c if c - t >= eps else above
+        lo, hi = -_INF_PLACE, _INF_PLACE  # -inf fails, inf holds
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+            lo, hi = (lo, mid) if at(mid) - t >= eps else (mid, hi)
         return at(hi)
 
     return -least(-target), least(target)
@@ -1014,8 +1012,8 @@ def _ideal_limit(
     low, high, last = _extremes(win)
     # the least and greatest rows of the suffixes part[m:] for m = w, w // 2, ..., 1, 0
     starts = [w >> j for j in range(w.bit_length() + 1)]
-    lows = np.minimum.accumulate([low, *np.minimum.reduceat(part[:w], starts[:0:-1])[::-1]]).tolist()
-    highs = np.maximum.accumulate([high, *np.maximum.reduceat(part[:w], starts[:0:-1])[::-1]]).tolist()
+    lows = list(accumulate([low, *np.minimum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], min))
+    highs = list(accumulate([high, *np.maximum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], max))
     decided: dict[bytes, Verdict] = {}
 
     def defect_rows(lo: float, hi: float) -> np.ndarray:
