@@ -896,7 +896,8 @@ class TestDefectBounds:
         shift=st.sampled_from([0.0, 1.0, -1.0]),
     )
     def test_bounds_at_targets_an_epsilon_away_from_zero(self, t, eps, shift) -> None:
-        # a target at -eps puts hi just below 0.0, far from fl(t + eps) in float order
+        # a target at -eps puts hi just below 0.0, many floats away from
+        # fl(t + eps) = 0.0, where one ulp around it does not bracket the bound
         self._agrees_near(t + shift * eps, eps)
 
     def test_a_side_no_finite_row_reaches_is_infinite(self) -> None:
@@ -928,7 +929,7 @@ class TestSharedDefectVerdicts:
     @example(y=np.r_[np.zeros(50), np.ones(350)], mspec="squares", tol=0.01, target=0.0)
     @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="cesaro", tol=0.01, target=0.0)
     @example(y=np.r_[np.ones(50), np.zeros(350)], mspec="squares", tol=0.01, target=0.0)
-    # rows at 0.5 + eps and one ulp either side, then a tail a whole unit away
+    # rows at 0.5 +- eps and one ulp either side, then a tail a whole unit away
     # over a long ladder; and a negated decay, whose defects lie below -eps
     @example(y=np.r_[np.tile(_edges(0.5, 0.05), 100), np.full(5000, 1.5)], mspec="cesaro", tol=0.05, target=0.5)
     @example(y=-0.5 - 0.3 / np.arange(1, 4097), mspec="weighted:1", tol=0.01, target=-0.5)
