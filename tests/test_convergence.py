@@ -39,6 +39,7 @@ from pmstat import (
     stat_bounded_check,
     strong_conv_detect,
     strong_limit_point_set,
+    tail_start,
     unit_step,
     visit_set,
     visit_witnesses,
@@ -235,6 +236,9 @@ class TestAnchorOrder:
             return convergence._anchor_search(x, horizon, 0.01, row), visits
 
         want = self._reference_visits(codes, points)
+        # the tail window's presence follows the same comparison rule
+        tail = np.unique(codes[tail_start(horizon) - 1 :])
+        assert convergence.strong_limit_point_set(x, horizon) == frozenset(points[int(c)] for c in tail)
         v, visits = search()
         assert visits == [p for p, _ in want]
         # every residual ties, so the first visit is reported
@@ -243,6 +247,30 @@ class TestAnchorOrder:
             v, visits = search(p)
             assert (v.status, v.value, v.witness) == (CONVERGED, p, k)
             assert visits == [q for q, _ in want[: i + 1]]
+
+
+class TestPointSetByComparison:
+    """A point set's indicator is read by comparing codes, never by a table gather."""
+
+    @given(
+        n_points=st.integers(1, 300),
+        horizon=st.integers(1, 400),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_indicator_matches_the_table_gather(self, n_points, horizon, seed, data) -> None:
+        rng = np.random.default_rng(seed)
+        # a stand-in carrier: 300 points take the two-byte codes without building a space
+        points = tuple(f"p{i}" for i in range(n_points))
+        codes = rng.integers(0, n_points, size=horizon).astype(np.min_scalar_type(n_points - 1))
+        x = SimpleNamespace(space=SimpleNamespace(points=points), value_codes=lambda n: codes[:n])
+        # flagged sets of every size, the empty and the full set included
+        n_flagged = data.draw(st.integers(0, n_points))
+        flagged = set(rng.permutation(n_points)[:n_flagged].tolist())
+        flags = [c in flagged for c in range(n_points)]
+        got = convergence._point_set(x, "s", dict(zip(points, flags))).indicator(horizon)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.array(flags)[codes.astype(np.intp)])
 
 
 class TestWitnessedConvergence:

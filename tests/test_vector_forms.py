@@ -9,6 +9,8 @@ the seeded instance corpus.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -90,10 +92,50 @@ def test_sequence_codes_match_generator(x: IndexedSequence, n: int, m: int) -> N
     # two horizons in either order: the cache grows and slices
     for h in (n, m):
         assert np.array_equal(x.value_codes(h), scalar_codes(x, h))
+        assert x.value_codes(h).dtype == np.min_scalar_type(len(x.space.points) - 1)
     assert x.values(n) == [x.fn(k) for k in range(1, n + 1)]
     p = x.space.points[0]
     vs = visit_set(x, p)
     assert np.array_equal(vs.indicator(m), np.array([vs.fn(k) for k in range(1, m + 1)]))
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 256, 257, 300])
+def test_codes_take_the_smallest_unsigned_type(n_points: int) -> None:
+    # a stand-in carrier reaches two-byte codes without building a 257-point space
+    pts = tuple(f"p{i}" for i in range(n_points))
+    space = SimpleNamespace(points=pts)
+    first, last = pts[0], pts[-1]
+    base = eventually_constant(space, last, SQUARES)
+    for x in (
+        constant_sequence(space, last),
+        base,
+        eventually_constant(space, first, EVENS, off=last),
+        alternating(space, first, last, ODDS),
+        from_values(space, pts[::-1], first),
+        splice(base, ~CUBES, first),
+    ):
+        assert x.value_codes(500).dtype == np.min_scalar_type(n_points - 1), x.description
+        assert np.array_equal(x.value_codes(500), scalar_codes(x, 500)), x.description
+
+
+masks = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=500).map(np.array),
+    # alternating masks, the case on which np.where branches on every row
+    st.tuples(st.integers(1, 500), st.booleans()).map(lambda t: (np.arange(t[0]) % 2 == 0) ^ t[1]),
+)
+
+
+@given(sequences(), masks, st.data())
+def test_alternating_and_splice_match_where(base: IndexedSequence, mask: np.ndarray, data) -> None:
+    space, n = base.space, len(mask)
+    p, q, fill = (data.draw(st.sampled_from(space.points)) for _ in range(3))
+    sel = IndexSet("mask", lambda k: bool(mask[k - 1]), lambda m: mask[:m])
+    alt = alternating(space, p, q, sel).value_codes(n)
+    spliced = splice(base, sel, fill).value_codes(n)
+    assert alt.dtype == spliced.dtype == np.min_scalar_type(len(space.points) - 1)
+    idx = space.points.index
+    assert np.array_equal(alt, np.where(mask, idx(p), idx(q)))
+    assert np.array_equal(spliced, np.where(mask, base.value_codes(n), idx(fill)))
 
 
 def test_suite_instance_codes_match_generator() -> None:
@@ -107,6 +149,24 @@ def test_array_form_is_required(eq3) -> None:
         IndexSet("x", lambda k: True)
     with pytest.raises(TypeError, match="codes"):
         IndexedSequence(eq3, lambda k: "a", "d")
+
+
+@pytest.mark.parametrize(
+    "codes, message",
+    [
+        (lambda n: np.full(n, 256), "row 1 has code 256, not a point of the 3-point carrier"),
+        (lambda n: np.r_[np.zeros(n - 1, dtype=np.int64), -1], "row 5 has code -1, not a point"),
+        (lambda n: np.zeros(n - 2, dtype=np.int64), r"codes\(5\) has 3 rows; row 4 is missing"),
+        (lambda n: np.zeros(n + 1, dtype=np.int64), r"codes\(5\) has 6 rows; row 6 is past the horizon"),
+        (lambda n: np.zeros(n), "codes must be integers, got float64"),
+        (lambda n: np.zeros((n, 1), dtype=np.int64), "one code per row"),
+    ],
+)
+def test_bad_codes_are_refused_before_narrowing(eq3, codes, message: str) -> None:
+    # 256 would wrap to code 0 in one byte, a silently wrong sequence
+    x = IndexedSequence(eq3, lambda k: "a", "bad", codes)
+    with pytest.raises(ValueError, match=message):
+        x.value_codes(5)
 
 
 def test_cached_codes_are_read_only(eq3) -> None:
