@@ -156,6 +156,7 @@ def test_array_form_is_required(eq3) -> None:
     [
         (lambda n: np.full(n, 256), "row 1 has code 256, not a point of the 3-point carrier"),
         (lambda n: np.r_[np.zeros(n - 1, dtype=np.int64), -1], "row 5 has code -1, not a point"),
+        (lambda n: np.r_[np.zeros(n - 2, dtype=np.uint8), 3, 0], "row 4 has code 3, not a point"),
         (lambda n: np.zeros(n - 2, dtype=np.int64), r"codes\(5\) has 3 rows; row 4 is missing"),
         (lambda n: np.zeros(n + 1, dtype=np.int64), r"codes\(5\) has 6 rows; row 6 is past the horizon"),
         (lambda n: np.zeros(n), "codes must be integers, got float64"),
