@@ -217,15 +217,12 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _detector_env(args: argparse.Namespace):
-    space = space_from_spec(args.space)
-    x = sequence_from_spec(space, args.seq)
-    A = matrix_from_spec(args.matrix)
-    ideal = ideal_from_spec(args.ideal)
-    return space, x, A, ideal
+    x = sequence_from_spec(space_from_spec(args.space), args.seq)
+    return x, matrix_from_spec(args.matrix), ideal_from_spec(args.ideal)
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    space, x, A, ideal = _detector_env(args)
+    x, A, ideal = _detector_env(args)
     v = conv.ai_stat_conv_detect(x, args.limit, A, ideal, args.N, args.tol)
     print(f"strong A^I-statistical convergence to {args.limit}: {v.status} (residual {v.residual:.4g})")
     _emit(args, {"command": "converge", "limit": args.limit, "verdict": v.to_json()})
@@ -233,7 +230,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
-    space, x, A, ideal = _detector_env(args)
+    x, A, ideal = _detector_env(args)
     v = conv.ai_stat_cauchy_detect(x, A, ideal, args.N, args.tol)
     print(
         f"strong A^I-statistical Cauchy: {v.status} "
@@ -244,7 +241,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_point_set(args: argparse.Namespace) -> int:
-    space, x, A, ideal = _detector_env(args)
+    x, A, ideal = _detector_env(args)
     detect, kind = (conv.lambda_set, "limit") if args.cmd == "lambda" else (conv.gamma_set, "cluster")
     pts = sorted(detect(x, A, ideal, args.N, args.tol))
     print(f"statistical {kind} points: {{{', '.join(pts)}}}")
@@ -282,12 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write a JSON report to this path")
     common.add_argument("--config", help="JSON file with default option values")
 
-    detector = argparse.ArgumentParser(add_help=False)
-    detector.add_argument("--space", default=None, help="space spec", required=False)
-    detector.add_argument("--matrix", default=None, help="summability matrix spec")
-    detector.add_argument("--ideal", default=None, help="ideal spec")
-    detector.add_argument("--N", type=int, default=None, help="finite horizon")
-    detector.add_argument("--tol", type=float, default=None, help="decision tolerance")
+    # each subcommand takes the options its _cmd_* reads: suite --N --tol,
+    # matrix-check adds --matrix, density --ideal, and a detector --space
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--N", type=int, default=None, help="finite horizon")
+    horizon.add_argument("--tol", type=float, default=None, help="decision tolerance")
+    matrix = argparse.ArgumentParser(add_help=False, parents=[horizon])
+    matrix.add_argument("--matrix", default=None, help="summability matrix spec")
+    ideal = argparse.ArgumentParser(add_help=False, parents=[matrix])
+    ideal.add_argument("--ideal", default=None, help="ideal spec")
+    detector = argparse.ArgumentParser(add_help=False, parents=[ideal])
+    detector.add_argument("--space", default=None, help="space spec (flag or config)")
 
     p = sub.add_parser("dl", parents=[common], help="Levy distance between two step d.d.f.s")
     p.add_argument("f", help="first distribution function spec")
@@ -304,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space", help="space spec")
     p.set_defaults(fn=_cmd_space_validate)
 
-    p = sub.add_parser("matrix-check", parents=[common, detector], help="finite-horizon regularity check")
+    p = sub.add_parser("matrix-check", parents=[common, matrix], help="finite-horizon regularity check")
     p.set_defaults(fn=_cmd_matrix_check)
 
-    p = sub.add_parser("density", parents=[common, detector], help="A^I-density of an index set")
+    p = sub.add_parser("density", parents=[common, ideal], help="A^I-density of an index set")
     p.add_argument("set", help="index set spec")
     p.set_defaults(fn=_cmd_density)
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help="sequence spec")
     p.set_defaults(fn=_cmd_point_set)
 
-    p = sub.add_parser("suite", parents=[common, detector], help="run the seeded theorem suite")
+    p = sub.add_parser("suite", parents=[common, horizon], help="run the seeded theorem suite")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--size", type=int, default=None, help="number of generated instances")
     p.add_argument("--csv", help="also write the checks as CSV")
@@ -370,8 +372,8 @@ def _number(dest: str, raw: object) -> int | float:
 
 
 def _fill_defaults(args: argparse.Namespace) -> None:
-    """Fill unset options, then check the numeric ones, whether they came
-    from a flag, ``--config`` or the environment."""
+    """Fill unset options, then check the numeric ones and the spec strings,
+    whether they came from a flag, ``--config`` or the environment."""
     defaults = {
         "N": DEFAULT_HORIZON,
         "tol": DEFAULT_SUITE_TOL if args.cmd == "suite" else DEFAULT_TOL,
@@ -386,6 +388,12 @@ def _fill_defaults(args: argparse.Namespace) -> None:
     for dest in _NUMERIC:
         if hasattr(args, dest):
             setattr(args, dest, _number(dest, getattr(args, dest)))
+    for dest in ("space", "matrix", "ideal"):
+        raw = getattr(args, dest, "")
+        if raw is None:  # only --space has no default
+            raise ValueError(f"{args.cmd} needs --space (flag or config)")
+        if not isinstance(raw, str):
+            raise ValueError(f"--{dest} must be a spec string, got {raw!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,13 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         _fill_defaults(args)
-        if hasattr(args, "space") and args.space is None and args.cmd in (
-            "converge",
-            "cauchy",
-            "lambda",
-            "gamma",
-        ):
-            raise ValueError(f"{args.cmd} needs --space (flag or config)")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,7 +63,7 @@ class IndexedSequence:
     fn: Callable[[int], str]
     description: str
     codes: Callable[[int], np.ndarray] = field(repr=False)
-    _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8), repr=False)
+    _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8), init=False, repr=False)
 
     def values(self, n: int) -> list[str]:
         return [self.space.points[c] for c in self.value_codes(n).tolist()]
@@ -288,8 +288,8 @@ def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> tuple[
     cannot hide behind the horizon; it diverges when j0 lies in the last
     tenth, and is inconclusive in between.
     """
-    n = len(codes)
-    far = [space.dist(p, target) >= min(_grid(space)) for p in space.points]
+    n, t = len(codes), min(_grid(space))
+    far = [space.dist(p, target) >= t for p in space.points]
     bad = np.flatnonzero(_among(codes, far))
     j0 = int(bad[-1]) + 2 if len(bad) else 1
     if j0 <= n // 2:

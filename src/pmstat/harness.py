@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -404,12 +404,7 @@ class SuiteConfig:
     size: int = DEFAULT_SUITE_SIZE
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "tol": self.tol,
-            "size": self.size,
-        }
+        return asdict(self)
 
 
 def _check(

@@ -312,7 +312,7 @@ def build_equilateral(points: Sequence[str], f: StepDistFn) -> FinitePMSpace:
 
 def build_metric_induced(
     points: Sequence[str],
-    d: Mapping[tuple[str, str], float] | Callable[[str, str], float],
+    d: Callable[[str, str], float],
 ) -> FinitePMSpace:
     """The space with ``F_pq = unit_step(d(p, q))``.
 
@@ -326,22 +326,10 @@ def build_metric_induced(
     ulps of d(p,r), so a violation by rounding alone is named.
     """
     pts = tuple(points)
-
-    def metric(p: str, q: str) -> float:
-        if callable(d):
-            return float(d(p, q))
-        if (p, q) in d:
-            return float(d[(p, q)])
-        if (q, p) in d:
-            return float(d[(q, p)])
-        if p == q:
-            return 0.0
-        raise ValueError(f"metric value missing for pair ({p}, {q})")
-
     vals: dict[tuple[str, str], float] = {}
     for p in pts:
         for q in pts:
-            v = metric(p, q)
+            v = float(d(p, q))
             if math.isnan(v) or v < 0.0:
                 raise AxiomViolation("metric", (p, q), f"negative or NaN distance {v}")
             vals[(p, q)] = v

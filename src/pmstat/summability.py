@@ -800,35 +800,43 @@ def check_regularity(
 
 @dataclass(frozen=True)
 class Ideal:
-    """An admissible ideal of index sets, given as a decision procedure.
+    """An admissible ideal of index sets, determined by its B alone.
 
-    Kinds: ``fin`` (finite sets) and ``density`` (sets of B-density zero
-    for a regular matrix B).  Both contain every finite set and not the
-    whole index set, hence are admissible, and both support membership
-    verdicts (``contains``, which holds every membership rule) and limit
-    extraction.  ``density_zero`` refuses a B whose closed form shows a
-    column that does not vanish.
+    ``matrix`` is None for fin (finite sets) and B for the sets of
+    B-density zero; ``kind`` and ``name`` are read from it.  Both contain
+    every finite set and not the whole index set, hence are admissible,
+    and both support membership verdicts (``contains``, which holds every
+    membership rule) and limit extraction.  Building a density ideal on a
+    B whose closed form shows a column that does not vanish is a
+    ValueError: that column's finite set would have positive B-density.
     """
 
-    kind: str
-    name: str
     matrix: SummMatrix | None = None
+
+    def __post_init__(self) -> None:
+        col = None if self.matrix is None else self.matrix.nonvanishing_column()
+        if col is not None:
+            raise ValueError(
+                f"density ideal of {self.matrix.name} is not admissible: column {col} does not tend to 0, "
+                f"so the finite set {{{col}}} does not have B-density zero"
+            )
+
+    @property
+    def kind(self) -> str:
+        return "fin" if self.matrix is None else "density"
+
+    @property
+    def name(self) -> str:
+        return "fin" if self.matrix is None else f"density-zero({self.matrix.name})"
 
     @classmethod
     def fin(cls) -> "Ideal":
-        return cls("fin", "fin")
+        return cls()
 
     @classmethod
     def density_zero(cls, matrix: SummMatrix) -> "Ideal":
-        """The sets of B-density zero; a B with a column that does not
-        vanish gives a finite set positive density, and is a ValueError."""
-        col = matrix.nonvanishing_column()
-        if col is not None:
-            raise ValueError(
-                f"density ideal of {matrix.name} is not admissible: column {col} does not tend to 0, "
-                f"so the finite set {{{col}}} does not have B-density zero"
-            )
-        return cls("density", f"density-zero({matrix.name})", matrix=matrix)
+        """The sets of B-density zero."""
+        return cls(matrix)
 
     def reads_from(self, n_rows: int) -> int:
         """First row of an n_rows partial series that a limit under this ideal reads.

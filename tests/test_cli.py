@@ -456,8 +456,35 @@ class TestConfigAndEnv:
         assert capsys.readouterr().err.startswith("error:")
 
 
-# options that were deleted: the Levy metric is exact, so it takes no tolerance
-REMOVED_FLAGS = {"--dl-tol"}
+# (command, option) pairs that were deleted: the Levy metric is exact, so
+# it takes no tolerance, and a command takes only the options it reads
+REMOVED_FLAGS = {
+    ("dl", "--dl-tol"): "1e-9",
+    ("suite", "--matrix"): "squares",
+    ("suite", "--ideal"): "fin",
+    ("suite", "--space"): EQ3_SPEC,
+    ("matrix-check", "--ideal"): "fin",
+    ("matrix-check", "--space"): EQ3_SPEC,
+    ("density", "--space"): EQ3_SPEC,
+}
+# a run of each command that exits 0 without the deleted option
+_GOOD_RUNS = {
+    "dl": ["dl", "eps:0.3", "eps:0.5"],
+    "suite": ["suite", "--size", "0"],
+    "matrix-check": ["matrix-check"],
+    "density": ["density", "evens"],
+}
+
+
+@pytest.mark.parametrize("cmd, flag", sorted(REMOVED_FLAGS))
+def test_removed_flag_is_unrecognized(cmd: str, flag: str, capsys: pytest.CaptureFixture) -> None:
+    assert main(_GOOD_RUNS[cmd]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(_GOOD_RUNS[cmd] + [flag, REMOVED_FLAGS[cmd, flag]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag}" in err, err
 
 
 class TestNumericOptions:
@@ -484,7 +511,7 @@ class TestNumericOptions:
         ],
     )
     def test_bad_flag_exits_2(self, argv: list[str], flag: str, capsys: pytest.CaptureFixture) -> None:
-        if flag in REMOVED_FLAGS:
+        if (argv[0], flag) in REMOVED_FLAGS:
             # argparse rejects an option that no longer exists, whatever its value
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -507,6 +534,8 @@ class TestNumericOptions:
             ({"N": True}, "--N"),
             ({"N": [100]}, "--N"),
             ({"tol": 0}, "--tol"),
+            ({"matrix": 5}, "--matrix"),
+            ({"ideal": ["fin"]}, "--ideal"),
         ],
     )
     def test_bad_config_value_exits_2(
@@ -516,11 +545,25 @@ class TestNumericOptions:
         cfg.write_text(json.dumps(config))
         assert main(["density", "evens", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        if flag in REMOVED_FLAGS:
+        if flag == "--dl-tol":
             (key,) = config
             assert err.startswith(f"error: unknown config key {key!r}"), err
         else:
             assert err.startswith(f"error: {flag} must be"), err
+
+    @pytest.mark.parametrize("space, message", [(3, "--space must be a spec string"), (None, "converge needs --space")])
+    def test_bad_config_space_exits_2(self, space, message: str, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"space": space}))
+        assert main(["converge", "--config", str(cfg), "--seq", "const:a", "--limit", "a"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_config_keys_a_command_does_not_read_are_ignored(self, tmp_path: Path) -> None:
+        # one config file may serve several commands
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"matrix": 5, "ideal": None, "space": "nope.json", "seed": 2}))
+        assert main(["suite", "--size", "0", "--config", str(cfg)]) == 0
+        assert main(["dl", "eps:0.3", "eps:0.5", "--config", str(cfg)]) == 0
 
     def test_nan_jump_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["dl", "jumps:0.1:nan,0.2:1.0", "eps:0.5"]) == 2

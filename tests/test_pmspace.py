@@ -36,13 +36,16 @@ def _degenerate_pair() -> FinitePMSpace:
     return from_table(("p", "q"), table, MAXIMAL, validate=False)
 
 
+def _metric(d: dict):
+    """The metric callable of a table of distances: zero on the diagonal,
+    and ``d[(q, p)]`` where ``(p, q)`` is not listed."""
+    return lambda p, q: 0.0 if p == q else d.get((p, q), d.get((q, p)))
+
+
 def _loop_triangle_violation(pts: tuple, d: dict) -> tuple | None:
     """The triangle check by a triple loop over the metric: the axiom,
     witness and message of the first (p, q, r) with d(p,r) > d(p,q) + d(q,r)."""
-
-    def dist(p: str, q: str) -> float:
-        return 0.0 if p == q else d.get((p, q), d.get((q, p)))
-
+    dist = _metric(d)
     for p, q, r in itertools.product(pts, repeat=3):
         direct, via = dist(p, r), dist(p, q) + dist(q, r)
         if direct > via:
@@ -96,20 +99,20 @@ class TestConstruction:
 
     def test_metric_rejections(self) -> None:
         with pytest.raises(AxiomViolation, match="asymmetric"):
-            build_metric_induced(("p", "q"), {("p", "q"): 1.0, ("q", "p"): 2.0})
+            build_metric_induced(("p", "q"), _metric({("p", "q"): 1.0, ("q", "p"): 2.0}))
         with pytest.raises(AxiomViolation, match="negative"):
             build_metric_induced(("p", "q"), lambda p, q: -1.0 if p != q else 0.0)
         with pytest.raises(AxiomViolation, match="self-distance"):
             build_metric_induced(("p", "q"), lambda p, q: 1.0)
         with pytest.raises(AxiomViolation, match="zero distance"):
-            build_metric_induced(("p", "q"), {("p", "q"): 0.0})
-        with pytest.raises(ValueError, match="missing"):
-            build_metric_induced(("p", "q", "r"), {("p", "q"): 1.0, ("q", "r"): 1.0})
+            build_metric_induced(("p", "q"), _metric({("p", "q"): 0.0}))
+        with pytest.raises(TypeError, match="not callable"):
+            build_metric_induced(("p", "q"), {("p", "q"): 1.0})
 
     def test_metric_triangle_violation_has_witness(self) -> None:
         d = {("p", "q"): 1.0, ("q", "r"): 1.0, ("p", "r"): 3.0}
         with pytest.raises(AxiomViolation) as exc:
-            build_metric_induced(("p", "q", "r"), d)
+            build_metric_induced(("p", "q", "r"), _metric(d))
         assert exc.value.axiom == "triangle-inequality"
         assert set(exc.value.witness) == {"p", "q", "r"}
 
@@ -118,7 +121,7 @@ class TestConstruction:
         # rounding alone; it is named here, not left to surface as P-4
         d = {("p", "q"): 0.25, ("q", "r"): 0.25, ("p", "r"): math.nextafter(0.5, 1.0)}
         with pytest.raises(AxiomViolation) as exc:
-            build_metric_induced(("p", "q", "r"), d)
+            build_metric_induced(("p", "q", "r"), _metric(d))
         assert exc.value.axiom == "triangle-inequality"
         assert exc.value.witness in {("p", "q", "r"), ("r", "q", "p")}
         assert "(1 ulp)" in str(exc.value)
@@ -144,13 +147,13 @@ class TestConstruction:
                 d[(p, q)] = data.draw(st.floats(1e-3, 10.0))
         expected = _loop_triangle_violation(pts, d)
         if expected is None:
-            build_metric_induced(pts, d)
+            build_metric_induced(pts, _metric(d))
         else:
             with pytest.raises(AxiomViolation) as exc:
-                build_metric_induced(pts, d)
+                build_metric_induced(pts, _metric(d))
             assert (exc.value.axiom, exc.value.witness, str(exc.value)) == expected
         table = {
-            (p, q): EPS0 if p == q else unit_step(d.get((p, q), d.get((q, p))))
+            (p, q): EPS0 if p == q else unit_step(_metric(d)(p, q))
             for p in pts
             for q in pts
         }
@@ -164,14 +167,14 @@ class TestConstruction:
         d.update({(p, "d"): 1e308 for p in "abc"})
         assert _loop_triangle_violation(tuple("abcd"), d)[1] == ("a", "b", "c")
         with pytest.raises(ValueError, match=r"jump-location sum overflows: 1e\+308 \+ 1e\+308") as exc:
-            build_metric_induced(tuple("abcd"), d)
+            build_metric_induced(tuple("abcd"), _metric(d))
         assert not isinstance(exc.value, AxiomViolation)
         # an infinite distance has no unit step, whatever else it breaks
         with pytest.raises(ValueError, match="step location must be finite"):
-            build_metric_induced(tuple("abc"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): math.inf})
+            build_metric_induced(tuple("abc"), _metric({("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): math.inf}))
 
     def test_distances_above_one_saturate(self) -> None:
-        sp = build_metric_induced(("p", "q"), {("p", "q"): 3.0})
+        sp = build_metric_induced(("p", "q"), _metric({("p", "q"): 3.0}))
         assert sp.dist("p", "q") == 1.0
         assert sp.strong_neighborhood("p", 1.0) == frozenset({"p"})
         assert sp.strong_neighborhood("p", 1.01) == frozenset({"p", "q"})

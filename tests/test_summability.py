@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -554,6 +555,18 @@ class TestIdeals:
         with pytest.raises(ValueError, match="not admissible: column 1 does not tend to 0"):
             ideal_from_spec(f"density:{spec}")
 
+    def test_an_ideal_is_its_matrix_alone(self) -> None:
+        # kind and name are read from B, so they cannot contradict it
+        assert [f.name for f in dataclasses.fields(Ideal)] == ["matrix"]
+        assert Ideal.fin() == Ideal() and Ideal.density_zero(cesaro1()).matrix.name == "cesaro"
+        with pytest.raises(TypeError):
+            Ideal("density", "x")
+
+    def test_inadmissible_density_ideal_is_refused_where_built(self) -> None:
+        # built directly, not through density_zero or a spec
+        with pytest.raises(ValueError, match="not admissible: column 1 does not tend to 0"):
+            Ideal(ConstantColumnMatrix())
+
     @pytest.mark.parametrize(
         "spec", ["cesaro", "identity", "squares", "block:4", "weighted:-1", "weighted:-0.5", "weighted:0", "weighted:2"]
     )
@@ -590,7 +603,8 @@ class TestIdeals:
         assert v.to_json() == Verdict(CONVERGED, 0.0, 0.0, DEFAULT_TOL, 0.0, 0.0).to_json()
 
     def test_spec_parsing(self) -> None:
-        assert ideal_from_spec("fin").kind == "fin"
+        fin = ideal_from_spec("fin")
+        assert (fin.kind, fin.name, fin.matrix) == ("fin", "fin", None)
         ideal = ideal_from_spec("density:cesaro")
         assert ideal.kind == "density"
         assert ideal.name == "density-zero(cesaro)"

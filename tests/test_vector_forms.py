@@ -151,6 +151,12 @@ def test_array_form_is_required(eq3) -> None:
         IndexedSequence(eq3, lambda k: "a", "d")
 
 
+def test_cached_codes_are_not_an_input(eq3) -> None:
+    # a cache passed in would be read unchecked in place of codes(n)
+    with pytest.raises(TypeError, match="_codes"):
+        IndexedSequence(eq3, lambda k: "a", "d", lambda n: np.zeros(n, np.uint8), _codes=np.full(100, 7, np.uint8))
+
+
 @pytest.mark.parametrize(
     "codes, message",
     [
