@@ -183,8 +183,6 @@ class FinitePMSpace:
 
     def strong_vicinity(self, u: float) -> frozenset[tuple[str, str]]:
         """All ordered pairs within strong distance u: ``{(p,q) : q in N_p(u)}``."""
-        if u <= 0.0:
-            raise ValueError(f"vicinity parameter must be positive, got {u}")
         return frozenset((p, q) for p in self.points for q in self.strong_neighborhood(p, u))
 
     def vicinity_composition_alpha(self, u: float) -> float:
@@ -197,8 +195,6 @@ class FinitePMSpace:
         works.  On a valid space the smallest positive gap always works,
         because every neighborhood at that level is a singleton.
         """
-        if u <= 0.0:
-            raise ValueError(f"vicinity parameter must be positive, got {u}")
         target = {p: self.strong_neighborhood(p, u) for p in self.points}
         cands = sorted({u} | {t for t in self._thresholds if t <= u}, reverse=True)
         for alpha in cands:
@@ -297,17 +293,20 @@ def build_equilateral(points: Sequence[str], f: StepDistFn) -> FinitePMSpace:
     """The space where every distinct pair shares the d.d.f. ``f``.
 
     Uses the maximal triangle function; valid for any f other than the
-    unit step at 0 (with two or more points).  A single-point carrier is
-    valid for every f.
+    unit step at 0 (with two or more points), which ``from_table``
+    refuses as P-2.  A single-point carrier is valid for every f.
     """
     pts = tuple(points)
-    if len(pts) >= 2 and f == EPS0:
-        raise AxiomViolation("P-2", (pts[0], pts[1]), "equilateral d.d.f. equals the unit step at 0")
-    table: dict[tuple[str, str], StepDistFn] = {}
-    for p in pts:
-        for q in pts:
-            table[(p, q)] = EPS0 if p == q else f
+    table = {(p, q): EPS0 if p == q else f for p in pts for q in pts}
     return from_table(pts, table, MAXIMAL)
+
+
+# how build_metric_induced names the violations that are not P-4
+_METRIC_DETAIL = {
+    "P-1": "nonzero self-distance",
+    "P-2": "zero distance between distinct points",
+    "P-3": "asymmetric distances",
+}
 
 
 def build_metric_induced(
@@ -316,14 +315,16 @@ def build_metric_induced(
 ) -> FinitePMSpace:
     """The space with ``F_pq = unit_step(d(p, q))``.
 
-    ``d`` must be a metric on the points; signs, self-distances, symmetry
-    and positivity are verified here, and a violation is rejected with its
-    witness.  The triangle function is the sup-convolution under the
-    minimum t-norm, under which unit steps add their locations, so P-4 is
-    the triangle inequality itself: it decides ``d(p,r) <= d(p,q) + d(q,r)``
-    on the float sum, with no slack, in (p, q, r) order.  Its first
-    violation is re-raised as ``triangle-inequality``, with the size in
-    ulps of d(p,r), so a violation by rounding alone is named.
+    ``d`` must be a metric on the points.  Each value is read once and a
+    negative or NaN one is rejected here; ``from_table`` decides the rest,
+    and its first P-1 to P-3 violation is re-raised as ``metric`` with the
+    same witness and ``_METRIC_DETAIL``'s message.  The triangle function
+    is the sup-convolution under the minimum t-norm, under which unit
+    steps add their locations, so P-4 is the triangle inequality itself:
+    it decides ``d(p,r) <= d(p,q) + d(q,r)`` on the float sum, with no
+    slack, in (p, q, r) order.  Its first violation is re-raised as
+    ``triangle-inequality``, with the size in ulps of d(p,r), so a
+    violation by rounding alone is named.
     """
     pts = tuple(points)
     vals: dict[tuple[str, str], float] = {}
@@ -333,21 +334,11 @@ def build_metric_induced(
             if math.isnan(v) or v < 0.0:
                 raise AxiomViolation("metric", (p, q), f"negative or NaN distance {v}")
             vals[(p, q)] = v
-    for p in pts:
-        if vals[(p, p)] != 0.0:
-            raise AxiomViolation("metric", (p,), "nonzero self-distance")
-    for p, q in itertools.combinations(pts, 2):
-        if vals[(p, q)] != vals[(q, p)]:
-            raise AxiomViolation("metric", (p, q), "asymmetric distances")
-        if vals[(p, q)] == 0.0:
-            raise AxiomViolation("metric", (p, q), "zero distance between distinct points")
-    table = {
-        (p, q): EPS0 if p == q else unit_step(vals[(p, q)]) for p in pts for q in pts
-    }
     try:
-        return from_table(pts, table, TriangleFn("min"))
+        return from_table(pts, {pq: unit_step(v) for pq, v in vals.items()}, TriangleFn("min"))
     except AxiomViolation as exc:
-        # the checks above leave only P-4, which is the triangle inequality here
+        if exc.axiom in _METRIC_DETAIL:
+            raise AxiomViolation("metric", exc.witness, _METRIC_DETAIL[exc.axiom]) from None
         p, q, r = exc.witness
         direct, via = vals[(p, r)], vals[(p, q)] + vals[(q, r)]
         raise AxiomViolation(

@@ -37,8 +37,11 @@ verdict builds no series where a closed form gives its reading
 (``ai_density_is_null``), and a limit search computes a candidate only
 when it can still win.
 
-Membership of a set in an ideal is decided in one place,
-``Ideal.contains``; limit extraction asks it and adds no rule.
+Membership of a set in a density ideal is decided in one place,
+``Ideal.contains``; limit extraction under a density ideal asks it and
+adds no rule.  A fin limit is tail stabilization, read from the window's
+extremes (``_extremes_verdict``), and never asks ``contains``; its fin
+rule is reached only by a direct call.
 """
 
 from __future__ import annotations

@@ -206,6 +206,12 @@ class TestSpaceCommand:
         assert err.startswith("error:")
         assert "P-2" in err
 
+    def test_equilateral_unit_step_at_zero_exits_2(self, capsys: pytest.CaptureFixture) -> None:
+        # P-2 is named by validate_axioms, with its witness and message
+        assert main(["space-validate", "equilateral:3:eps:0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: P-2 violated at ('a', 'b'): off-diagonal entry equals the unit step at 0\n"
+
     def test_out_report(self, tmp_path: Path) -> None:
         out = tmp_path / "space.json"
         assert main(["space-validate", EQ3_SPEC, "--out", str(out)]) == 0
@@ -319,6 +325,12 @@ class TestMatrixAndDensityCommands:
         path.write_text("[" + ", ".join(f"[{entry}, 1.1]" for _ in range(12)) + "]")
         assert main([*cmd, "--matrix", f"file:{path}", "--N", "10"]) == 2
         assert "finite and non-negative" in capsys.readouterr().err
+
+    def test_file_matrix_wider_than_the_horizon_exits_2(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps([[1 / 11] * 11]))
+        assert main(["matrix-check", "--matrix", f"file:{path}", "--N", "10"]) == 2
+        assert capsys.readouterr().err == "error: horizon 10 below the support of the first row\n"
 
     @pytest.mark.parametrize("rows", ["[1, 2]", "5", '"rows"', '[[1.0], "ab"]', "[[true]]", "[[null]]"])
     @pytest.mark.parametrize("cmd", [["matrix-check"], ["density", "evens"]])

@@ -22,6 +22,7 @@ from pmstat import (
     POWERS_OF_TWO,
     SQUARES,
     IndexedSequence,
+    TriangleFn,
     ai_star_conv_detect,
     ai_stat_cauchy_detect,
     ai_stat_conv_detect,
@@ -198,6 +199,44 @@ class TestStatisticalCauchy:
             assert p1.converged is expect
             assert p2.converged is expect
             assert p3.converged is expect
+
+    @staticmethod
+    def _removal_form(d: dict, A, ideal) -> tuple:
+        # an unvalidated 3-point min-t-norm table, read on the alternator of b and c
+        pts = ("a", "b", "c")
+        table = {(p, q): EPS0 if p == q else unit_step(d[(p, q)]) for p in pts for q in pts}
+        space = from_table(pts, table, TriangleFn("min"), validate=False)
+        x = alternating(space, "b", "c", EVENS)
+        return space, lemma_cauchy_predicates(x, A, ideal, horizon=2000, tol=0.02)
+
+    @pytest.mark.parametrize(
+        "d, g, p1_status, p2_residual",
+        [
+            # g = 0.5 is the least threshold
+            ({("a", "b"): 0.0, ("b", "a"): 0.0, ("c", "b"): 0.0, ("b", "c"): 0.5, ("a", "c"): 1.0, ("c", "a"): 1.0},
+             0.5, CONVERGED, 0.02),
+            # g = 1.0 lies above the threshold 0.5, which the fallback must not take
+            ({("a", "b"): 0.0, ("b", "a"): 0.0, ("c", "b"): 0.5, ("b", "c"): 1.0, ("a", "c"): 0.0, ("c", "a"): 0.0},
+             1.0, DIVERGED, 0.5),
+        ],
+    )
+    def test_removal_form_without_a_composition_slack(
+        self, d, g, p1_status, p2_residual, cesaro, fin_ideal
+    ) -> None:
+        space, (p1, p2, _) = self._removal_form(d, cesaro, fin_ideal)
+        with pytest.raises(ValueError, match="vicinities do not compose"):
+            space.vicinity_composition_alpha(g)
+        # the slack falls back to g itself; the kept pair (b, c) is g apart
+        assert p1.status == p1_status and p1.detail[f"t={g}"].converged
+        assert (p2.status, p2.value, p2.residual) == (DIVERGED, "c", p2_residual)
+        assert (p2.detail[f"t={g}"].status, p2.detail[f"t={g}"].residual) == (DIVERGED, 0.02)
+
+    def test_removal_form_diverges_on_a_pair_gap_where_the_row_converges(self, cesaro, fin_ideal) -> None:
+        d = {("a", "b"): 0.5, ("b", "a"): 0.0, ("a", "c"): 1.0, ("b", "c"): 1.0, ("c", "a"): 0.25, ("c", "b"): 0.5}
+        _, (p1, p2, _) = self._removal_form(d, cesaro, fin_ideal)
+        assert p1.detail["t=1.0"].converged
+        assert (p2.detail["t=1.0"].status, p2.detail["t=1.0"].residual) == (DIVERGED, 0.02)
+        assert (p2.status, p2.residual) == (DIVERGED, 0.5)
 
 
 class TestAnchorOrder:

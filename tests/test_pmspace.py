@@ -57,6 +57,57 @@ def _loop_triangle_violation(pts: tuple, d: dict) -> tuple | None:
     return None
 
 
+def _loop_metric_violation(pts: tuple, dist) -> tuple | None:
+    """The metric checks by loops over the callable ``dist``: the axiom,
+    witness and message of the first negative or NaN value in row order,
+    else of the first nonzero self-distance, else of the first pair, in
+    combinations order, with asymmetric or zero distances (asymmetry named
+    first)."""
+
+    def found(witness: tuple, detail: str) -> tuple:
+        return "metric", witness, f"metric violated at {witness}: {detail}"
+
+    vals = {(p, q): float(dist(p, q)) for p in pts for q in pts}
+    for (p, q), v in vals.items():
+        if math.isnan(v) or v < 0.0:
+            return found((p, q), f"negative or NaN distance {v}")
+    for p in pts:
+        if vals[(p, p)] != 0.0:
+            return found((p,), "nonzero self-distance")
+    for p, q in itertools.combinations(pts, 2):
+        if vals[(p, q)] != vals[(q, p)]:
+            return found((p, q), "asymmetric distances")
+        if vals[(p, q)] == 0.0:
+            return found((p, q), "zero distance between distinct points")
+    return None
+
+
+@st.composite
+def _distance_tables(draw) -> tuple:
+    """A full table of distances over 1 to 5 points: values from a small
+    pool of two scales, or 0, so pairs repeat, vanish and break the
+    triangle inequality; sometimes a nonzero self-distance, an asymmetric
+    pair, or a NaN or negative value.  Values stay finite and small, so no
+    unit step or location sum is refused first."""
+    n = draw(st.integers(1, 5))
+    pts = tuple(f"x{i}" for i in range(n))
+    pool = draw(st.lists(st.one_of(st.floats(1e-3, 0.1), st.floats(1.0, 10.0)), min_size=1, max_size=4))
+
+    def value() -> float:
+        return 0.0 if draw(st.integers(0, 15)) == 0 else draw(st.sampled_from(pool))
+
+    d = {}
+    for i, p in enumerate(pts):
+        d[(p, p)] = value() if draw(st.integers(0, 15)) == 0 else 0.0
+        for q in pts[i + 1 :]:
+            d[(p, q)] = d[(q, p)] = value()
+            if draw(st.integers(0, 15)) == 0:
+                d[(q, p)] = value()
+    if draw(st.integers(0, 7)) == 0:
+        d[draw(st.sampled_from(sorted(d)))] = draw(st.sampled_from([math.nan, -1.0, -5e-324]))
+    return pts, d
+
+
 class TestConstruction:
     def test_equilateral_basics(self, eq3: FinitePMSpace) -> None:
         assert eq3.points == ("a", "b", "c")
@@ -72,6 +123,12 @@ class TestConstruction:
             build_equilateral(("a", "b"), EPS0)
         assert exc.value.axiom == "P-2"
         assert isinstance(exc.value, ValueError)
+
+    def test_equilateral_p2_comes_from_the_table_check(self) -> None:
+        with pytest.raises(AxiomViolation) as exc:
+            build_equilateral(("a", "b", "c"), EPS0)
+        assert exc.value.witness == ("a", "b")
+        assert str(exc.value) == "P-2 violated at ('a', 'b'): off-diagonal entry equals the unit step at 0"
 
     def test_single_point_carrier(self) -> None:
         sp = build_equilateral(("only",), EPS0)
@@ -172,6 +229,48 @@ class TestConstruction:
         # an infinite distance has no unit step, whatever else it breaks
         with pytest.raises(ValueError, match="step location must be finite"):
             build_metric_induced(tuple("abc"), _metric({("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): math.inf}))
+
+    def test_zero_one_way_is_named_a_zero_distance(self) -> None:
+        # validate_axioms lists P-2 before P-3 within a pair, so d(p,q) = 0 < d(q,p)
+        # is a zero distance; d(p,q) > 0 = d(q,p) stays asymmetric
+        with pytest.raises(AxiomViolation) as exc:
+            build_metric_induced(("p", "q"), lambda p, q: {("p", "q"): 0.0, ("q", "p"): 1.0}.get((p, q), 0.0))
+        assert str(exc.value) == "metric violated at ('p', 'q'): zero distance between distinct points"
+        with pytest.raises(AxiomViolation) as exc:
+            build_metric_induced(("p", "q"), lambda p, q: {("p", "q"): 1.0, ("q", "p"): 0.0}.get((p, q), 0.0))
+        assert str(exc.value) == "metric violated at ('p', 'q'): asymmetric distances"
+
+    def test_unit_step_and_overflow_refusals_come_before_metric_breaks(self) -> None:
+        # every value becomes a unit step and P-4 is decided before any
+        # violation is listed, so neither an infinite self-distance nor an
+        # overflowing sum is named as the metric break it also is
+        with pytest.raises(ValueError, match="step location must be finite") as exc:
+            build_metric_induced(("p", "q"), lambda p, q: math.inf if p == q else 1.0)
+        assert not isinstance(exc.value, AxiomViolation)
+        with pytest.raises(ValueError, match=r"jump-location sum overflows") as exc:
+            build_metric_induced(("p", "q"), lambda p, q: 1e308 if p == "p" else 0.0)
+        assert not isinstance(exc.value, AxiomViolation)
+
+    @given(_distance_tables())
+    @settings(max_examples=300)
+    def test_metric_rejections_match_the_loops(self, case) -> None:
+        pts, d = case
+
+        def dist(p: str, q: str) -> float:
+            return d[(p, q)]
+
+        expected = _loop_metric_violation(pts, dist) or _loop_triangle_violation(pts, d)
+        if expected is not None and expected[2].endswith("asymmetric distances") and d[expected[1]] == 0.0:
+            # the one renaming: zero one way is P-2, which validate_axioms lists before P-3
+            expected = ("metric", expected[1], f"metric violated at {expected[1]}: zero distance between distinct points")
+        if expected is None:
+            space = build_metric_induced(pts, dist)
+            assert space.table == {pq: unit_step(v) for pq, v in d.items()}
+            assert space.validate_axioms().ok
+        else:
+            with pytest.raises(AxiomViolation) as exc:
+                build_metric_induced(pts, dist)
+            assert (exc.value.axiom, exc.value.witness, str(exc.value)) == expected
 
     def test_distances_above_one_saturate(self) -> None:
         sp = build_metric_induced(("p", "q"), _metric({("p", "q"): 3.0}))
@@ -321,6 +420,12 @@ class TestStrongTopology:
         assert ("w0", "w1") in v and ("w0", "w2") not in v
         with pytest.raises(ValueError, match="positive"):
             line4.strong_vicinity(-0.2)
+
+    def test_parameter_refused_by_strong_neighborhood(self, eq3: FinitePMSpace) -> None:
+        with pytest.raises(ValueError, match=r"^neighborhood parameter must be positive, got -0\.2$"):
+            eq3.strong_vicinity(-0.2)
+        with pytest.raises(ValueError, match=r"^neighborhood parameter must be positive, got 0\.0$"):
+            eq3.vicinity_composition_alpha(0.0)
 
     def test_composition_slack_on_line(self, line4: FinitePMSpace) -> None:
         # at 0.5 the hop w0->w2->w3 escapes V(0.5), so alpha backs off to 0.4

@@ -258,6 +258,12 @@ class TestMatrices:
         with pytest.raises(ValueError, match="no rows"):
             ExplicitMatrix([])
 
+    def test_explicit_matrix_refuses_a_horizon_below_its_first_row(self) -> None:
+        A = ExplicitMatrix([[1 / 11] * 11, [1 / 12] * 12])
+        assert A.max_row_for(11) == 1
+        with pytest.raises(ValueError, match=r"^horizon 10 below the support of the first row$"):
+            A.max_row_for(10)
+
     def test_explicit_series_is_float_on_a_window_with_no_member(self) -> None:
         # the generic row loop sums no entry on such a window: still float64, as every kind
         A = ExplicitMatrix([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.25, 0.25, 0.25, 0.25]])
