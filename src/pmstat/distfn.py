@@ -78,6 +78,9 @@ class StepDistFn:
             prev_loc, prev_val = loc, val
         if prev_val != 1.0:
             raise ValueError("final jump value must be exactly 1")
+        loc, val = self.jumps[0]
+        if loc == 0.0:  # -0.0 is stored as 0.0, or it would come back as a distance of -0.0
+            object.__setattr__(self, "jumps", ((0.0, val), *self.jumps[1:]))
         # cached parallel lists for bisect lookups, not dataclass fields
         object.__setattr__(self, "_locs", [j[0] for j in self.jumps])
         object.__setattr__(self, "_vals", [j[1] for j in self.jumps])

@@ -50,6 +50,7 @@ import json
 import math
 import operator
 import struct
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -427,18 +428,8 @@ class SummMatrix:
         return None
 
 
-_ROWS = np.zeros(0)
-
-
-def _row_numbers(n: int) -> np.ndarray:
-    """The row numbers 1..n as floats: a read-only slice of one array that
-    grows only when a longer horizon asks for it.  Every query builds a
-    fresh matrix, so a per-matrix copy would be rebuilt for each one."""
-    global _ROWS
-    if len(_ROWS) < n:
-        _ROWS = np.arange(1, n + 1, dtype=float)
-        _ROWS.flags.writeable = False
-    return _ROWS[:n]
+BLOCK_ROWS = 1 << 16  # rows per block of a triangular series: a block's buffers stay near 1 MiB
+_LOG_NEAR_MAX = math.log(sys.float_info.max) - 1.0  # a factor e below the float range
 
 
 class TriangularMatrix(SummMatrix):
@@ -449,9 +440,9 @@ class TriangularMatrix(SummMatrix):
     Covers the Cesaro matrix (phi = identity, power 0), weighted means,
     and matrices supported on sparse index sets such as the squares.
     ``index_map`` acts elementwise on an integer array of j values.
-    Unit weights sum to the row numbers, which every unit-weight matrix
-    reads from one shared read-only array (``_row_numbers``); float-weight
-    sums are cached per matrix.
+    Row m of the series of a set is K_m / W_m, the running sums of the
+    member weights and of all weights, read in blocks of ``BLOCK_ROWS``
+    rows (``_sums``, ``_blocks``); nothing the size of the horizon is kept.
     """
 
     def __init__(
@@ -465,30 +456,65 @@ class TriangularMatrix(SummMatrix):
         self.name = name
         self.power = power
         self._map = index_map
-        self._wsum = np.zeros(0)
 
-    def _weights(self, n: int) -> np.ndarray:
-        w = np.arange(1, n + 1, dtype=float)
+    def _weights(self, hi: int, lo: int = 0) -> np.ndarray:
+        """The weights w_j of rows j = lo+1..hi."""
+        w = np.arange(lo + 1, hi + 1, dtype=float)
         w **= self.power
         return w
 
-    def _weight_sums(self, n: int) -> np.ndarray:
-        """Running sums w_1 + ... + w_j for j = 1..n, all finite and read-only
-        under unit weights.
+    def _sums(self, mem: np.ndarray | None, n_rows: int, start: int = 1) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+        """The running sums (K_m, W_m) of the member weights and of all
+        weights up to row m, for rows m = start..n_rows, in blocks of at most
+        ``BLOCK_ROWS`` rows; ``mem`` marks the member rows 1..n_rows, and
+        without it K is None.
 
-        Unit weights sum to the row numbers themselves, exactly, shared by
-        every matrix.  Sums that overflow at row n are an input error.
+        A block adds the sums carried from the row before it into its first
+        element and then sums in sequence, so every value is the sequential
+        running sum bit for bit: fl(carry + x) = fl(x + carry).  Unit weights
+        sum to W_m = m and count members in K_m, exact below 2**53, so they
+        start from the members counted before row start; float weights carry
+        their sums through the rows before it.  Weight sums that overflow
+        are an input error, raised at the first block that reaches them.
         """
-        if self.power == 0:
-            return _row_numbers(n)
-        if len(self._wsum) < n:
-            with np.errstate(over="ignore"):
-                w = self._weights(n)
-                self._wsum = np.cumsum(w, out=w)
-        if not math.isfinite(self._wsum[n - 1]):
-            first = int(np.argmin(np.isfinite(self._wsum))) + 1
-            raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
-        return self._wsum[:n]
+        unit = self.power == 0
+        before = start - 1  # rows before the window: counted under unit weights, carried under float weights
+        K = W = 0.0
+        if unit and mem is not None:
+            K = float(np.count_nonzero(mem[:before]))
+        edges = [] if unit else [(lo, min(lo + BLOCK_ROWS, before)) for lo in range(0, before, BLOCK_ROWS)]
+        edges += [(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(before, n_rows, BLOCK_ROWS)]
+        for lo, hi in edges:
+            if unit:
+                w = np.arange(lo + 1, hi + 1, dtype=float)
+                k = None if mem is None else mem[lo:hi].astype(float)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise below
+                    w = self._weights(hi, lo)
+                    k = None if mem is None else w * mem[lo:hi]
+                    w[0] += W
+                    W = np.cumsum(w, out=w)[-1]
+                if not math.isfinite(W):
+                    first = lo + int(np.argmin(np.isfinite(w))) + 1
+                    raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
+            if k is not None:
+                k[0] += K
+                K = np.cumsum(k, out=k)[-1]
+            if lo >= before:
+                yield k, w
+
+    def _blocks(self, mem: np.ndarray, n_rows: int, start: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Rows start..n_rows of the series K_m / W_m of the member rows
+        ``mem``, in the blocks of ``_sums``; each block is divided into its
+        place in ``out`` (rows start..n_rows) when that is given."""
+        at = 0
+        for k, w in self._sums(mem, n_rows, start):
+            yield np.divide(k, w, out=k if out is None else out[at : at + len(k)])
+            at += len(k)
+
+    def _weight_sums(self, n: int) -> np.ndarray:
+        """The running sums w_1 + ... + w_j for j = 1..n, read from ``_sums``."""
+        return np.concatenate([w for _, w in self._sums(None, n)])
 
     def _mapped(self, n: int) -> np.ndarray:
         j = np.arange(1, n + 1, dtype=np.int64)
@@ -509,34 +535,30 @@ class TriangularMatrix(SummMatrix):
 
     def max_row_for(self, horizon: int) -> int:
         """The base class's row, with the weight sums up to it checked, so a
-        reading that needs no series still refuses sums that overflow."""
+        reading that needs no series still refuses sums that overflow.
+
+        W_n <= n * max(w_1, w_n) = n ** (1 + max(0, power)) bounds them in
+        closed form, read in logs (``float(n) ** 400`` raises).  A bound a
+        factor e below the float range leaves room for the rounding of the
+        weights and of their sequential sum; only a bound past that runs the
+        exact pass, which names the first row whose sum overflows.
+        """
         n = super().max_row_for(horizon)
-        self._weight_sums(n)
+        if math.log(n) * (1.0 + max(0.0, self.power)) >= _LOG_NEAR_MAX:
+            for _ in self._sums(None, n):
+                pass
         return n
 
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
-        mem = self._row_members(member, n_rows)
-        sums = self._weight_sums(n_rows)  # raises before any weight can overflow
-        # one buffer for every pass: a fresh 10^6-row temporary page-faults back in
-        if self.power == 0:
-            # unit weights: the numerator is the running count of members,
-            # exact in floats below 2**53, so a window starts from the prefix's count
-            series = mem[start - 1 :].astype(float)
-            np.cumsum(series, out=series)
-            series += np.count_nonzero(mem[: start - 1])
-            series /= sums[start - 1 :]
-            return series
-        # a float running sum adds in sequence, so a window needs the whole run
-        series = self._weights(n_rows)
-        series *= mem
-        np.cumsum(series, out=series)
-        series /= sums
-        return series[start - 1 :]
+        series = np.empty(n_rows - start + 1)
+        for _ in self._blocks(self._row_members(member, n_rows), n_rows, start, out=series):
+            pass
+        return series
 
     def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
         """A window with no member, and a unit-weight window of members,
-        read in closed form.
+        read in closed form; any other window is read block by block.
 
         Row m of the series is K_m / W_m, the running sums of the member
         weights and of all weights.  With K_s the members' weight before
@@ -547,11 +569,10 @@ class TriangularMatrix(SummMatrix):
         is the correctly rounded one that the series divides out (zero
         terms leave its sequential running sum at K_s), so the window's
         extremes and last value are its values at rows s and n_rows, bit
-        for bit.  Any other window is built by ``density_series`` from the
-        membership array made here, so a set's indicator is computed once.
+        for bit.  Any other window is read from ``_blocks``, which keeps
+        each block's least, greatest and last value.
         """
-        marks = _member_array(member, self.support_bound(n_rows))
-        mem = self._row_members(marks, n_rows)
+        mem = self._row_members(member, n_rows)
         s = tail_start(n_rows)
         window = mem[s - 1 :]
         if self.power == 0:
@@ -562,12 +583,16 @@ class TriangularMatrix(SummMatrix):
                 last = (before + n_rows - s + 1) / n_rows
                 return (before + 1) / s, last, last
         elif not window.any():
-            sums = self._weight_sums(n_rows)  # raises before any weight can overflow
-            run = self._weights(s)
-            run *= mem[:s]
-            before = np.cumsum(run, out=run)[-1]  # row s adds 0: K_s as the series sums it
-            return float(before / sums[-1]), float(before / sums[s - 1]), float(before / sums[-1])
-        return super().tail_extremes(marks, n_rows)
+            sums = self._sums(mem, n_rows, s)
+            k, w = next(sums)  # row s adds 0: K_s as the series sums it
+            before, at_s = k[0], w[0]
+            for _, w in sums:
+                pass
+            return float(before / w[-1]), float(before / at_s), float(before / w[-1])
+        low, high = math.inf, -math.inf
+        for block in self._blocks(mem, n_rows, s):
+            low, high = min(low, float(block.min())), max(high, float(block.max()))
+        return low, high, float(block[-1])
 
     def nonvanishing_column(self) -> int | None:
         """Column phi(1) keeps the share w_1 / (w_1 + ... + w_n), which tends

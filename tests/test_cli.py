@@ -112,6 +112,14 @@ class TestDistanceCommand:
         assert StepDistFn.from_json(payload["f"]) == unit_step(0.2)
         assert StepDistFn.from_json(payload["g"]) == F_HALF
 
+    def test_negative_zero_location_is_written_as_zero(self, tmp_path: Path) -> None:
+        fn, out = tmp_path / "fn.json", tmp_path / "dl.json"
+        fn.write_text("[[-0.0, 1.0]]")
+        assert main(["dl", f"json:{fn}", "eps:-0.0", "--out", str(out)]) == 0
+        assert "-0.0" not in out.read_text()
+        payload = json.loads(out.read_text())
+        assert payload["f"] == payload["g"] == [[0.0, 1.0]] and payload["distance"] == 0.0
+
     def test_bad_spec_exits_2(self, capsys: pytest.CaptureFixture) -> None:
         assert main(["dl", "nonsense", "eps:0.5"]) == 2
         assert capsys.readouterr().err.startswith("error:")

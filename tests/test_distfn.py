@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pmstat import (
     EPS0,
     StepDistFn,
+    build_metric_induced,
     evaluate,
     levy_distance,
     levy_distance_to_zero,
@@ -102,6 +104,18 @@ class TestCanonicalForm:
     def test_final_value_must_be_one(self) -> None:
         with pytest.raises(ValueError, match="exactly 1"):
             StepDistFn(((0.5, 0.9),))
+
+    def test_negative_zero_location_is_stored_as_zero(self) -> None:
+        # built directly, from JSON, and on the diagonal of a metric-induced space
+        space = build_metric_induced(("a", "b"), lambda p, q: -0.0 if p == q else 1.0)
+        for f in (unit_step(-0.0), StepDistFn.from_json([[-0.0, 1.0]]), space.ddf("a", "a")):
+            assert f == EPS0
+            assert math.copysign(1.0, f.locations[0]) == 1.0
+            assert math.copysign(1.0, levy_distance_to_zero(f)) == 1.0
+            assert json.dumps(f.to_json()) == "[[0.0, 1.0]]"
+        assert math.copysign(1.0, space.dist("a", "a")) == 1.0
+        f = StepDistFn(((-0.0, 0.5), (1.0, 1.0)))
+        assert f.jumps == ((0.0, 0.5), (1.0, 1.0)) and math.copysign(1.0, f.jumps[0][0]) == 1.0
 
     def test_negative_location_rejected(self) -> None:
         with pytest.raises(ValueError, match="negative"):

@@ -7,7 +7,9 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -416,7 +418,7 @@ class TestInPlaceSeries:
     def test_unit_weights_share_one_read_only_row_number_array(self) -> None:
         rng = np.random.default_rng(15)
         kinds = ("cesaro", "squares", "weighted:0")
-        # the shared array grows at 10^4 and 10^5 and is read shorter in between
+        # fresh matrices at growing and shrinking horizons read the same bytes
         for horizon in (10**4, 37, 10**5, 37):
             member = rng.random(horizon) < 0.3
             for spec in kinds:
@@ -425,11 +427,100 @@ class TestInPlaceSeries:
                 for start in (1, tail_start(n_rows)):
                     got = A.density_series(member, n_rows, start=start)
                     assert got.tobytes() == _reference_density_series(A, member, n_rows, start).tobytes()
-                sums = A._weight_sums(n_rows)
-                assert np.shares_memory(sums, matrix_from_spec(kinds[0])._weight_sums(n_rows))
-                with pytest.raises(ValueError, match="read-only"):
-                    sums[0] = 2.0
-                assert not np.shares_memory(weighted_mean(1)._weight_sums(n_rows), sums)
+
+
+
+def _exact_weight_sums(power: float, n: int) -> np.ndarray:
+    """The sequential weight sums w_1 + ... + w_j for j = 1..n, in one pass."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(np.arange(1, n + 1, dtype=float) ** power)
+
+
+class TestBlockReads:
+    """A triangular series read in blocks has the bytes of the whole-series chain."""
+
+    @given(
+        block=st.sampled_from([1, 3, 64, summability.BLOCK_ROWS]),
+        power=st.sampled_from([0.0, 1.0, 0.5, 2.0, -0.5, -1.0, 3.7]),
+        squares=st.booleans(),
+        n_rows=st.one_of(st.integers(1, 2500), st.sampled_from([1 << 16, (1 << 16) + 1, (1 << 17) + 5])),
+        share=st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @example(block=1, power=0.5, squares=False, n_rows=2, share=1.0, seed=0, data=None)
+    @example(block=3, power=0.0, squares=True, n_rows=7, share=0.5, seed=1, data=None)
+    @example(block=summability.BLOCK_ROWS, power=3.7, squares=False, n_rows=(1 << 16) + 1, share=0.5, seed=2, data=None)
+    @example(block=summability.BLOCK_ROWS, power=0.0, squares=False, n_rows=(1 << 17) + 5, share=0.02, seed=3, data=None)
+    def test_blocks_equal_the_whole_series(self, block, power, squares, n_rows, share, seed, data) -> None:
+        if squares:
+            n_rows = 1 + n_rows % 60  # phi(j) = j*j keeps the membership short
+        elif block < summability.BLOCK_ROWS:
+            n_rows = 1 + n_rows % 2500  # short series cross small blocks often enough
+        start = 1 if data is None else data.draw(st.integers(1, n_rows), label="start")
+        A = TriangularMatrix("t", power, (lambda j: j * j) if squares else None)
+        member = np.random.default_rng(seed).random(A.support_bound(n_rows) + 3) < share
+        s = tail_start(n_rows)
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            got = A.density_series(member, n_rows, start=start)
+            extremes = A.tail_extremes(member, n_rows)
+        want = _reference_density_series(A, member, n_rows, start)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert extremes == summability._extremes(_reference_density_series(A, member, n_rows, s))
+
+    @given(
+        power=st.one_of(st.floats(-5.0, 800.0), st.sampled_from([0.0, 1.0, 40.0, 102.5, 400.0])),
+        n=st.one_of(st.integers(1, 3000), st.integers(3000, 10**5)),
+        near=st.sampled_from([None, "bound", "overflow"]),
+        nudge=st.floats(-0.05, 0.05),
+    )
+    @example(power=400.0, n=5, near=None, nudge=0.0)
+    @example(power=400.0, n=6, near=None, nudge=0.0)
+    @example(power=60.0, n=10**5, near=None, nudge=0.0)
+    def test_the_overflow_bound_skips_only_finite_sums(self, power, n, near, nudge) -> None:
+        log_max = math.log(sys.float_info.max)
+        if near == "bound" and n > 1:
+            # the bound n ** (1 + power) about a factor e below the float range
+            power = (log_max - 1.0) / math.log(n) - 1.0 + nudge
+        elif near == "overflow" and n > 1:
+            # the exact sum, about n ** (1 + power) / (1 + power), at the float range
+            q = log_max / math.log(n)
+            for _ in range(20):
+                q = (log_max + math.log(q)) / math.log(n)
+            power = q - 1.0 + nudge
+        A = weighted_mean(power)
+        passes = []
+        sums = A._sums
+
+        def counted(mem, n_rows, start=1):
+            passes.append(n_rows)
+            return sums(mem, n_rows, start)
+
+        A._sums = counted
+        exact = _exact_weight_sums(power, n)
+        try:
+            assert A.max_row_for(n) == n
+        except ValueError as exc:
+            first = int(np.argmin(np.isfinite(exact))) + 1
+            assert str(exc) == f"weight sums for power {power} overflow from row {first}"
+            assert passes == [n] and not np.isfinite(exact[-1])
+        else:
+            assert np.isfinite(exact[-1])  # skipped or passed, the sums are finite
+
+    def test_one_weighted_query_holds_no_horizon_sized_buffer(self) -> None:
+        N = 10**6
+        ai_density(weighted_mean(1), Ideal.density_zero(cesaro1()), multiples(4, 0), 10**4)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            v = ai_density(weighted_mean(1), Ideal.density_zero(cesaro1()), multiples(4, 0), N)
+            peak = tracemalloc.get_traced_memory()[1]
+            kept = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, summability.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert v.converged and v.value == pytest.approx(0.25, abs=1e-3)
+        assert peak < 16 * 2**20, peak  # the whole A-series is 8 MB; the weights are read in blocks
+        held = sum(stat.size for stat in kept.statistics("filename"))
+        assert held < N, held  # nothing the size of the horizon, even one byte a row, outlives the query
 
 
 class TestRegularity:
@@ -472,16 +563,21 @@ class TestRegularity:
         # each column {k}, k <= 25, has no member in the tail window, which
         # a triangular matrix reads at its two ends
         A = matrix_from_spec(spec)
-        built = []
-        series = A.density_series
+        built, read = [], []
+        series, blocks = A.density_series, A._blocks
 
         def counted(member, n_rows, **window):
             built.append(member)
             return series(member, n_rows, **window)
 
-        A.density_series = counted
+        def counted_blocks(mem, n_rows, start, out=None):
+            read.append(start)
+            return blocks(mem, n_rows, start, out)
+
+        A.density_series, A._blocks = counted, counted_blocks
         check_regularity(A, 10**4)
         assert built == [ALL_INDICES]
+        assert read == [1]  # the row sums' series, and no column's window
 
     @staticmethod
     def _brute_regularity(A: SummMatrix, horizon: int, tol: float) -> list[tuple[str, bool, float, float]]:
@@ -961,13 +1057,13 @@ class TestSharedDefectVerdicts:
     def test_one_series_per_distinct_nonempty_defect(self) -> None:
         B = cesaro1()
         built = []
-        series = B.density_series
+        blocks = B._blocks  # every series of a triangular matrix is read through it
 
-        def counted(member, n_rows, **window):
+        def counted(mem, n_rows, start, out=None):
             built.append(n_rows)
-            return series(member, n_rows, **window)
+            return blocks(mem, n_rows, start, out)
 
-        B.density_series = counted
+        B._blocks = counted
         N, tol = 10**5, 0.01
         w0 = tail_start(N)
 

@@ -180,13 +180,13 @@ class TestTailWindow:
         A, B = cesaro1(), squares_rows()
         built: list[tuple[str, int, int]] = []
         for M in (A, B):
-            series = M.density_series
+            blocks = M._blocks  # every series of a triangular matrix is read through it
 
-            def counted(member, n_rows, start=1, M=M, series=series):
+            def counted(mem, n_rows, start, out=None, M=M, blocks=blocks):
                 built.append((M.name, n_rows, start))
-                return series(member, n_rows, start=start)
+                return blocks(mem, n_rows, start, out)
 
-            M.density_series = counted
+            M._blocks = counted
         N, tol = 10**4, 0.01
         for member in (EVENS, SQUARES, index_block(1, 200)):
             ai_density(A, Ideal.fin(), member, N, tol)
@@ -318,7 +318,7 @@ class TestNullReadingsFromExtremes:
     )
     def test_fin_closed_forms_build_no_series(self, spec: str, member, status: str) -> None:
         A = matrix_from_spec(spec)
-        A.density_series = None  # any series built would raise
+        A.density_series = A._blocks = None  # any series read would raise
         assert ai_density_is_null(A, Ideal.fin(), member, 10**4, 0.01).status == status
 
     def test_no_series_still_refuses_weight_sums_that_overflow(self) -> None:
