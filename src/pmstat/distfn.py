@@ -79,7 +79,7 @@ class StepDistFn:
         if prev_val != 1.0:
             raise ValueError("final jump value must be exactly 1")
         loc, val = self.jumps[0]
-        if loc == 0.0:  # -0.0 is stored as 0.0, or it would come back as a distance of -0.0
+        if loc == 0.0 and math.copysign(1.0, loc) < 0.0:  # store -0.0 as 0.0, or it comes back as a distance of -0.0
             object.__setattr__(self, "jumps", ((0.0, val), *self.jumps[1:]))
         # cached parallel lists for bisect lookups, not dataclass fields
         object.__setattr__(self, "_locs", [j[0] for j in self.jumps])

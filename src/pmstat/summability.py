@@ -430,6 +430,7 @@ class SummMatrix:
 
 BLOCK_ROWS = 1 << 16  # rows per block of a triangular series: a block's buffers stay near 1 MiB
 _LOG_NEAR_MAX = math.log(sys.float_info.max) - 1.0  # a factor e below the float range
+_EXACT_TRIANGLE_ROWS = math.isqrt(1 << 53)  # below it, m * (m + 1) is an integer below 2**53: exact in floats
 
 
 class TriangularMatrix(SummMatrix):
@@ -466,42 +467,54 @@ class TriangularMatrix(SummMatrix):
     def _sums(self, mem: np.ndarray | None, n_rows: int, start: int = 1) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
         """The running sums (K_m, W_m) of the member weights and of all
         weights up to row m, for rows m = start..n_rows, in blocks of at most
-        ``BLOCK_ROWS`` rows; ``mem`` marks the member rows 1..n_rows, and
-        without it K is None.
+        ``BLOCK_ROWS`` rows.  ``mem`` marks the member rows 1..len(mem); K
+        runs over those rows only, and is None in a block past them or
+        without ``mem``.
 
         A block adds the sums carried from the row before it into its first
         element and then sums in sequence, so every value is the sequential
         running sum bit for bit: fl(carry + x) = fl(x + carry).  Unit weights
         sum to W_m = m and count members in K_m, exact below 2**53, so they
         start from the members counted before row start; float weights carry
-        their sums through the rows before it.  Weight sums that overflow
-        are an input error, raised at the first block that reaches them.
+        their sums from row 1.  The weights j of power 1 sum to the integers
+        m(m + 1)/2, which the sequential sum reaches exactly while
+        m(m + 1) < 2**53, so there W is that product, with no running sum.
+        Weight sums that overflow are an input error, raised at the first
+        block that reaches them.
         """
         unit = self.power == 0
-        before = start - 1  # rows before the window: counted under unit weights, carried under float weights
-        K = W = 0.0
-        if unit and mem is not None:
-            K = float(np.count_nonzero(mem[:before]))
-        edges = [] if unit else [(lo, min(lo + BLOCK_ROWS, before)) for lo in range(0, before, BLOCK_ROWS)]
-        edges += [(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(before, n_rows, BLOCK_ROWS)]
-        for lo, hi in edges:
+        before = start - 1
+        covered = 0 if mem is None else len(mem)
+        K = float(np.count_nonzero(mem[:before])) if unit and mem is not None else 0.0
+        W = 0.0
+        for lo in range(before if unit else 0, n_rows, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n_rows)
+            k = None
             if unit:
                 w = np.arange(lo + 1, hi + 1, dtype=float)
-                k = None if mem is None else mem[lo:hi].astype(float)
+                if lo < covered:
+                    k = mem[lo:hi].astype(float)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise below
                     w = self._weights(hi, lo)
-                    k = None if mem is None else w * mem[lo:hi]
-                    w[0] += W
-                    W = np.cumsum(w, out=w)[-1]
+                    if lo < covered:
+                        k = w[: covered - lo] * mem[lo:hi]
+                    if self.power == 1 and hi < _EXACT_TRIANGLE_ROWS:
+                        w *= w + 1.0  # W_m = m(m + 1)/2: the integers the sequential sum reaches exactly
+                        w *= 0.5
+                        W = w[-1]
+                    else:
+                        w[0] += W
+                        W = np.cumsum(w, out=w)[-1]
                 if not math.isfinite(W):
                     first = lo + int(np.argmin(np.isfinite(w))) + 1
                     raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
             if k is not None:
                 k[0] += K
                 K = np.cumsum(k, out=k)[-1]
-            if lo >= before:
-                yield k, w
+            if hi > before:
+                cut = max(0, before - lo)
+                yield (None if k is None else k[cut:]), w[cut:]
 
     def _blocks(self, mem: np.ndarray, n_rows: int, start: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """Rows start..n_rows of the series K_m / W_m of the member rows
@@ -569,7 +582,7 @@ class TriangularMatrix(SummMatrix):
         is the correctly rounded one that the series divides out (zero
         terms leave its sequential running sum at K_s), so the window's
         extremes and last value are its values at rows s and n_rows, bit
-        for bit.  Any other window is read from ``_blocks``, which keeps
+        for bit.  Any other window is read from ``_blocks``, keeping only
         each block's least, greatest and last value.
         """
         mem = self._row_members(member, n_rows)
@@ -583,7 +596,7 @@ class TriangularMatrix(SummMatrix):
                 last = (before + n_rows - s + 1) / n_rows
                 return (before + 1) / s, last, last
         elif not window.any():
-            sums = self._sums(mem, n_rows, s)
+            sums = self._sums(mem[:s], n_rows, s)  # member weights up to row s only
             k, w = next(sums)  # row s adds 0: K_s as the series sums it
             before, at_s = k[0], w[0]
             for _, w in sums:
