@@ -430,7 +430,6 @@ class SummMatrix:
 
 BLOCK_ROWS = 1 << 16  # rows per block of a triangular series: a block's buffers stay near 1 MiB
 _LOG_NEAR_MAX = math.log(sys.float_info.max) - 1.0  # a factor e below the float range
-_EXACT_TRIANGLE_ROWS = math.isqrt(1 << 53)  # below it, m * (m + 1) is an integer below 2**53: exact in floats
 
 
 class TriangularMatrix(SummMatrix):
@@ -476,11 +475,8 @@ class TriangularMatrix(SummMatrix):
         running sum bit for bit: fl(carry + x) = fl(x + carry).  Unit weights
         sum to W_m = m and count members in K_m, exact below 2**53, so they
         start from the members counted before row start; float weights carry
-        their sums from row 1.  The weights j of power 1 sum to the integers
-        m(m + 1)/2, which the sequential sum reaches exactly while
-        m(m + 1) < 2**53, so there W is that product, with no running sum.
-        Weight sums that overflow are an input error, raised at the first
-        block that reaches them.
+        their sums from row 1.  Weight sums that overflow are an input error,
+        raised at the first block that reaches them.
         """
         unit = self.power == 0
         before = start - 1
@@ -499,13 +495,8 @@ class TriangularMatrix(SummMatrix):
                     w = self._weights(hi, lo)
                     if lo < covered:
                         k = w[: covered - lo] * mem[lo:hi]
-                    if self.power == 1 and hi < _EXACT_TRIANGLE_ROWS:
-                        w *= w + 1.0  # W_m = m(m + 1)/2: the integers the sequential sum reaches exactly
-                        w *= 0.5
-                        W = w[-1]
-                    else:
-                        w[0] += W
-                        W = np.cumsum(w, out=w)[-1]
+                    w[0] += W
+                    W = np.cumsum(w, out=w)[-1]
                 if not math.isfinite(W):
                     first = lo + int(np.argmin(np.isfinite(w))) + 1
                     raise ValueError(f"weight sums for power {self.power} overflow from row {first}")
@@ -525,10 +516,6 @@ class TriangularMatrix(SummMatrix):
             yield np.divide(k, w, out=k if out is None else out[at : at + len(k)])
             at += len(k)
 
-    def _weight_sums(self, n: int) -> np.ndarray:
-        """The running sums w_1 + ... + w_j for j = 1..n, read from ``_sums``."""
-        return np.concatenate([w for _, w in self._sums(None, n)])
-
     def _mapped(self, n: int) -> np.ndarray:
         j = np.arange(1, n + 1, dtype=np.int64)
         return j if self._map is None else self._map(j)
@@ -537,7 +524,8 @@ class TriangularMatrix(SummMatrix):
         return int(self._map(n)) if self._map is not None else n
 
     def row(self, n: int) -> list[tuple[int, float]]:
-        total = self._weight_sums(n)[-1]  # raises before the power can overflow
+        for _, w in self._sums(None, n):  # raises before the power can overflow
+            total = w[-1]
         # scalar powers: NumPy's array power rounds some fractional powers differently
         return [(k, float(np.float64(j) ** self.power / total)) for j, k in enumerate(self._mapped(n).tolist(), 1)]
 

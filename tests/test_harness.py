@@ -98,7 +98,8 @@ def _entry(A: SummMatrix, n: int, k: int) -> float:
         j = bisect_left(range(1, n + 1), k, key=phi) + 1
         if j > n or phi(j) != k:
             return 0.0
-        return float(np.float64(j) ** A.power / A._weight_sums(n)[-1])
+        total = np.cumsum(np.arange(1, n + 1, dtype=float) ** A.power)[-1]  # the sequential weight sum
+        return float(np.float64(j) ** A.power / total)
     if isinstance(A, IdentityMatrix):
         return 1.0 if n == k else 0.0
     if isinstance(A, ConstantColumnMatrix):

@@ -353,7 +353,8 @@ class TestMatrices:
 
     def test_unit_weight_sums_are_row_numbers(self) -> None:
         for A in (cesaro1(), squares_rows(), weighted_mean(0)):
-            sums = A._weight_sums(5000)
+            sums = np.concatenate([w for _, w in A._sums(None, 5000)])
+            assert np.array_equal(sums, _exact_weight_sums(A.power, 5000))
             assert np.array_equal(sums, np.cumsum(np.ones(5000)))
             assert np.array_equal(sums, np.arange(1, 5001))
 
@@ -441,7 +442,6 @@ class TestBlockReads:
 
     @given(
         block=st.sampled_from([1, 3, 64, summability.BLOCK_ROWS]),
-        exact_rows=st.sampled_from([1, 100, summability._EXACT_TRIANGLE_ROWS]),
         power=st.sampled_from([0.0, 1.0, 0.5, 2.0, -0.5, -1.0, 3.7]),
         squares=st.booleans(),
         n_rows=st.one_of(st.integers(1, 2500), st.sampled_from([1 << 16, (1 << 16) + 1, (1 << 17) + 5])),
@@ -449,13 +449,13 @@ class TestBlockReads:
         seed=st.integers(0, 2**16),
         data=st.data(),
     )
-    @example(block=1, exact_rows=100, power=0.5, squares=False, n_rows=2, share=1.0, seed=0, data=None)
-    @example(block=3, exact_rows=100, power=0.0, squares=True, n_rows=7, share=0.5, seed=1, data=None)
-    @example(block=64, exact_rows=100, power=1.0, squares=False, n_rows=300, share=0.5, seed=4, data=None)
-    @example(block=summability.BLOCK_ROWS, exact_rows=summability._EXACT_TRIANGLE_ROWS, power=3.7, squares=False, n_rows=(1 << 16) + 1, share=0.5, seed=2, data=None)
-    @example(block=summability.BLOCK_ROWS, exact_rows=summability._EXACT_TRIANGLE_ROWS, power=1.0, squares=False, n_rows=(1 << 17) + 5, share=0.5, seed=5, data=None)
-    @example(block=summability.BLOCK_ROWS, exact_rows=summability._EXACT_TRIANGLE_ROWS, power=0.0, squares=False, n_rows=(1 << 17) + 5, share=0.02, seed=3, data=None)
-    def test_blocks_equal_the_whole_series(self, block, exact_rows, power, squares, n_rows, share, seed, data) -> None:
+    @example(block=1, power=0.5, squares=False, n_rows=2, share=1.0, seed=0, data=None)
+    @example(block=3, power=0.0, squares=True, n_rows=7, share=0.5, seed=1, data=None)
+    @example(block=64, power=1.0, squares=False, n_rows=300, share=0.5, seed=4, data=None)
+    @example(block=summability.BLOCK_ROWS, power=3.7, squares=False, n_rows=(1 << 16) + 1, share=0.5, seed=2, data=None)
+    @example(block=summability.BLOCK_ROWS, power=1.0, squares=False, n_rows=(1 << 17) + 5, share=0.5, seed=5, data=None)
+    @example(block=summability.BLOCK_ROWS, power=0.0, squares=False, n_rows=(1 << 17) + 5, share=0.02, seed=3, data=None)
+    def test_blocks_equal_the_whole_series(self, block, power, squares, n_rows, share, seed, data) -> None:
         if squares:
             n_rows = 1 + n_rows % 60  # phi(j) = j*j keeps the membership short
         elif block < summability.BLOCK_ROWS:
@@ -464,21 +464,12 @@ class TestBlockReads:
         A = TriangularMatrix("t", power, (lambda j: j * j) if squares else None)
         member = np.random.default_rng(seed).random(A.support_bound(n_rows) + 3) < share
         s = tail_start(n_rows)
-        # a small exact-product limit moves power 1 onto the running sum part way through the series
-        with mock.patch.object(summability, "BLOCK_ROWS", block), mock.patch.object(summability, "_EXACT_TRIANGLE_ROWS", exact_rows):
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
             got = A.density_series(member, n_rows, start=start)
             extremes = A.tail_extremes(member, n_rows)
         want = _reference_density_series(A, member, n_rows, start)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert extremes == summability._extremes(_reference_density_series(A, member, n_rows, s))
-
-    def test_power_one_sums_are_exact_up_to_their_limit(self) -> None:
-        last = summability._EXACT_TRIANGLE_ROWS - 1  # the last row whose weight sum is the product form
-        assert float(last) * float(last + 1) == last * (last + 1) < 2**53
-        W = float((last - 3) * (last - 2) // 2)
-        for m in range(last - 2, last + 1):
-            W += float(m)  # the sequential sum, one row at a time
-            assert W == m * (m + 1) // 2 == float(m) * (float(m) + 1.0) * 0.5
 
     @given(
         power=st.one_of(st.floats(-5.0, 800.0), st.sampled_from([0.0, 1.0, 40.0, 102.5, 400.0])),
