@@ -62,16 +62,7 @@ from .summability import (
 )
 from .triangle import TRIANGLE_KINDS, TriangleFn, check_triangle_axioms
 
-_CONFIG_KEYS = {
-    "seed": "seed",
-    "N": "N",
-    "horizon": "N",
-    "tol": "tol",
-    "size": "size",
-    "matrix": "matrix",
-    "ideal": "ideal",
-    "space": "space",
-}
+_CONFIG_KEYS = frozenset({"seed", "N", "tol", "size", "matrix", "ideal", "space"})
 
 
 def fn_from_spec(spec: str) -> StepDistFn:
@@ -349,9 +340,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in data.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        dest = _CONFIG_KEYS[key]
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, raw)
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, raw)
 
 
 # numeric option -> (type, bound): an integer at least the bound, a float finite and above it

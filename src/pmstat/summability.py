@@ -39,9 +39,9 @@ when it can still win.
 
 Membership of a set in a density ideal is decided in one place,
 ``Ideal.contains``; limit extraction under a density ideal asks it and
-adds no rule.  A fin limit is tail stabilization, read from the window's
-extremes (``_extremes_verdict``), and never asks ``contains``; its fin
-rule is reached only by a direct call.
+adds no rule.  Fin has one reading: a fin limit is tail stabilization,
+read from the window's extremes (``_extremes_verdict``), and
+``contains`` refuses fin.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Verdict:
             raise ValueError(f"unknown status {self.status!r}")
         if not self.tol >= 0.0:  # NaN too: it would make every comparison against it false
             raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
-        if self.status == CONVERGED and self.residual > self.tol:
+        if self.status == CONVERGED and not self.residual <= self.tol:  # NaN too
             raise ValueError(
                 f"converged verdict with residual {self.residual} above tol {self.tol}"
             )
@@ -145,22 +145,6 @@ class Verdict:
 def tail_start(n: int) -> int:
     """First index (1-based) of the tail window [TAIL_FRACTION * n, n]."""
     return max(1, math.ceil(n * TAIL_FRACTION))
-
-
-def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
-    """Tail-stabilization verdict for an ordinary limit, read off the tail window.
-
-    ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series.
-    The verdict is ``_extremes_verdict`` on its extremes and last value,
-    with a pass over the deviations only when the target lies strictly
-    inside its range.  This is the reading of a built window; limit
-    extraction shares one window's extremes across its targets, and a
-    null verdict takes them from ``SummMatrix.tail_extremes``, both bit
-    for bit equal to it.
-    """
-    if len(win) == 0:
-        raise ValueError("empty partial-value sequence")
-    return _extremes_verdict(*_extremes(win), target, tol, lambda: float(np.abs(win - target).min()))
 
 
 def _extremes(win: np.ndarray) -> tuple[float, float, float]:
@@ -834,10 +818,12 @@ class Ideal:
     ``matrix`` is None for fin (finite sets) and B for the sets of
     B-density zero; ``kind`` and ``name`` are read from it.  Both contain
     every finite set and not the whole index set, hence are admissible,
-    and both support membership verdicts (``contains``, which holds every
-    membership rule) and limit extraction.  Building a density ideal on a
-    B whose closed form shows a column that does not vanish is a
-    ValueError: that column's finite set would have positive B-density.
+    and both support limit extraction.  A density ideal also gives
+    membership verdicts (``contains``, which holds every membership
+    rule); a fin limit is tail stabilization and asks no membership.
+    Building a density ideal on a B whose closed form shows a column that
+    does not vanish is a ValueError: that column's finite set would have
+    positive B-density.
     """
 
     matrix: SummMatrix | None = None
@@ -878,34 +864,28 @@ class Ideal:
 
     def contains(self, member: Membership, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
         """Finite-horizon membership verdict for a set (an ``IndexSet`` or an
-        indicator array covering indices 1..horizon) in the ideal.
+        indicator array covering indices 1..horizon) in a density ideal.
 
-        fin: converged when no index past ``tail_start(horizon)`` is a
-        member, diverged when the members there exceed a tol share.
-        density-zero(B): the null reading of B's tail window on the rows
+        The verdict is the null reading of B's tail window on the rows
         that fit the horizon (``SummMatrix.tail_extremes``), under three
         rules in order, once B has found its rows, so a B whose weight sums
         overflow is refused for every set.  A set with no member reads
         (0, 0, 0) with no series built.  One that does not converge and has
         no member from ``tail_start(horizon)`` on converges with residual
-        0, as fin reads it (Fin is a subset of every admissible ideal).  A diverged set
-        whose tail minimum is within SETTLE_FACTOR * tol is inconclusive.
-        A horizon below 1 is a ValueError.
+        0: Fin is a subset of every admissible ideal.  A diverged set whose
+        tail minimum is within SETTLE_FACTOR * tol is inconclusive.
+        A horizon below 1 is a ValueError, and so is fin: a fin limit is
+        tail stabilization, read by ``ideal_limit_at`` and
+        ``ai_density_is_null``, not a membership verdict.
         """
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
-        marks = _member_array(member, horizon)
         if self.kind == "fin":
-            w0 = tail_start(horizon)
-            growth = float(np.count_nonzero(marks[w0:]))
-            rate = growth / max(1, horizon - w0)
-            if growth == 0.0:
-                status = CONVERGED
-            elif rate > tol:
-                status = DIVERGED
-            else:
-                status = INCONCLUSIVE
-            return Verdict(status, float(np.count_nonzero(marks)), rate, tol)
+            raise ValueError(
+                "fin has no membership verdict: a fin limit is tail stabilization, "
+                "read by ideal_limit_at and ai_density_is_null"
+            )
+        marks = _member_array(member, horizon)
         n = self.matrix.max_row_for(horizon)
         if not marks.any():
             return _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)

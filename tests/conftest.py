@@ -17,11 +17,13 @@ from pmstat import (
     FinitePMSpace,
     Ideal,
     StepDistFn,
+    Verdict,
     build_equilateral,
     build_metric_induced,
     cesaro1,
     matrix_from_spec,
 )
+from pmstat.summability import _extremes, _extremes_verdict
 
 settings.register_profile(
     "suite",
@@ -59,6 +61,21 @@ def wide_step_fns(draw, max_jumps: int = 4) -> StepDistFn:
     height = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     vals = draw(st.lists(height, min_size=n - 1, max_size=n - 1, unique=True).map(sorted)) + [1.0]
     return StepDistFn.from_pairs(zip(locs, vals))
+
+
+def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
+    """Tail-stabilization verdict for an ordinary limit, read off a built window.
+
+    ``win`` is rows ``tail_start(n)..n`` of an n-row partial-value series.
+    The verdict is ``_extremes_verdict`` on its extremes and last value,
+    with a pass over the deviations only when the target lies strictly
+    inside its range.  Limit extraction shares one window's extremes
+    across its targets, and a null verdict takes them from
+    ``SummMatrix.tail_extremes``; both must equal this bit for bit.
+    """
+    if len(win) == 0:
+        raise ValueError("empty partial-value sequence")
+    return _extremes_verdict(*_extremes(win), target, tol, lambda: float(np.abs(win - target).min()))
 
 
 @pytest.fixture

@@ -451,12 +451,12 @@ class TestConfigAndEnv:
         assert rc == 0
         assert json.loads(out.read_text())["matrix"] == "constcol:1"
 
-    def test_horizon_alias_in_config(self, tmp_path: Path) -> None:
+    def test_horizon_is_not_a_config_key(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+        # the horizon is set by N alone
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"horizon": 2000}))
-        out = tmp_path / "check.json"
-        assert main(["matrix-check", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["report"]["horizon"] == 2000
+        assert main(["matrix-check", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config key 'horizon'")
 
     def test_env_seed_used(self, monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys) -> None:
         monkeypatch.setenv("PMSTAT_SEED", "77")
@@ -550,7 +550,7 @@ class TestNumericOptions:
             ({"tol": "nan"}, "--tol"),
             ({"dl_tol": "nan"}, "--dl-tol"),
             ({"N": 5}, "--N"),
-            ({"horizon": 20.5}, "--N"),
+            ({"N": 20.5}, "--N"),
             ({"N": True}, "--N"),
             ({"N": [100]}, "--N"),
             ({"tol": 0}, "--tol"),

@@ -66,15 +66,17 @@ from pmstat.summability import (
     _extremes_verdict,
     _ideal_limit,
     _limit_input,
-    _tail_verdict,
     nonthin,
 )
 
+from conftest import _tail_verdict
+
 
 class TestVerdict:
-    def test_invariant_converged_within_tol(self) -> None:
+    @pytest.mark.parametrize("residual", [0.5, math.inf, math.nan])
+    def test_invariant_converged_within_tol(self, residual: float) -> None:
         with pytest.raises(ValueError, match="above tol"):
-            Verdict(CONVERGED, 0.0, 0.5, 0.1)
+            Verdict(CONVERGED, 0.0, residual, 0.1)
 
     def test_unknown_status_rejected(self) -> None:
         with pytest.raises(ValueError, match="unknown status"):
@@ -632,19 +634,18 @@ class TestRegularity:
 
 
 class TestIdeals:
-    def test_fin_contains_finite_sets(self) -> None:
-        v = Ideal.fin().contains(finite_set([3, 5]), 200)
-        assert v.status == CONVERGED
-        assert v.value == 2.0
+    def test_fin_has_no_membership_verdict(self) -> None:
+        # a fin limit is tail stabilization, read by the limit code alone
+        for member in (finite_set([3, 5]), EVENS, finite_set([150])):
+            with pytest.raises(ValueError, match="fin limit is tail stabilization"):
+                Ideal.fin().contains(member, 200)
 
-    def test_fin_rejects_evens(self) -> None:
-        v = Ideal.fin().contains(EVENS, 200)
-        assert v.status == DIVERGED
-        assert v.value == 100.0
-
-    def test_fin_inconclusive_on_late_singleton(self) -> None:
-        # one new member inside the tail window is exactly at the rate tol
-        v = Ideal.fin().contains(finite_set([150]), 200)
+    def test_finite_rule_window_starts_at_the_tail_start(self) -> None:
+        # index 100 = tail_start(200) is in rule 2's window, so {100} is not
+        # read as finite: the identity B's window reads 1 at row 100 and 0
+        # at row 200, which is inconclusive
+        assert tail_start(200) == 100
+        v = Ideal.density_zero(IdentityMatrix()).contains(finite_set([100]), 200)
         assert v.status == INCONCLUSIVE
 
     def test_density_ideal_membership(self) -> None:

@@ -41,7 +41,9 @@ from pmstat import (
     tail_start,
     weighted_mean,
 )
-from pmstat.summability import SETTLE_FACTOR, _extremes_verdict, _tail_verdict
+from pmstat.summability import SETTLE_FACTOR, _extremes_verdict
+
+from conftest import _tail_verdict
 
 
 def _whole_series_verdict(y: np.ndarray, target: float, tol: float) -> Verdict:
