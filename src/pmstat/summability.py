@@ -33,9 +33,10 @@ of an n-row series, and only the rows a verdict reads are built: a fin
 limit reads the window of its A-series, a density ideal reads its
 A-series whole and the window of each B-series (``Ideal.reads_from``).
 A window equals that slice of the whole series bit for bit.  A null
-verdict builds no series where a closed form gives its reading
-(``ai_density_is_null``), and a limit search computes a candidate only
-when it can still win.
+verdict builds no series where its extremes can be read without one: a
+triangular matrix of exact weights reads a window of few runs at its run
+ends (``TriangularMatrix.tail_extremes``), and a limit search computes a
+candidate only when it can still win.
 
 Membership of a set in a density ideal is decided in one place,
 ``Ideal.contains``; limit extraction under a density ideal asks it and
@@ -382,9 +383,12 @@ class SummMatrix:
         raise NotImplementedError
 
     def max_row_for(self, horizon: int) -> int:
-        """Largest row whose support fits inside indices 1..horizon."""
+        """Largest row whose support fits inside indices 1..horizon: the
+        horizon itself when its own row fits, else found by bisection."""
         if self.support_bound(1) > horizon:
             raise ValueError(f"horizon {horizon} below the support of the first row")
+        if self.support_bound(horizon) <= horizon:
+            return horizon
         lo, hi = 1, max(1, horizon)
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -413,6 +417,7 @@ class SummMatrix:
 
 
 BLOCK_ROWS = 1 << 16  # rows per block of a triangular series: a block's buffers stay near 1 MiB
+_EXACT_ROWS = 1 << 26  # weights j up to this row have sums m(m + 1)/2 below 2**53
 _LOG_NEAR_MAX = math.log(sys.float_info.max) - 1.0  # a factor e below the float range
 
 
@@ -427,6 +432,11 @@ class TriangularMatrix(SummMatrix):
     Row m of the series of a set is K_m / W_m, the running sums of the
     member weights and of all weights, read in blocks of ``BLOCK_ROWS``
     rows (``_sums``, ``_blocks``); nothing the size of the horizon is kept.
+    Weights 1, and weights j on at most ``_EXACT_ROWS`` rows, are exact
+    (``_exact``): every running sum is an integer below 2**53, so it equals
+    the sequential float sum in any order, W_m is m or m(m + 1)/2, and a
+    window is read from row s on and, with few runs, at its run ends
+    (``_run_extremes``).
     """
 
     def __init__(
@@ -447,6 +457,22 @@ class TriangularMatrix(SummMatrix):
         w **= self.power
         return w
 
+    def _exact(self, n_rows: int) -> bool:
+        """Whether the running sums up to row n_rows are integers below 2**53:
+        weights 1, or weights j on at most ``_EXACT_ROWS`` rows."""
+        return self.power == 0 or (self.power == 1 and n_rows <= _EXACT_ROWS)
+
+    def _carry(self, mem: np.ndarray, rows: int) -> int:
+        """K at row ``rows`` of exact weights: the member weight of rows
+        1..rows, counted, or for weights j summed as integers in blocks."""
+        if self.power == 0:
+            return int(np.count_nonzero(mem[:rows]))
+        K = 0
+        for lo in range(0, rows, BLOCK_ROWS):
+            block = mem[lo : min(lo + BLOCK_ROWS, rows)]
+            K += int(np.flatnonzero(block).sum()) + (lo + 1) * int(np.count_nonzero(block))
+        return K
+
     def _sums(self, mem: np.ndarray | None, n_rows: int, start: int = 1) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
         """The running sums (K_m, W_m) of the member weights and of all
         weights up to row m, for rows m = start..n_rows, in blocks of at most
@@ -456,24 +482,28 @@ class TriangularMatrix(SummMatrix):
 
         A block adds the sums carried from the row before it into its first
         element and then sums in sequence, so every value is the sequential
-        running sum bit for bit: fl(carry + x) = fl(x + carry).  Unit weights
-        sum to W_m = m and count members in K_m, exact below 2**53, so they
-        start from the members counted before row start; float weights carry
-        their sums from row 1.  Weight sums that overflow are an input error,
-        raised at the first block that reaches them.
+        running sum bit for bit: fl(carry + x) = fl(x + carry).  Exact
+        weights start at row start, from K summed exactly over the rows
+        before it (``_carry``), and take W_m as m or m(m + 1)/2, with no
+        power and no sum; other weights carry their sums from row 1.  Weight
+        sums that overflow are an input error, raised at the first block
+        that reaches them.
         """
-        unit = self.power == 0
+        exact = self._exact(n_rows)
         before = start - 1
         covered = 0 if mem is None else len(mem)
-        K = float(np.count_nonzero(mem[:before])) if unit and mem is not None else 0.0
+        K = float(self._carry(mem, before)) if exact and mem is not None else 0.0
         W = 0.0
-        for lo in range(before if unit else 0, n_rows, BLOCK_ROWS):
+        for lo in range(before if exact else 0, n_rows, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n_rows)
             k = None
-            if unit:
+            if exact:
                 w = np.arange(lo + 1, hi + 1, dtype=float)
                 if lo < covered:
-                    k = mem[lo:hi].astype(float)
+                    k = mem[lo:hi].astype(float) if self.power == 0 else w[: covered - lo] * mem[lo:hi]
+                if self.power == 1:
+                    w *= w + 1.0
+                    w *= 0.5
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise below
                     w = self._weights(hi, lo)
@@ -541,33 +571,72 @@ class TriangularMatrix(SummMatrix):
             pass
         return series
 
-    def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
-        """A window with no member, and a unit-weight window of members,
-        read in closed form; any other window is read block by block.
+    def _run_extremes(self, mem: np.ndarray, n_rows: int) -> tuple[float, float, float] | None:
+        """The least, greatest and last value of the window of exact weights
+        read at its run ends, or None when it has more than ``BLOCK_ROWS`` runs.
 
-        Row m of the series is K_m / W_m, the running sums of the member
-        weights and of all weights.  With K_s the members' weight before
-        the window's first row s, a window with no member reads K_s / W_m,
-        not rising in m because W is nondecreasing.  Under unit weights,
-        W_m = m and a window of members reads (K_s + m - s + 1)/m, rising
-        in m because K_s <= s - 1.  Rounding is monotone and each quotient
-        is the correctly rounded one that the series divides out (zero
-        terms leave its sequential running sum at K_s), so the window's
-        extremes and last value are its values at rows s and n_rows, bit
-        for bit.  Any other window is read from ``_blocks``, keeping only
-        each block's least, greatest and last value.
+        Row m is K_m / W_m.  A member row adds w to both sums, and
+        (K + w)/(W + w) >= K/W because K <= W, so the series rises through a
+        run of members; it falls through a run of non-members, where only W
+        grows.  So its extremes sit at row s, the window's first row, or at
+        the last row of a run, where K is the carry K_{s-1} plus the member
+        runs' weights, W_b - W_a for a run of rows a+1..b.  The sums are
+        exact integers, rounding is monotone, and each quotient is the
+        correctly rounded one that the series divides out, so the extremes
+        and the last value are the series' own, bit for bit.  The run ends
+        are found block by block, and the search stops at the limit.
+        """
+        s = tail_start(n_rows)
+        ends, count = [np.array([s - 1, s])], 0
+        for lo in range(s - 1, n_rows - 1, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n_rows - 1)
+            at = np.flatnonzero(mem[lo:hi] != mem[lo + 1 : hi + 1])
+            count += len(at)
+            if count >= BLOCK_ROWS:
+                return None
+            at += lo + 1
+            ends.append(at)
+        ends.append(np.array([n_rows]))
+        K_before = self._carry(mem, s - 1)
+        # rows s - 1 and s, then the last row of each run: W there, and
+        # the weight K gains over each segment between them
+        W = np.concatenate(ends, dtype=float)
+        del ends
+        if self.power == 1:
+            W *= W + 1.0
+            W *= 0.5
+        K = np.diff(W)
+        # row s and the rest of its run share its membership; runs alternate
+        K[2 if mem[s - 1] else 3 :: 2] = 0.0
+        if not mem[s - 1]:
+            K[:2] = 0.0
+        K[0] += K_before
+        np.cumsum(K, out=K)
+        values = np.divide(K, W[1:], out=K)
+        return float(values.min()), float(values.max()), float(values[-1])
+
+    def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
+        """A window of exact weights with at most ``BLOCK_ROWS`` runs is read
+        at its run ends (``_run_extremes``), and a window of other weights
+        with no member in closed form; any other window is read block by
+        block.
+
+        With K_s the members' weight before the window's first row s, a
+        window with no member reads K_s / W_m, not rising in m because W is
+        nondecreasing.  Rounding is monotone and each quotient is the
+        correctly rounded one that the series divides out (zero terms leave
+        its sequential running sum at K_s), so the window's extremes and
+        last value are its values at rows s and n_rows, bit for bit.  A
+        window read from ``_blocks`` keeps only each block's least, greatest
+        and last value.
         """
         mem = self._row_members(member, n_rows)
         s = tail_start(n_rows)
-        window = mem[s - 1 :]
-        if self.power == 0:
-            before = int(np.count_nonzero(mem[: s - 1]))
-            if not window.any():
-                return before / n_rows, before / s, before / n_rows
-            if window.all():
-                last = (before + n_rows - s + 1) / n_rows
-                return (before + 1) / s, last, last
-        elif not window.any():
+        if self._exact(n_rows):
+            read = self._run_extremes(mem, n_rows)
+            if read is not None:
+                return read
+        elif not mem[s - 1 :].any():
             sums = self._sums(mem[:s], n_rows, s)  # member weights up to row s only
             k, w = next(sums)  # row s adds 0: K_s as the series sums it
             before, at_s = k[0], w[0]
@@ -1152,9 +1221,9 @@ def ai_density_is_null(
     """Verdict for "the set has A^I-density zero".
 
     fin: the null reading of A's tail window from its extremes
-    (``SummMatrix.tail_extremes``), so a window that a closed form reads
-    (no member, or every row a member under unit weights) builds no
-    series.  density-zero(B): a set with no member among the indices A's
+    (``SummMatrix.tail_extremes``), so a window read without its series
+    (at its run ends under exact weights, or with no member) builds
+    none.  density-zero(B): a set with no member among the indices A's
     rows read has the zero series, and reads as the extraction of that
     series does, with no series built: converged at 0 on every epsilon, as
     rule 1 of ``Ideal.contains`` reads each zero defect once B has found

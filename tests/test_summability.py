@@ -375,6 +375,30 @@ class TestMatrices:
             squares_rows().max_row_for(0)
         assert squares_rows().max_row_for(99) == 9
 
+    @pytest.mark.parametrize(
+        "spec", ["cesaro", "identity", "constcol", "squares", "block:1", "block:12", "weighted:1", "weighted:-0.5"]
+    )
+    def test_max_row_for_equals_the_bisection(self, spec: str) -> None:
+        A = matrix_from_spec(spec)
+
+        def bisected(horizon: int) -> int:
+            if A.support_bound(1) > horizon:
+                raise ValueError(f"horizon {horizon} below the support of the first row")
+            lo, hi = 1, max(1, horizon)
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if A.support_bound(mid) <= horizon else (lo, mid - 1)
+            return lo
+
+        for horizon in (-1, 0, 1, 2, 3, 11, 12, 99, 10**4, 10**6 + 1, 10**7):
+            try:
+                want = bisected(horizon)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    A.max_row_for(horizon)
+            else:
+                assert A.max_row_for(horizon) == want
+
 
 def _reference_density_series(A: TriangularMatrix, member: np.ndarray, n_rows: int, start: int) -> np.ndarray:
     """``TriangularMatrix.density_series`` as a chain of temporaries: the
@@ -528,6 +552,89 @@ class TestBlockReads:
         assert held < N, held  # nothing the size of the horizon, even one byte a row, outlives the query
 
 
+@st.composite
+def run_memberships(draw) -> tuple[int, np.ndarray]:
+    """A row count and the member rows over it: random, thin, co-thin,
+    periodic, empty or full."""
+    n = draw(st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3, 4])))
+    kind = draw(st.sampled_from(["random", "thin", "co-thin", "periodic", "empty", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mem = np.zeros(n, dtype=bool)
+    if kind == "random":
+        mem = rng.random(n) < draw(st.sampled_from([0.02, 0.3, 0.5, 0.9]))
+    elif kind in ("thin", "co-thin"):
+        mem[rng.integers(0, n, size=draw(st.integers(1, 8)))] = True
+        mem ^= kind == "co-thin"
+    elif kind == "periodic":
+        m = draw(st.integers(1, 7))
+        mem = np.arange(n) % m == draw(st.integers(0, m - 1))
+    elif kind == "full":
+        mem[:] = True
+    return n, mem
+
+
+class TestRunEnds:
+    """Exact-weight windows read at their run ends, against the block reader."""
+
+    @given(
+        rows=run_memberships(),
+        power=st.sampled_from([0.0, 1.0]),
+        squares=st.booleans(),
+        block=st.sampled_from([1, 2, 3, 8, 64, summability.BLOCK_ROWS]),
+        exact_rows=st.sampled_from([0, 1, 100, 1000, summability._EXACT_ROWS]),
+    )
+    @example(rows=(1, np.ones(1, dtype=bool)), power=1.0, squares=False, block=1, exact_rows=1)
+    @example(rows=(7, np.arange(7) % 2 == 0), power=1.0, squares=False, block=3, exact_rows=1000)
+    @example(rows=(2000, np.arange(2000) % 3 == 1), power=1.0, squares=False, block=64, exact_rows=1000)
+    def test_run_ends_equal_the_block_reader(self, rows, power, squares, block, exact_rows) -> None:
+        n, mem = rows
+        squares = squares and power == 0 and n <= 60  # phi(j) = j*j keeps the membership short
+        A = TriangularMatrix("t", power, (lambda j: j * j) if squares else None)
+        member = np.zeros(A.support_bound(n) + 3, dtype=bool)
+        member[(np.arange(1, n + 1) ** (2 if squares else 1))[mem] - 1] = True
+        s = tail_start(n)
+        window = mem[s - 1 :]
+        runs = 1 + np.count_nonzero(window[1:] != window[:-1])
+        with mock.patch.object(summability, "BLOCK_ROWS", block), mock.patch.object(summability, "_EXACT_ROWS", exact_rows):
+            exact = A._exact(n)
+            by_runs = A._run_extremes(mem, n) if exact else None
+            by_blocks = summability._extremes(np.concatenate([b.copy() for b in A._blocks(mem, n, s)]))
+            got = A.tail_extremes(member, n)
+            series = A.density_series(member, n, start=s)
+        assert exact == (power == 0 or n <= exact_rows)
+        assert (by_runs is None) == (not exact or runs > block)
+        hexes = lambda xs: tuple(map(float.hex, xs))
+        if by_runs is not None:
+            assert hexes(by_runs) == hexes(by_blocks)
+        assert hexes(got) == hexes(by_blocks)
+        # the block reader, from row s under exact weights, is the whole chain's window
+        want = _reference_density_series(A, member, n, s)
+        assert series.tobytes() == want.tobytes()
+        assert hexes(by_blocks) == hexes(summability._extremes(want))
+
+    def test_a_weighted_fin_window_reads_one_block_of_run_arrays(self) -> None:
+        """Read at its run ends, a weighted:1 window at N = 10^6 allocates at
+        most one block's buffers beyond its membership: no run array holds
+        more than ``BLOCK_ROWS`` entries, and no more than two are alive."""
+        N = 10**6
+        A, fin = weighted_mean(1), Ideal.fin()
+        n = A.max_row_for(N)
+        rng = np.random.default_rng(28)
+        thin = np.zeros(N, dtype=bool)
+        thin[rng.choice(N, summability.BLOCK_ROWS // 4, replace=False)] = True  # about BLOCK_ROWS / 4 runs in the window
+        sets = [CUBES, ~SQUARES, finite_set([3, 17]), NO_INDICES, ALL_INDICES, multiples(1000, 7)]
+        for member in [m.indicator(N) for m in sets] + [thin]:
+            want = _extremes_verdict(*A.tail_extremes(member, n), 0.0, DEFAULT_TOL)  # warm
+            tracemalloc.start()
+            try:
+                v = ai_density_is_null(A, fin, member, N)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert v == want
+            assert peak <= 16 * summability.BLOCK_ROWS, peak
+
+
 class TestRegularity:
     def test_cesaro_is_regular(self) -> None:
         rep = check_regularity(cesaro1(), 10_000, 2e-3)
@@ -566,7 +673,7 @@ class TestRegularity:
     )
     def test_triangular_kinds_build_only_the_row_sums(self, spec: str) -> None:
         # each column {k}, k <= 25, has no member in the tail window, which
-        # a triangular matrix reads at its two ends
+        # a triangular matrix reads without its series
         A = matrix_from_spec(spec)
         built, read = [], []
         series, blocks = A.density_series, A._blocks
@@ -1058,7 +1165,7 @@ class TestSharedDefectVerdicts:
         assert ideal_limit(y, ideal, tol) == _reference_ideal_limit(y, ideal, tol)
         assert ideal_limit_at(y, ideal, target, tol) == _reference_ideal_limit_at(y, ideal, target, tol)
 
-    def test_one_series_per_distinct_nonempty_defect(self) -> None:
+    def test_a_series_only_for_a_defect_window_of_many_runs(self) -> None:
         B = cesaro1()
         built = []
         blocks = B._blocks  # every series of a triangular matrix is read through it
@@ -1068,13 +1175,17 @@ class TestSharedDefectVerdicts:
             return blocks(mem, n_rows, start, out)
 
         B._blocks = counted
-        N, tol = 10**5, 0.01
-        w0 = tail_start(N)
+        tol = 0.01
 
-        def defects(y: np.ndarray) -> tuple[set, set]:
-            """The distinct nonempty defects over the default candidates, and
-            those whose B-window is mixed, so that only a series can read it."""
-            distinct, mixed = set(), set()
+        def read(A: SummMatrix, member: np.ndarray, N: int) -> tuple[set, set, set]:
+            """Extract the A-density of ``member`` under density-zero(B), and
+            return the distinct nonempty defects over the default candidates,
+            and those whose B-window is mixed, split by its run count: at
+            most ``BLOCK_ROWS`` runs, which B reads at their ends, and more,
+            which only a series can read."""
+            ai_density(A, Ideal.density_zero(B), member, N, tol)
+            y, w0 = a_density_partial(A, member, N), tail_start(N)
+            distinct, few, many = set(), set(), set()
             seen: list[float] = []
             for c in (float(y[-1]), float(np.median(y[w0 - 1 :])), 0.0, 0.5, 1.0):
                 if any(abs(c - s) <= 1e-12 for s in seen):
@@ -1084,26 +1195,34 @@ class TestSharedDefectVerdicts:
                     defect = np.abs(y - c) >= eps
                     if defect.any():
                         distinct.add(defect.tobytes())
-                        if 0 < np.count_nonzero(defect[w0 - 1 :]) < N - w0 + 1:
-                            mixed.add(defect.tobytes())
-            return distinct, mixed
+                        window = defect[w0 - 1 :]
+                        runs = 1 + np.count_nonzero(window[1:] != window[:-1])
+                        if runs > 1:
+                            (few if runs <= summability.BLOCK_ROWS else many).add(defect.tobytes())
+            return distinct, few, many
 
-        # each defect of EVENS lies before the window or covers it, so no
-        # B-series is built: unit weights read a constant window in closed form
+        # each defect of EVENS lies before the window or covers it: one run
+        N = 10**5
         v = ai_density(cesaro1(), Ideal.density_zero(B), EVENS, N, tol)
         assert v.converged and v.value == 0.5
-        distinct, mixed = defects(a_density_partial(cesaro1(), EVENS, N))
-        assert len(distinct) == 7 and not mixed
+        distinct, few, many = read(cesaro1(), EVENS, N)
+        assert len(distinct) == 7 and not few and not many
         assert built == []
 
         # indices in [4^j, 2 * 4^j): the Cesaro densities swing between 1/3
-        # and 2/3, so defects come and go inside the window
+        # and 2/3, so defects come and go inside the window, in a few runs
         k = np.arange(1, N + 1)
         swing = k < 2 * 4 ** (np.floor(np.log2(k)).astype(np.int64) // 2)
-        ai_density(cesaro1(), Ideal.density_zero(B), swing, N, tol)
-        distinct, mixed = defects(a_density_partial(cesaro1(), swing, N))
-        assert 0 < len(mixed) < len(distinct)
-        assert len(built) == len(mixed)
+        distinct, few, many = read(cesaro1(), swing, N)
+        assert 0 < len(few) < len(distinct) and not many
+        assert built == []
+
+        # the identity's partial densities are EVENS itself: its defects at 0
+        # and 1 alternate on every row, more runs than a block has rows
+        N = 3 * summability.BLOCK_ROWS
+        distinct, few, many = read(IdentityMatrix(), EVENS.indicator(N), N)
+        assert len(many) == 2 and not few
+        assert len(built) == len(many)
         assert set(built) == {N}
 
     @given(

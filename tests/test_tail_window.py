@@ -11,6 +11,7 @@ is read.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from pmstat import (
     tail_start,
     weighted_mean,
 )
+from pmstat import summability
 from pmstat.summability import SETTLE_FACTOR, _extremes_verdict
 
 from conftest import _tail_verdict
@@ -197,19 +199,21 @@ class TestTailWindow:
         assert built and all(start == tail_start(rows) for _, rows, start in built)
 
         # density ideal: the first-level series is whole, and a B-series is
-        # built only for a mixed window, and then only the window.  The
-        # defects of EVENS lie before the window or cover it, and SQUARES
-        # holds every index j*j the squares rows read; EVENS holds every
-        # other one, so only its membership query builds a B-series.
-        built.clear()
-        ai_density(A, Ideal.density_zero(B), EVENS, N, tol)
-        Ideal.density_zero(B).contains(SQUARES, N, tol)
-        Ideal.density_zero(B).contains(EVENS, N, tol)
-        first = [b for b in built if b[0] == "cesaro"]
-        second = [b for b in built if b[0] == "squares"]
+        # built only for a window of more runs than a block has rows, and
+        # then only the window.  The defects of EVENS lie before the window
+        # or cover it, and SQUARES holds every index j*j the squares rows
+        # read: one run each.  EVENS holds every other one, 51 runs over the
+        # window of 100 rows, so with blocks of 16 rows only its membership
+        # query builds a B-series; with blocks of 64 none does.
         rows = B.max_row_for(N)
-        assert first == [("cesaro", N, 1)]
-        assert second == [("squares", rows, tail_start(rows))]
+        for block, want in ((16, [("squares", rows, tail_start(rows))]), (64, [])):
+            built.clear()
+            with mock.patch.object(summability, "BLOCK_ROWS", block):
+                ai_density(A, Ideal.density_zero(B), EVENS, N, tol)
+                Ideal.density_zero(B).contains(SQUARES, N, tol)
+                Ideal.density_zero(B).contains(EVENS, N, tol)
+            assert [b for b in built if b[0] == "cesaro"] == [("cesaro", N, 1)]
+            assert [b for b in built if b[0] == "squares"] == want
 
 
 UNIT_WEIGHT_KINDS = ["cesaro", "squares", "weighted:0"]
