@@ -462,6 +462,14 @@ class TriangularMatrix(SummMatrix):
         weights 1, or weights j on at most ``_EXACT_ROWS`` rows."""
         return self.power == 0 or (self.power == 1 and n_rows <= _EXACT_ROWS)
 
+    def _totals(self, m: np.ndarray) -> np.ndarray:
+        """W_m of exact weights at the float row numbers m, in place: m, or
+        m(m + 1)/2, whose product is exact below 2**53."""
+        if self.power == 1:
+            m *= m + 1.0
+            m *= 0.5
+        return m
+
     def _carry(self, mem: np.ndarray, rows: int) -> int:
         """K at row ``rows`` of exact weights: the member weight of rows
         1..rows, counted, or for weights j summed as integers in blocks."""
@@ -501,9 +509,7 @@ class TriangularMatrix(SummMatrix):
                 w = np.arange(lo + 1, hi + 1, dtype=float)
                 if lo < covered:
                     k = mem[lo:hi].astype(float) if self.power == 0 else w[: covered - lo] * mem[lo:hi]
-                if self.power == 1:
-                    w *= w + 1.0
-                    w *= 0.5
+                self._totals(w)
             else:
                 with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow raise below
                     w = self._weights(hi, lo)
@@ -600,11 +606,8 @@ class TriangularMatrix(SummMatrix):
         K_before = self._carry(mem, s - 1)
         # rows s - 1 and s, then the last row of each run: W there, and
         # the weight K gains over each segment between them
-        W = np.concatenate(ends, dtype=float)
+        W = self._totals(np.concatenate(ends, dtype=float))
         del ends
-        if self.power == 1:
-            W *= W + 1.0
-            W *= 0.5
         K = np.diff(W)
         # row s and the rest of its run share its membership; runs alternate
         K[2 if mem[s - 1] else 3 :: 2] = 0.0
