@@ -607,8 +607,8 @@ class TriangularMatrix(SummMatrix):
         # rows s - 1 and s, then the last row of each run: W there, and
         # the weight K gains over each segment between them
         W = self._totals(np.concatenate(ends, dtype=float))
-        del ends
-        K = np.diff(W)
+        del ends  # so no more than two run arrays are alive
+        K = W[1:] - W[:-1]
         # row s and the rest of its run share its membership; runs alternate
         K[2 if mem[s - 1] else 3 :: 2] = 0.0
         if not mem[s - 1]:
