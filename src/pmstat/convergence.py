@@ -20,7 +20,6 @@ edge is an internal error.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -57,6 +56,12 @@ class IndexedSequence:
     and sliced for shorter horizons.  ``fn`` is the scalar generator on
     k >= 1 that defines the sequence; it is the reference the equivalence
     tests compare ``codes`` against, and nothing else reads it.
+
+    The sequence also keeps the null verdicts of its point sets
+    (``_points_null``): a set is decided once per sequence for each
+    visited point set it names, per matrix, ideal, horizon and tol.  It
+    keeps the codes visited up to each horizon asked for their keys, and
+    nothing the size of the horizon.
     """
 
     space: FinitePMSpace
@@ -64,6 +69,8 @@ class IndexedSequence:
     description: str
     codes: Callable[[int], np.ndarray] = field(repr=False)
     _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8), init=False, repr=False)
+    _visited: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _nulls: dict[tuple, Verdict] = field(default_factory=dict, init=False, repr=False)
 
     def values(self, n: int) -> list[str]:
         return [self.space.points[c] for c in self.value_codes(n).tolist()]
@@ -230,6 +237,28 @@ def _point_set(x: IndexedSequence, name: str, flags: Mapping[str, bool]) -> Inde
     return IndexSet(name, lambda k: bool(flags[x.fn(k)]), lambda n: _among(x.value_codes(n), table))
 
 
+def _points_null(
+    x: IndexedSequence, name: str, flags: Mapping[str, bool], A: SummMatrix, ideal: Ideal, horizon: int, tol: float
+) -> Verdict:
+    """``ai_density_is_null`` of ``_point_set(x, name, flags)``, decided once
+    per sequence for each visited point set it names.
+
+    Two flag maps that agree on the points x visits in 1..horizon give the
+    same indicator on 1..horizon, and a null reading reads no index past
+    ``A.support_bound(A.max_row_for(horizon)) <= horizon``, so the flagged
+    visited points, with A, the ideal, the horizon and tol, key the
+    verdict.  A refused input raises on every ask; nothing is kept for it.
+    """
+    points = x.space.points
+    if horizon not in x._visited:
+        x._visited[horizon] = tuple(c for _, c in _first_visits(x.value_codes(horizon), len(points)))
+    key = (frozenset(c for c in x._visited[horizon] if flags[points[c]]), A, ideal, horizon, tol)
+    v = x._nulls.get(key)
+    if v is None:
+        v = x._nulls[key] = ai_density_is_null(A, ideal, _point_set(x, name, flags), horizon, tol)
+    return v
+
+
 def visit_set(x: IndexedSequence, point: str) -> IndexSet:
     """Indices where the sequence visits the point; total predicate."""
     _check_point(x.space, point)
@@ -251,15 +280,14 @@ def _check_point(space: FinitePMSpace, p: str) -> None:
         raise ValueError(f"unknown carrier point {p!r}")
 
 
-def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
-    """Index set ``{ k : x_k not in N_target(t) }``.
+def _defect_flags(space: FinitePMSpace, target: str, t: float) -> dict[str, bool]:
+    """Which points lie outside N_target(t).
 
     Read from ``space.strong_neighborhood(target, t)``, the one definition
     of ``F_{target, x_k}(t) > 1 - t``, and cross-checked against the exact
     gap form ``dist(target, x_k) >= t``; the two agree by construction
     except possibly one float ulp at the knife edge.
     """
-    space = x.space
     near = space.strong_neighborhood(target, t)
     outside = {p: p not in near for p in space.points}
     for p in space.points:
@@ -268,7 +296,12 @@ def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
             raise RuntimeError(
                 f"neighborhood forms disagree for ({p}, {target}) at t={t}"
             )
-    return _point_set(x, f"defect({target},t={t})", outside)
+    return outside
+
+
+def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
+    """Index set ``{ k : x_k not in N_target(t) }``, by ``_defect_flags``."""
+    return _point_set(x, f"defect({target},t={t})", _defect_flags(x.space, target, t))
 
 
 def _grid(space: FinitePMSpace) -> tuple[float, ...]:
@@ -303,7 +336,8 @@ def _null_row(
     """Null verdicts of the defect sets ``{ k : x_k not in N_c(t) }``, keyed
     ``t=<t>`` over the threshold grid in increasing t."""
     return {
-        f"t={t}": ai_density_is_null(A, ideal, _neighborhood_defect(x, c, t), horizon, tol) for t in _grid(x.space)
+        f"t={t}": _points_null(x, f"defect({c},t={t})", _defect_flags(x.space, c, t), A, ideal, horizon, tol)
+        for t in _grid(x.space)
     }
 
 
@@ -397,10 +431,14 @@ def lemma_cauchy_predicates(
        set, for every threshold g.
 
     The three readings share one table of per-threshold null verdicts,
-    and each point's row of it is computed at most once per call.
+    read through the sequence's null memo (``_points_null``), so each
+    visited point set is decided once per sequence.
     """
     space = x.space
-    row = functools.cache(lambda c: _null_row(x, c, A, ideal, horizon, tol))
+
+    def row(c: str) -> dict[str, Verdict]:
+        return _null_row(x, c, A, ideal, horizon, tol)
+
     p1 = _anchor_search(x, horizon, tol, row)
     anchor = p1.value
 
@@ -426,8 +464,7 @@ def lemma_cauchy_predicates(
     per_g3: dict[str, Verdict] = {}
     for g in _grid(space):
         bad = {c: not row(c)[f"t={g}"].converged for c in space.points}
-        outer = _point_set(x, f"rows-with-bad-defect(t={g})", bad)
-        per_g3[f"t={g}"] = ai_density_is_null(A, ideal, outer, horizon, tol)
+        per_g3[f"t={g}"] = _points_null(x, f"rows-with-bad-defect(t={g})", bad, A, ideal, horizon, tol)
     p3 = Verdict.all_of(per_g3, anchor, tol)
 
     return p1, p2, p3
@@ -494,10 +531,12 @@ def lambda_set(
     converges exactly when ``dist(c, c) == 0``, which P-1 asserts of a
     valid space.
     """
+    points = x.space.points
     return frozenset(
         c
-        for c, visits in visit_witnesses(x).items()
-        if x.space.dist(c, c) == 0.0 and nonthin(ai_density_is_null(A, ideal, visits, horizon, tol))
+        for c in points
+        if x.space.dist(c, c) == 0.0
+        and nonthin(_points_null(x, f"visits:{c}", {p: p == c for p in points}, A, ideal, horizon, tol))
     )
 
 
@@ -518,7 +557,8 @@ def gamma_set(
     out = set()
     for c in x.space.points:
         for t in _grid(x.space):
-            v = ai_density_is_null(A, ideal, ~_neighborhood_defect(x, c, t), horizon, tol)
+            near = {p: not far for p, far in _defect_flags(x.space, c, t).items()}
+            v = _points_null(x, f"not(defect({c},t={t}))", near, A, ideal, horizon, tol)
             if not nonthin(v):
                 if v.status == INCONCLUSIVE:
                     warnings.warn(
@@ -559,5 +599,5 @@ def stat_bounded_check(
     allowed = frozenset(inside)
     for p in allowed:
         _check_point(x.space, p)
-    outside = _point_set(x, f"outside:{sorted(allowed)}", {p: p not in allowed for p in x.space.points})
-    return ai_density_is_null(A, ideal, outside, horizon, tol)
+    outside = {p: p not in allowed for p in x.space.points}
+    return _points_null(x, f"outside:{sorted(allowed)}", outside, A, ideal, horizon, tol)

@@ -62,13 +62,13 @@ from .summability import (
     SummMatrix,
     Verdict,
     ai_density_is_null,
-    ai_nonthin,
     a_density_partial,
     check_regularity,
     finite_set,
     ideal_from_spec,
     matrix_from_spec,
     multiples,
+    nonthin,
 )
 from .triangle import MAXIMAL, TriangleFn, check_triangle_axioms, dominates
 
@@ -582,7 +582,11 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
 
     add("cluster-set-strongly-closed", space.strong_closure(gx) == gx)
 
-    thin_ok = all(not ai_nonthin(A, ideal, visit_set(x, c), N, tol) for c in pts if c not in gx)
+    thin_ok = all(
+        not nonthin(conv._points_null(x, f"visits:{c}", {p: p == c for p in pts}, A, ideal, N, tol))
+        for c in pts
+        if c not in gx
+    )
     add("off-cluster-visit-sets-thin", thin_ok)
 
     bounded = stat_bounded_check(x, A, ideal, pts, N, tol)
@@ -615,8 +619,7 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
         for t in grid:
             for eps in (0.25, tol):
                 far = {p: 1.0 - space.ddf(p, anchor)(t) >= eps for p in pts}
-                far_set = conv._point_set(x, f"far({anchor},t={t})", far)
-                parts[f"t={t},eps={eps}"] = ai_density_is_null(A, ideal, far_set, N, tol)
+                parts[f"t={t},eps={eps}"] = conv._points_null(x, f"far({anchor},t={t})", far, A, ideal, N, tol)
         v = Verdict.all_of(parts, anchor, tol)
         add("ddf-at-anchor-statistically-one", v.converged, v.residual)
 

@@ -14,6 +14,7 @@ property tests pin that sharing changed no answer.
 from __future__ import annotations
 
 import collections
+import functools
 import warnings
 
 import numpy as np
@@ -23,13 +24,15 @@ from hypothesis import given, strategies as st
 import pmstat.convergence as conv
 from pmstat import (
     ALL_INDICES,
+    NO_INDICES,
     ODDS,
     Ideal,
     build_metric_induced,
     cesaro1,
     finite_set,
+    ideal_from_spec,
 )
-from pmstat.harness import generate_suite
+from pmstat.harness import DEFAULT_SUITE_SIZE, generate_suite
 from pmstat.summability import CONVERGED, DIVERGED, INCONCLUSIVE, ai_density_is_null, ai_nonthin
 
 LINE4 = build_metric_induced(("w0", "w1", "w2", "w3"), lambda p, q: 0.2 * abs(int(p[1:]) - int(q[1:])))
@@ -45,22 +48,96 @@ def _old_entry(space, codes: np.ndarray, target: str) -> int:
     return j0
 
 
+def _visited_part(codes: np.ndarray, member: np.ndarray) -> frozenset[int]:
+    """The codes a set's members visit: the part of a point set a null reading sees."""
+    return frozenset(np.unique(codes[member]).tolist())
+
+
+@functools.cache
+def _suite_instances() -> list:
+    return [inst for seed in (1, 2, 3) for inst in generate_suite(seed)]
+
+
+def _counting(monkeypatch: pytest.MonkeyPatch, count) -> None:
+    def counting(A, ideal, member, horizon, tol):
+        count(member, horizon)
+        return ai_density_is_null(A, ideal, member, horizon, tol)
+
+    monkeypatch.setattr(conv, "ai_density_is_null", counting)
+
+
 class TestSharedNullVerdicts:
-    def test_lemma_decides_each_point_threshold_once(self, monkeypatch: pytest.MonkeyPatch) -> None:
+    def test_lemma_decides_each_visited_point_set_once(self, monkeypatch: pytest.MonkeyPatch) -> None:
         inst = next(i for i in generate_suite(1) if i.space_name == "LINE4")
-        counts: collections.Counter[str] = collections.Counter()
-
-        def counting(A, ideal, member, horizon, tol):
-            counts[getattr(member, "name", "array")] += 1
-            return ai_density_is_null(A, ideal, member, horizon, tol)
-
-        monkeypatch.setattr(conv, "ai_density_is_null", counting)
-        conv.lemma_cauchy_predicates(inst.x, inst.matrix, inst.ideal, 2000, TOL)
-        defects = {name: n for name, n in counts.items() if name.startswith("defect(")}
+        x, N = inst.x, 2000
+        codes = x.value_codes(N)
+        asked: collections.Counter[frozenset[int]] = collections.Counter()
+        _counting(monkeypatch, lambda member, horizon: asked.update([_visited_part(codes, member.indicator(horizon))]))
+        conv.lemma_cauchy_predicates(x, inst.matrix, inst.ideal, N, TOL)
         grid = conv._grid(inst.space)
+        defects = {
+            _visited_part(codes, conv._neighborhood_defect(x, c, t).indicator(N)) for c in inst.space.points for t in grid
+        }
         # the double-density reading needs every point's row
-        assert set(defects) == {f"defect({c},t={t})" for c in inst.space.points for t in grid}
-        assert set(defects.values()) == {1}
+        assert defects <= set(asked)
+        # each distinct visited point set is decided once: the call count is the number of distinct keys
+        assert set(asked.values()) == {1}
+        # here some of the defect and outer sets share a visited part
+        assert sum(asked.values()) < len(inst.space.points) * len(grid) + len(grid)
+
+    @given(number=st.integers(0, 3 * DEFAULT_SUITE_SIZE - 1), N=st.sampled_from([1000, 2000]), data=st.data())
+    def test_memoized_verdict_matches_a_fresh_reading(self, number: int, N: int, data: st.DataObject) -> None:
+        # the instances persist across examples, so later asks also read verdicts kept by earlier ones
+        inst = _suite_instances()[number]
+        x, A, ideal, points = inst.x, inst.matrix, inst.ideal, inst.space.points
+        codes = x.value_codes(N)
+        for table in data.draw(st.lists(st.lists(st.booleans(), min_size=len(points), max_size=len(points)), max_size=4)):
+            got = conv._points_null(x, "s", dict(zip(points, table)), A, ideal, N, TOL)
+            fresh = ai_density_is_null(A, ideal, np.isin(codes, np.flatnonzero(table)), N, TOL)
+            assert got.to_json() == fresh.to_json(), (inst.name, table)
+
+    def test_a_point_first_visited_between_two_horizons_is_read_at_each(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        x = conv.eventually_constant(LINE4, "w0", finite_set([1500]))
+        A, ideal = cesaro1(), Ideal.fin()
+        code = int(x.value_codes(2000)[1499])
+        late = {p: i == code for i, p in enumerate(LINE4.points)}
+        calls = []
+        _counting(monkeypatch, lambda member, horizon: calls.append(horizon))
+        assert conv._points_null(x, "late", late, A, ideal, 1000, TOL).to_json() == ai_density_is_null(
+            A, ideal, NO_INDICES, 1000, TOL
+        ).to_json()
+        # at 2000, the set with no member first: read with the points visited up to 1000, both would be empty
+        none = conv._points_null(x, "none", dict.fromkeys(LINE4.points, False), A, ideal, 2000, TOL)
+        v = conv._points_null(x, "late", late, A, ideal, 2000, TOL)
+        assert v.to_json() == ai_density_is_null(A, ideal, finite_set([1500]), 2000, TOL).to_json()
+        assert v.to_json() != none.to_json()
+        assert calls == [1000, 2000, 2000]
+
+    def test_no_entry_is_shared_across_matrices_ideals_or_tols(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        x = conv.alternating(LINE4, "w0", "w1", ODDS)
+        flags = {p: p == "w1" for p in LINE4.points}
+        A, twin = cesaro1(), cesaro1()
+        asks = [(A, Ideal.fin(), TOL), (twin, Ideal.fin(), TOL), (A, Ideal.density_zero(A), TOL), (A, Ideal.fin(), 0.02)]
+        calls = []
+        _counting(monkeypatch, lambda member, horizon: calls.append(member))
+        for _ in range(2):
+            for B, ideal, tol in asks:
+                got = conv._points_null(x, "evens", flags, B, ideal, 1000, tol)
+                assert got == ai_density_is_null(B, ideal, ~ODDS, 1000, tol)
+        assert len(calls) == len(asks)
+
+    @pytest.mark.parametrize("point", ["w1", "w3"])
+    def test_a_refused_input_raises_on_every_ask(self, monkeypatch: pytest.MonkeyPatch, point: str) -> None:
+        # w1 is visited and w3 is not: a set with members and one without
+        x = conv.alternating(LINE4, "w0", "w1", ODDS)
+        flags = {p: p == point for p in LINE4.points}
+        ideal = ideal_from_spec("density:weighted:400")
+        calls = []
+        _counting(monkeypatch, lambda member, horizon: calls.append(member))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflow"):
+                conv._points_null(x, "s", flags, cesaro1(), ideal, 1000, TOL)
+        assert len(calls) == 2
 
     def test_lemma_readings_follow_the_shared_table(self) -> None:
         N = 2000
