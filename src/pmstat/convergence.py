@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,11 +57,12 @@ class IndexedSequence:
     k >= 1 that defines the sequence; it is the reference the equivalence
     tests compare ``codes`` against, and nothing else reads it.
 
-    The sequence also keeps the null verdicts of its point sets
-    (``_points_null``): a set is decided once per sequence for each
-    visited point set it names, per matrix, ideal, horizon and tol.  It
-    keeps the codes visited up to each horizon asked for their keys, and
-    nothing the size of the horizon.
+    The sequence also keeps, per horizon asked, its first visits
+    (``_first_visits``), scanned once and read by the anchor search, the
+    memo key and the lemma's kept set; and the null verdicts of its point
+    sets (``_points_null``): a set is decided once per sequence for each
+    visited point set it names, per matrix, ideal, horizon and tol.
+    Nothing the size of the horizon is kept.
     """
 
     space: FinitePMSpace
@@ -69,7 +70,7 @@ class IndexedSequence:
     description: str
     codes: Callable[[int], np.ndarray] = field(repr=False)
     _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8), init=False, repr=False)
-    _visited: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+    _visited: dict[int, list[tuple[int, int]]] = field(default_factory=dict, init=False, repr=False)
     _nulls: dict[tuple, Verdict] = field(default_factory=dict, init=False, repr=False)
 
     def values(self, n: int) -> list[str]:
@@ -199,10 +200,11 @@ def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
     )
 
 
-def _among(codes: np.ndarray, flags: Sequence[bool]) -> np.ndarray:
-    """Indicator of ``{ k : flags[codes[k]] }``: the OR of ``codes == c`` over the
-    smaller side of the flag table, negated when that side is the unflagged one.
-    Two such comparisons of one-byte codes cost a fourteenth of a gather ``flags[codes]``."""
+def _among(codes: np.ndarray, points: Sequence[str], members: AbstractSet[str]) -> np.ndarray:
+    """Indicator of ``{ k : points[codes[k]] in members }``: the OR of ``codes == c``
+    over the smaller side of the carrier, negated when that side is the non-members.
+    Two such comparisons of one-byte codes cost a fourteenth of a table gather."""
+    flags = [p in members for p in points]
     negate = 2 * sum(flags) > len(flags)
     side = [c for c, f in enumerate(flags) if f != negate]
     if not side:
@@ -215,54 +217,52 @@ def _among(codes: np.ndarray, flags: Sequence[bool]) -> np.ndarray:
     return out
 
 
-def _first_visits(codes: np.ndarray, n_points: int) -> list[tuple[int, int]]:
-    """``(position, code)`` of the first visit of each code present, in
-    increasing code order: one comparison per carrier point, with no sort
-    and no ``np.bincount``, which would widen the codes."""
-    visits = []
-    for c in range(n_points):
-        hit = codes == c
-        k = int(np.argmax(hit))
-        if hit[k]:
-            visits.append((k, c))
-    return visits
+def _first_visits(x: IndexedSequence, horizon: int) -> list[tuple[int, int]]:
+    """``(position, code)`` of the first visit in 1..horizon of each code present,
+    in increasing code order, scanned once per sequence and horizon: one comparison
+    per carrier point, with no sort and no ``np.bincount``, which would widen the codes."""
+    if horizon not in x._visited:
+        codes = x.value_codes(horizon)
+        firsts = (int(np.argmax(codes == c)) for c in range(len(x.space.points)))
+        x._visited[horizon] = [(k, c) for c, k in enumerate(firsts) if codes[k] == c]
+    return x._visited[horizon]
 
 
-def _point_set(x: IndexedSequence, name: str, flags: Mapping[str, bool]) -> IndexSet:
-    """Index set ``{ k : flags[x_k] }``.
+def _point_set(x: IndexedSequence, name: str, members: AbstractSet[str]) -> IndexSet:
+    """Index set ``{ k : x_k in members }``.
 
     The indicator reads the cached codes; the scalar form reads ``fn``.
     """
-    table = [bool(flags[p]) for p in x.space.points]
-    return IndexSet(name, lambda k: bool(flags[x.fn(k)]), lambda n: _among(x.value_codes(n), table))
+    points = x.space.points
+    return IndexSet(name, lambda k: x.fn(k) in members, lambda n: _among(x.value_codes(n), points, members))
 
 
 def _points_null(
-    x: IndexedSequence, name: str, flags: Mapping[str, bool], A: SummMatrix, ideal: Ideal, horizon: int, tol: float
+    x: IndexedSequence, members: AbstractSet[str], A: SummMatrix, ideal: Ideal, horizon: int, tol: float
 ) -> Verdict:
-    """``ai_density_is_null`` of ``_point_set(x, name, flags)``, decided once
-    per sequence for each visited point set it names.
+    """``ai_density_is_null`` of ``{ k : x_k in members }``, decided once per
+    sequence for each visited point set it names.
 
-    Two flag maps that agree on the points x visits in 1..horizon give the
+    Two point sets that agree on the points x visits in 1..horizon give the
     same indicator on 1..horizon, and a null reading reads no index past
-    ``A.support_bound(A.max_row_for(horizon)) <= horizon``, so the flagged
-    visited points, with A, the ideal, the horizon and tol, key the
-    verdict.  A refused input raises on every ask; nothing is kept for it.
+    ``A.support_bound(A.max_row_for(horizon)) <= horizon``, so the visited
+    members, with A, the ideal, the horizon and tol, key the verdict.  A
+    refused input raises on every ask; nothing is kept for it.  Members are
+    tested, never iterated: their order depends on the hash seed.
     """
     points = x.space.points
-    if horizon not in x._visited:
-        x._visited[horizon] = tuple(c for _, c in _first_visits(x.value_codes(horizon), len(points)))
-    key = (frozenset(c for c in x._visited[horizon] if flags[points[c]]), A, ideal, horizon, tol)
+    key = (frozenset(c for _, c in _first_visits(x, horizon) if points[c] in members), A, ideal, horizon, tol)
     v = x._nulls.get(key)
     if v is None:
-        v = x._nulls[key] = ai_density_is_null(A, ideal, _point_set(x, name, flags), horizon, tol)
+        member = _among(x.value_codes(horizon), points, members)
+        v = x._nulls[key] = ai_density_is_null(A, ideal, member, horizon, tol)
     return v
 
 
 def visit_set(x: IndexedSequence, point: str) -> IndexSet:
     """Indices where the sequence visits the point; total predicate."""
     _check_point(x.space, point)
-    return _point_set(x, f"visits:{point}", {p: p == point for p in x.space.points})
+    return _point_set(x, f"visits:{point}", {point})
 
 
 def visit_witnesses(x: IndexedSequence) -> dict[str, IndexSet]:
@@ -280,8 +280,8 @@ def _check_point(space: FinitePMSpace, p: str) -> None:
         raise ValueError(f"unknown carrier point {p!r}")
 
 
-def _defect_flags(space: FinitePMSpace, target: str, t: float) -> dict[str, bool]:
-    """Which points lie outside N_target(t).
+def _outside(space: FinitePMSpace, target: str, t: float) -> frozenset[str]:
+    """The points outside N_target(t).
 
     Read from ``space.strong_neighborhood(target, t)``, the one definition
     of ``F_{target, x_k}(t) > 1 - t``, and cross-checked against the exact
@@ -289,19 +289,18 @@ def _defect_flags(space: FinitePMSpace, target: str, t: float) -> dict[str, bool
     except possibly one float ulp at the knife edge.
     """
     near = space.strong_neighborhood(target, t)
-    outside = {p: p not in near for p in space.points}
     for p in space.points:
         by_gap = space.dist(target, p) >= t
-        if outside[p] != by_gap and abs(space.dist(target, p) - t) > _KNIFE_EDGE:
+        if (p not in near) != by_gap and abs(space.dist(target, p) - t) > _KNIFE_EDGE:
             raise RuntimeError(
                 f"neighborhood forms disagree for ({p}, {target}) at t={t}"
             )
-    return outside
+    return frozenset(space.points) - near
 
 
 def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
-    """Index set ``{ k : x_k not in N_target(t) }``, by ``_defect_flags``."""
-    return _point_set(x, f"defect({target},t={t})", _defect_flags(x.space, target, t))
+    """Index set ``{ k : x_k not in N_target(t) }``, by ``_outside``."""
+    return _point_set(x, f"defect({target},t={t})", _outside(x.space, target, t))
 
 
 def _grid(space: FinitePMSpace) -> tuple[float, ...]:
@@ -322,8 +321,8 @@ def _entry_index(space: FinitePMSpace, codes: np.ndarray, target: str) -> tuple[
     tenth, and is inconclusive in between.
     """
     n, t = len(codes), min(_grid(space))
-    far = [space.dist(p, target) >= t for p in space.points]
-    bad = np.flatnonzero(_among(codes, far))
+    far = {p for p in space.points if space.dist(p, target) >= t}
+    bad = np.flatnonzero(_among(codes, space.points, far))
     j0 = int(bad[-1]) + 2 if len(bad) else 1
     if j0 <= n // 2:
         return j0, CONVERGED
@@ -336,7 +335,7 @@ def _null_row(
     """Null verdicts of the defect sets ``{ k : x_k not in N_c(t) }``, keyed
     ``t=<t>`` over the threshold grid in increasing t."""
     return {
-        f"t={t}": _points_null(x, f"defect({c},t={t})", _defect_flags(x.space, c, t), A, ideal, horizon, tol)
+        f"t={t}": _points_null(x, _outside(x.space, c, t), A, ideal, horizon, tol)
         for t in _grid(x.space)
     }
 
@@ -400,7 +399,7 @@ def _anchor_search(
     order of first visit: the first converged anchor, else the earliest
     with the smallest residual."""
     best: Verdict | None = None
-    for k, c in sorted(_first_visits(x.value_codes(horizon), len(x.space.points))):
+    for k, c in sorted(_first_visits(x, horizon)):
         p = x.space.points[c]
         v = Verdict.all_of(row(p), p, tol, witness=k + 1)
         if v.converged:
@@ -450,9 +449,7 @@ def lemma_cauchy_predicates(
             slack = g
         # the slack is g or a threshold below it, so it is on the grid
         null_v = row(anchor)[f"t={slack}"]
-        removal = _neighborhood_defect(x, anchor, slack)
-        kept_codes = x.value_codes(horizon)[~removal.indicator(horizon)]
-        kept = [space.points[c] for _, c in _first_visits(kept_codes, len(space.points))]
+        kept = _kept(x, _outside(space, anchor, slack), horizon)
         gaps = [space.dist(a, b) for a in kept for b in kept]
         pair_gap = max((d - g + tol for d in gaps if d >= g), default=0.0)
         if pair_gap > 0.0 and null_v.converged:
@@ -463,11 +460,17 @@ def lemma_cauchy_predicates(
 
     per_g3: dict[str, Verdict] = {}
     for g in _grid(space):
-        bad = {c: not row(c)[f"t={g}"].converged for c in space.points}
-        per_g3[f"t={g}"] = _points_null(x, f"rows-with-bad-defect(t={g})", bad, A, ideal, horizon, tol)
+        bad = {c for c in space.points if not row(c)[f"t={g}"].converged}
+        per_g3[f"t={g}"] = _points_null(x, bad, A, ideal, horizon, tol)
     p3 = Verdict.all_of(per_g3, anchor, tol)
 
     return p1, p2, p3
+
+
+def _kept(x: IndexedSequence, removal: AbstractSet[str], horizon: int) -> list[str]:
+    """The points of ``{ k : x_k not in removal }`` in 1..horizon, in code order."""
+    points = x.space.points
+    return [points[c] for _, c in _first_visits(x, horizon) if points[c] not in removal]
 
 
 def ai_star_conv_detect(
@@ -531,12 +534,10 @@ def lambda_set(
     converges exactly when ``dist(c, c) == 0``, which P-1 asserts of a
     valid space.
     """
-    points = x.space.points
     return frozenset(
         c
-        for c in points
-        if x.space.dist(c, c) == 0.0
-        and nonthin(_points_null(x, f"visits:{c}", {p: p == c for p in points}, A, ideal, horizon, tol))
+        for c in x.space.points
+        if x.space.dist(c, c) == 0.0 and nonthin(_points_null(x, {c}, A, ideal, horizon, tol))
     )
 
 
@@ -554,11 +555,10 @@ def gamma_set(
     Inconclusive density verdicts are flagged with a warning and treated
     as thin, matching the finite-horizon reading of nonthin.
     """
-    out = set()
+    out, points = set(), frozenset(x.space.points)
     for c in x.space.points:
         for t in _grid(x.space):
-            near = {p: not far for p, far in _defect_flags(x.space, c, t).items()}
-            v = _points_null(x, f"not(defect({c},t={t}))", near, A, ideal, horizon, tol)
+            v = _points_null(x, points - _outside(x.space, c, t), A, ideal, horizon, tol)
             if not nonthin(v):
                 if v.status == INCONCLUSIVE:
                     warnings.warn(
@@ -580,7 +580,7 @@ def strong_limit_point_set(x: IndexedSequence, horizon: int = DEFAULT_HORIZON) -
     """
     w0 = tail_start(horizon)
     tail = x.value_codes(horizon)[w0 - 1 :]
-    return frozenset(x.space.points[c] for _, c in _first_visits(tail, len(x.space.points)))
+    return frozenset(p for c, p in enumerate(x.space.points) if (tail == c).any())
 
 
 def stat_bounded_check(
@@ -599,5 +599,4 @@ def stat_bounded_check(
     allowed = frozenset(inside)
     for p in allowed:
         _check_point(x.space, p)
-    outside = {p: p not in allowed for p in x.space.points}
-    return _points_null(x, f"outside:{sorted(allowed)}", outside, A, ideal, horizon, tol)
+    return _points_null(x, frozenset(x.space.points) - allowed, A, ideal, horizon, tol)

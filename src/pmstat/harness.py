@@ -583,7 +583,7 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
     add("cluster-set-strongly-closed", space.strong_closure(gx) == gx)
 
     thin_ok = all(
-        not nonthin(conv._points_null(x, f"visits:{c}", {p: p == c for p in pts}, A, ideal, N, tol))
+        not nonthin(conv._points_null(x, {c}, A, ideal, N, tol))
         for c in pts
         if c not in gx
     )
@@ -618,8 +618,8 @@ def _instance_checks(inst: Instance, cfg: SuiteConfig) -> list[dict]:
         parts = {}
         for t in grid:
             for eps in (0.25, tol):
-                far = {p: 1.0 - space.ddf(p, anchor)(t) >= eps for p in pts}
-                parts[f"t={t},eps={eps}"] = conv._points_null(x, f"far({anchor},t={t})", far, A, ideal, N, tol)
+                far = {p for p in pts if 1.0 - space.ddf(p, anchor)(t) >= eps}
+                parts[f"t={t},eps={eps}"] = conv._points_null(x, far, A, ideal, N, tol)
         v = Verdict.all_of(parts, anchor, tol)
         add("ddf-at-anchor-statistically-one", v.converged, v.residual)
 

@@ -261,7 +261,9 @@ class TestAnchorOrder:
         present = rng.permutation(n_points)[: rng.integers(1, n_points + 1)]
         codes = present[rng.integers(0, len(present), size=horizon)]
         codes[rng.random(horizon) < skew] = codes[0]
-        x = SimpleNamespace(space=SimpleNamespace(points=points), value_codes=lambda n: codes[:n].astype(np.int64))
+        x = SimpleNamespace(
+            space=SimpleNamespace(points=points), value_codes=lambda n: codes[:n].astype(np.int64), _visited={}
+        )
 
         def search(converge_at=None):
             # the rows of the visited points, in visit order; only converge_at's row converges
@@ -307,7 +309,7 @@ class TestPointSetByComparison:
         n_flagged = data.draw(st.integers(0, n_points))
         flagged = set(rng.permutation(n_points)[:n_flagged].tolist())
         flags = [c in flagged for c in range(n_points)]
-        got = convergence._point_set(x, "s", dict(zip(points, flags))).indicator(horizon)
+        got = convergence._point_set(x, "s", {points[c] for c in flagged}).indicator(horizon)
         assert got.dtype == bool
         assert np.array_equal(got, np.array(flags)[codes.astype(np.intp)])
 

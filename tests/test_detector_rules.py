@@ -72,7 +72,7 @@ class TestSharedNullVerdicts:
         x, N = inst.x, 2000
         codes = x.value_codes(N)
         asked: collections.Counter[frozenset[int]] = collections.Counter()
-        _counting(monkeypatch, lambda member, horizon: asked.update([_visited_part(codes, member.indicator(horizon))]))
+        _counting(monkeypatch, lambda member, horizon: asked.update([_visited_part(codes, member[:horizon])]))
         conv.lemma_cauchy_predicates(x, inst.matrix, inst.ideal, N, TOL)
         grid = conv._grid(inst.space)
         defects = {
@@ -92,7 +92,7 @@ class TestSharedNullVerdicts:
         x, A, ideal, points = inst.x, inst.matrix, inst.ideal, inst.space.points
         codes = x.value_codes(N)
         for table in data.draw(st.lists(st.lists(st.booleans(), min_size=len(points), max_size=len(points)), max_size=4)):
-            got = conv._points_null(x, "s", dict(zip(points, table)), A, ideal, N, TOL)
+            got = conv._points_null(x, {p for p, f in zip(points, table) if f}, A, ideal, N, TOL)
             fresh = ai_density_is_null(A, ideal, np.isin(codes, np.flatnonzero(table)), N, TOL)
             assert got.to_json() == fresh.to_json(), (inst.name, table)
 
@@ -100,29 +100,28 @@ class TestSharedNullVerdicts:
         x = conv.eventually_constant(LINE4, "w0", finite_set([1500]))
         A, ideal = cesaro1(), Ideal.fin()
         code = int(x.value_codes(2000)[1499])
-        late = {p: i == code for i, p in enumerate(LINE4.points)}
+        late = {LINE4.points[code]}
         calls = []
         _counting(monkeypatch, lambda member, horizon: calls.append(horizon))
-        assert conv._points_null(x, "late", late, A, ideal, 1000, TOL).to_json() == ai_density_is_null(
+        assert conv._points_null(x, late, A, ideal, 1000, TOL).to_json() == ai_density_is_null(
             A, ideal, NO_INDICES, 1000, TOL
         ).to_json()
         # at 2000, the set with no member first: read with the points visited up to 1000, both would be empty
-        none = conv._points_null(x, "none", dict.fromkeys(LINE4.points, False), A, ideal, 2000, TOL)
-        v = conv._points_null(x, "late", late, A, ideal, 2000, TOL)
+        none = conv._points_null(x, set(), A, ideal, 2000, TOL)
+        v = conv._points_null(x, late, A, ideal, 2000, TOL)
         assert v.to_json() == ai_density_is_null(A, ideal, finite_set([1500]), 2000, TOL).to_json()
         assert v.to_json() != none.to_json()
         assert calls == [1000, 2000, 2000]
 
     def test_no_entry_is_shared_across_matrices_ideals_or_tols(self, monkeypatch: pytest.MonkeyPatch) -> None:
         x = conv.alternating(LINE4, "w0", "w1", ODDS)
-        flags = {p: p == "w1" for p in LINE4.points}
         A, twin = cesaro1(), cesaro1()
         asks = [(A, Ideal.fin(), TOL), (twin, Ideal.fin(), TOL), (A, Ideal.density_zero(A), TOL), (A, Ideal.fin(), 0.02)]
         calls = []
         _counting(monkeypatch, lambda member, horizon: calls.append(member))
         for _ in range(2):
             for B, ideal, tol in asks:
-                got = conv._points_null(x, "evens", flags, B, ideal, 1000, tol)
+                got = conv._points_null(x, {"w1"}, B, ideal, 1000, tol)
                 assert got == ai_density_is_null(B, ideal, ~ODDS, 1000, tol)
         assert len(calls) == len(asks)
 
@@ -130,13 +129,12 @@ class TestSharedNullVerdicts:
     def test_a_refused_input_raises_on_every_ask(self, monkeypatch: pytest.MonkeyPatch, point: str) -> None:
         # w1 is visited and w3 is not: a set with members and one without
         x = conv.alternating(LINE4, "w0", "w1", ODDS)
-        flags = {p: p == point for p in LINE4.points}
         ideal = ideal_from_spec("density:weighted:400")
         calls = []
         _counting(monkeypatch, lambda member, horizon: calls.append(member))
         for _ in range(2):
             with pytest.raises(ValueError, match="overflow"):
-                conv._points_null(x, "s", flags, cesaro1(), ideal, 1000, TOL)
+                conv._points_null(x, {point}, cesaro1(), ideal, 1000, TOL)
         assert len(calls) == 2
 
     def test_lemma_readings_follow_the_shared_table(self) -> None:
@@ -174,6 +172,45 @@ codes_st = st.builds(
 def _sequence(codes: list[int]) -> conv.IndexedSequence:
     values = [LINE4.points[c] for c in codes]
     return conv.from_values(LINE4, values, values[-1])
+
+
+class TestFirstVisits:
+    """One first-visit scan per sequence and horizon, read by the anchor search, the memo key and the lemma."""
+
+    def test_cauchy_then_lemma_scan_once(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        inst = next(i for i in generate_suite(1) if i.space_name == "LINE4")
+        x, A, ideal, N = inst.x, inst.matrix, inst.ideal, 2000
+        reads, misses = [], []
+        codes = x.value_codes
+        monkeypatch.setattr(x, "value_codes", lambda n: reads.append(n) or codes(n))
+        _counting(monkeypatch, lambda member, horizon: misses.append(horizon))
+        conv.ai_stat_cauchy_detect(x, A, ideal, N, TOL)
+        # one read for the scan, then one per null reading decided
+        assert (len(reads), list(x._visited)) == (1 + len(misses), [N])
+        reads.clear()
+        misses.clear()
+        conv.lemma_cauchy_predicates(x, A, ideal, N, TOL)
+        # the lemma's anchor search and kept sets read the scan already made
+        assert len(reads) == len(misses)
+
+    @staticmethod
+    def _assert_kept_as_masked(x: conv.IndexedSequence, N: int) -> None:
+        space, codes = x.space, x.value_codes(N)
+        # every anchor and every threshold, so every (anchor, slack) the removal form can ask
+        for anchor in space.points:
+            for slack in conv._grid(space):
+                # the masked path: the codes present off the removal set, in increasing code order
+                masked = codes[~conv._neighborhood_defect(x, anchor, slack).indicator(N)]
+                want = [space.points[c] for c in np.unique(masked).tolist()]
+                assert conv._kept(x, conv._outside(space, anchor, slack), N) == want, (anchor, slack)
+
+    @given(number=st.integers(0, 3 * DEFAULT_SUITE_SIZE - 1), N=st.sampled_from([1000, 2000]))
+    def test_kept_points_match_the_masked_codes_on_suite_instances(self, number: int, N: int) -> None:
+        self._assert_kept_as_masked(_suite_instances()[number].x, N)
+
+    @given(codes=codes_st)
+    def test_kept_points_match_the_masked_codes_on_random_sequences(self, codes: list[int]) -> None:
+        self._assert_kept_as_masked(_sequence(codes), len(codes))
 
 
 class TestOneEntryRule:

@@ -247,6 +247,14 @@ class TestLevyMetric:
         with pytest.raises(ValueError, match="positive"):
             levy_distance(F_HALF, EPS0, tol=0.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="distinct unit steps one ulp apart read 0.0 (CHANGES.md FOUND 46); "
+        "the exact reference and predicate are ROADMAP items 8 and 5",
+    )
+    def test_unit_steps_one_ulp_apart_are_apart(self) -> None:
+        assert levy_distance(unit_step(1 + 2**-52), unit_step(1 + 2**-51)) > 0.0
+
     def test_result_bounded_by_one(self) -> None:
         d = levy_distance(unit_step(1e5), unit_step(0.0))
         assert d <= 1.0
