@@ -343,14 +343,27 @@ def index_set_from_spec(spec: str) -> IndexSet:
     raise ValueError(f"cannot parse index-set spec {spec!r}")
 
 
-Membership = IndexSet | np.ndarray
+Membership = IndexSet | np.ndarray | tuple[np.ndarray, bool]
+
+
+def _member_head(member: Membership, n: int) -> tuple[np.ndarray, bool]:
+    """A membership over indices 1..n as ``(head, fill)``: the marks of
+    indices 1..len(head) <= n, and the membership of every later index."""
+    if isinstance(member, tuple):
+        head, fill = member
+        return head[:n], fill
+    return _member_array(member, n), False
 
 
 def _member_array(member: Membership, n: int) -> np.ndarray:
     """Boolean indicator of a membership over indices 1..n, read-only: a
-    boolean array comes back as a view, not a copy."""
+    boolean array comes back as a view, not a copy, and a pair
+    ``(head, fill)`` is expanded."""
     if isinstance(member, IndexSet):
         return member.indicator(n)
+    if isinstance(member, tuple):
+        head, fill = member
+        return head[:n] if len(head) >= n else np.concatenate([head, np.full(n - len(head), fill)])
     if len(member) < n:
         raise ValueError(f"membership array of length {len(member)} does not cover index {n}")
     return member[:n].astype(bool, copy=False)
@@ -463,21 +476,23 @@ class TriangularMatrix(SummMatrix):
         return self.power == 0 or (self.power == 1 and n_rows <= _EXACT_ROWS)
 
     def _totals(self, m: np.ndarray) -> np.ndarray:
-        """W_m of exact weights at the float row numbers m, in place: m, or
-        m(m + 1)/2, whose product is exact below 2**53."""
+        """W_m of exact weights at float row numbers m, an array in place or
+        a float: m, or m(m + 1)/2, whose product is exact below 2**53."""
         if self.power == 1:
             m *= m + 1.0
             m *= 0.5
         return m
 
-    def _carry(self, mem: np.ndarray, rows: int) -> int:
-        """K at row ``rows`` of exact weights: the member weight of rows
-        1..rows, counted, or for weights j summed as integers in blocks."""
+    def _carry(self, head: np.ndarray, fill: bool, rows: int) -> int:
+        """K at row ``rows`` of exact weights, for member rows ``head`` and
+        then ``fill``: the filled rows' W_rows - W_h, plus the member weight
+        of the head's rows, counted, or for weights j summed in blocks."""
+        h = min(len(head), rows)
+        K = int(self._totals(float(rows)) - self._totals(float(h))) if fill else 0
         if self.power == 0:
-            return int(np.count_nonzero(mem[:rows]))
-        K = 0
-        for lo in range(0, rows, BLOCK_ROWS):
-            block = mem[lo : min(lo + BLOCK_ROWS, rows)]
+            return K + int(np.count_nonzero(head[:h]))
+        for lo in range(0, h, BLOCK_ROWS):
+            block = head[lo : min(lo + BLOCK_ROWS, h)]
             K += int(np.flatnonzero(block).sum()) + (lo + 1) * int(np.count_nonzero(block))
         return K
 
@@ -500,7 +515,7 @@ class TriangularMatrix(SummMatrix):
         exact = self._exact(n_rows)
         before = start - 1
         covered = 0 if mem is None else len(mem)
-        K = float(self._carry(mem, before)) if exact and mem is not None else 0.0
+        K = float(self._carry(mem, False, before)) if exact and mem is not None else 0.0
         W = 0.0
         for lo in range(before if exact else 0, n_rows, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n_rows)
@@ -549,10 +564,14 @@ class TriangularMatrix(SummMatrix):
         # scalar powers: NumPy's array power rounds some fractional powers differently
         return [(k, float(np.float64(j) ** self.power / total)) for j, k in enumerate(self._mapped(n).tolist(), 1)]
 
-    def _row_members(self, member: Membership, n: int) -> np.ndarray:
-        """Whether phi(j) is a member, for rows j = 1..n."""
-        mem = _member_array(member, self.support_bound(n))
-        return mem if self._map is None else mem[self._mapped(n) - 1]
+    def _row_head(self, member: Membership, n: int) -> tuple[np.ndarray, bool]:
+        """Whether phi(j) is a member, for rows j = 1..n, as ``(head, fill)``:
+        rows whose phi(j) lies past the membership's head take its fill."""
+        head, fill = _member_head(member, self.support_bound(n))
+        if self._map is None:
+            return head, fill
+        phi = self._mapped(n)
+        return head[phi[: np.searchsorted(phi, len(head), side="right")] - 1], fill
 
     def max_row_for(self, horizon: int) -> int:
         """The base class's row, with the weight sums up to it checked, so a
@@ -573,13 +592,14 @@ class TriangularMatrix(SummMatrix):
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
         series = np.empty(n_rows - start + 1)
-        for _ in self._blocks(self._row_members(member, n_rows), n_rows, start, out=series):
+        for _ in self._blocks(_member_array(self._row_head(member, n_rows), n_rows), n_rows, start, out=series):
             pass
         return series
 
-    def _run_extremes(self, mem: np.ndarray, n_rows: int) -> tuple[float, float, float] | None:
+    def _run_extremes(self, rows: Membership, n_rows: int) -> tuple[float, float, float] | None:
         """The least, greatest and last value of the window of exact weights
-        read at its run ends, or None when it has more than ``BLOCK_ROWS`` runs.
+        read at its run ends, or None when it has more than ``BLOCK_ROWS`` runs;
+        ``rows``, a pair ``(head, fill)`` or an array, marks the member rows.
 
         Row m is K_m / W_m.  A member row adds w to both sums, and
         (K + w)/(W + w) >= K/W because K <= W, so the series rises through a
@@ -589,29 +609,40 @@ class TriangularMatrix(SummMatrix):
         runs' weights, W_b - W_a for a run of rows a+1..b.  The sums are
         exact integers, rounding is monotone, and each quotient is the
         correctly rounded one that the series divides out, so the extremes
-        and the last value are the series' own, bit for bit.  The run ends
-        are found block by block, and the search stops at the limit.
+        and the last value are the series' own, bit for bit.  A window of one
+        run is read at rows s and n_rows; run ends are searched for block by
+        block in the head only, and the search stops at the limit.
         """
-        s = tail_start(n_rows)
+        head, fill = _member_head(rows, n_rows)
+        s, h = tail_start(n_rows), len(head)
+        first = bool(head[s - 1]) if s <= h else fill  # row s and the rest of its run
         ends, count = [np.array([s - 1, s])], 0
-        for lo in range(s - 1, n_rows - 1, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, n_rows - 1)
-            at = np.flatnonzero(mem[lo:hi] != mem[lo + 1 : hi + 1])
+        for lo in range(s - 1, h - 1, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, h - 1)
+            at = np.flatnonzero(head[lo:hi] != head[lo + 1 : hi + 1])
             count += len(at)
             if count >= BLOCK_ROWS:
                 return None
             at += lo + 1
             ends.append(at)
+        if s <= h < n_rows and head[h - 1] != fill:  # the head's last run ends at row h
+            ends.append(np.array([h]))
+            count += 1
+        K_before = self._carry(head, fill, s - 1)
+        if count == 0:  # one run, monotone: its extremes are at rows s and n_rows
+            W_before, W_s, W_n = (self._totals(float(m)) for m in (s - 1, s, n_rows))
+            K_s = K_before + (W_s - W_before if first else 0.0)
+            at_s, at_n = K_s / W_s, (K_s + (W_n - W_s if first else 0.0)) / W_n
+            return min(at_s, at_n), max(at_s, at_n), at_n
         ends.append(np.array([n_rows]))
-        K_before = self._carry(mem, s - 1)
         # rows s - 1 and s, then the last row of each run: W there, and
         # the weight K gains over each segment between them
         W = self._totals(np.concatenate(ends, dtype=float))
         del ends  # so no more than two run arrays are alive
         K = W[1:] - W[:-1]
-        # row s and the rest of its run share its membership; runs alternate
-        K[2 if mem[s - 1] else 3 :: 2] = 0.0
-        if not mem[s - 1]:
+        # runs alternate from row s's membership
+        K[2 if first else 3 :: 2] = 0.0
+        if not first:
             K[:2] = 0.0
         K[0] += K_before
         np.cumsum(K, out=K)
@@ -622,7 +653,7 @@ class TriangularMatrix(SummMatrix):
         """A window of exact weights with at most ``BLOCK_ROWS`` runs is read
         at its run ends (``_run_extremes``), and a window of other weights
         with no member in closed form; any other window is read block by
-        block.
+        block, from the membership expanded to every row.
 
         With K_s the members' weight before the window's first row s, a
         window with no member reads K_s / W_m, not rising in m because W is
@@ -633,13 +664,14 @@ class TriangularMatrix(SummMatrix):
         window read from ``_blocks`` keeps only each block's least, greatest
         and last value.
         """
-        mem = self._row_members(member, n_rows)
-        s = tail_start(n_rows)
+        rows = self._row_head(member, n_rows)
         if self._exact(n_rows):
-            read = self._run_extremes(mem, n_rows)
+            read = self._run_extremes(rows, n_rows)
             if read is not None:
                 return read
-        elif not mem[s - 1 :].any():
+        mem = _member_array(rows, n_rows)
+        s = tail_start(n_rows)
+        if not mem[s - 1 :].any():  # only other weights: a window of many runs has members
             sums = self._sums(mem[:s], n_rows, s)  # member weights up to row s only
             k, w = next(sums)  # row s adds 0: K_s as the series sums it
             before, at_s = k[0], w[0]
@@ -935,8 +967,9 @@ class Ideal:
         return tail_start(n_rows) if self.kind == "fin" else 1
 
     def contains(self, member: Membership, horizon: int, tol: float = DEFAULT_TOL) -> Verdict:
-        """Finite-horizon membership verdict for a set (an ``IndexSet`` or an
-        indicator array covering indices 1..horizon) in a density ideal.
+        """Finite-horizon membership verdict in a density ideal for a set: an
+        ``IndexSet``, an indicator array covering indices 1..horizon, or a
+        pair ``(head, fill)`` (``_member_head``).
 
         The verdict is the null reading of B's tail window on the rows
         that fit the horizon (``SummMatrix.tail_extremes``), under three
@@ -945,7 +978,8 @@ class Ideal:
         (0, 0, 0) with no series built.  One that does not converge and has
         no member from ``tail_start(horizon)`` on converges with residual
         0: Fin is a subset of every admissible ideal.  A diverged set whose
-        tail minimum is within SETTLE_FACTOR * tol is inconclusive.
+        tail minimum is within SETTLE_FACTOR * tol is inconclusive.  The
+        rules, and B where it reads run ends, scan only a pair's head.
         A horizon below 1 is a ValueError, and so is fin: a fin limit is
         tail stabilization, read by ``ideal_limit_at`` and
         ``ai_density_is_null``, not a membership verdict.
@@ -957,12 +991,13 @@ class Ideal:
                 "fin has no membership verdict: a fin limit is tail stabilization, "
                 "read by ideal_limit_at and ai_density_is_null"
             )
-        marks = _member_array(member, horizon)
+        head, fill = _member_head(member, horizon)
+        filled = fill and len(head) < horizon  # so index horizon, in every window, is a member
         n = self.matrix.max_row_for(horizon)
-        if not marks.any():
+        if not filled and not head.any():
             return _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
-        v = _extremes_verdict(*self.matrix.tail_extremes(marks, n), 0.0, tol)
-        if not v.converged and not marks[tail_start(horizon) - 1 :].any():
+        v = _extremes_verdict(*self.matrix.tail_extremes((head, fill), n), 0.0, tol)
+        if not v.converged and not filled and not head[tail_start(horizon) - 1 :].any():
             return replace(v, status=CONVERGED, residual=0.0)
         if v.status == DIVERGED and v.tail_low <= SETTLE_FACTOR * tol:
             return replace(v, status=INCONCLUSIVE)
@@ -1040,12 +1075,11 @@ def ideal_limit_at(
 
     fin: ordinary tail stabilization.  density-zero(B): for each epsilon
     on a coarse grid down to tol, the sub-verdict is the membership
-    verdict ``ideal.contains(defect, len(y), tol)`` of the defect rows
-    where ``|y - target| >= eps``.  It is asked once per distinct defect
-    set in an extraction, across the epsilon grid and, in
-    ``ideal_limit``, across the candidate limits, where a candidate that
-    can no longer beat a converged one stops at its first non-converged
-    epsilon.  A non-finite target is a ValueError.
+    verdict ``ideal.contains`` of the defect rows where
+    ``|y - target| >= eps``, passed as the head of rows compared and the
+    fill past it (``_ideal_limit``), once per distinct pair in an
+    extraction, across the epsilon grid and, in ``ideal_limit``, across
+    the candidate limits.  A non-finite target is a ValueError.
     """
     return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
 
@@ -1085,16 +1119,16 @@ def _ideal_limit(
     converges with residual 0: no later target can beat it.  The tail
     window's extremes are taken once and shared by every target; a fin
     target reads them (``_extremes_verdict``) and scans the window only
-    when it lies strictly inside their range.  Under a density ideal each
-    distinct defect set, keyed by its packed rows, is decided by
-    ``Ideal.contains`` once per call, and two kinds of work that cannot
-    change the answer are skipped.  A target is converged only if every
-    epsilon is, and a non-converged target never beats a converged one, so
-    once some target has converged a later one stops at its first
-    non-converged epsilon and drops out.  A defect set is read against
-    ``_defect_bounds`` with no deviation built: the longest suffix, from the
-    tail window back to row 1 by halving, inside or beyond the bounds is
-    filled, and only the rows before it are compared.
+    when it lies strictly inside their range.  Under a density ideal a
+    defect set is read against ``_defect_bounds`` with no deviation built:
+    the longest suffix, from the tail window back to row 1 by halving,
+    inside or beyond the bounds is its fill, and only the m rows before it
+    are compared, into its head.  It goes to ``Ideal.contains`` as
+    ``(head, fill)``, so no row past the head is built or scanned, and is
+    decided once per call, keyed by (m, fill, packed head): equal keys are
+    equal sets.  A target is converged only if every epsilon is, and a
+    non-converged target never beats a converged one, so once some target
+    has converged a later one stops at its first non-converged epsilon.
     """
     w = _tail_offset(n, ideal)
     win = part[w:]
@@ -1103,33 +1137,32 @@ def _ideal_limit(
     starts = [w >> j for j in range(w.bit_length() + 1)]
     lows = list(accumulate([low, *np.minimum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], min))
     highs = list(accumulate([high, *np.maximum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], max))
-    decided: dict[bytes, Verdict] = {}
+    decided: dict[tuple[int, bool, bytes], Verdict] = {}
 
-    def defect_rows(lo: float, hi: float) -> np.ndarray:
-        # fill the longest suffix that lies inside (lo, hi) or beyond one bound
+    def defect_rows(lo: float, hi: float) -> tuple[np.ndarray, bool]:
+        # the fill: the longest suffix inside (lo, hi) or beyond one bound; the head: the rows compared
         m, fill = len(part), False
         for start, s_low, s_high in zip(starts, lows, highs):
             beyond = s_low >= hi or s_high <= lo
             if not (beyond or lo < s_low and s_high < hi):
                 break
             m, fill = start, beyond
-        defect = np.zeros(len(part), dtype=bool)
-        defect[m:] = fill
+        head = np.zeros(m, dtype=bool)
         if highs[-1] >= hi:
-            np.greater_equal(part[:m], hi, out=defect[:m])
+            np.greater_equal(part[:m], hi, out=head)
         if lows[-1] <= lo:
-            defect[:m] |= part[:m] <= lo
-        return defect
+            head |= part[:m] <= lo
+        return head, fill
 
     # a nested function, so a target that can no longer win returns at its first unsettled epsilon
     def density_limit_at(target: float, must_converge: bool) -> Verdict | None:
         sub: dict[str, Verdict] = {}
         for eps in _eps_grid(tol):
-            defect = defect_rows(*_defect_bounds(target, eps))
-            key = np.packbits(defect).tobytes()
+            head, fill = defect_rows(*_defect_bounds(target, eps))
+            key = (len(head), fill, np.packbits(head).tobytes())  # equal keys, equal sets
             v = decided.get(key)
             if v is None:
-                v = decided[key] = ideal.contains(defect, n, tol)
+                v = decided[key] = ideal.contains((head, fill), n, tol)
             if must_converge and not v.converged:
                 return None
             sub[f"eps={eps}"] = v
@@ -1206,10 +1239,17 @@ def ai_density(
 
     Forms the partial A-densities on as many rows as the horizon's worth
     of indices supports, then extracts the I-limit over the candidates
-    of ``ideal_limit``.
+    of ``ideal_limit``.  Under fin the first candidate, the last value, has
+    residual 0 and settles the answer when the window's extremes converge
+    it; a triangular A reads them with no window built (``tail_extremes``).
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
+    if ideal.kind == "fin" and isinstance(A, TriangularMatrix):  # other kinds build the window to read them
+        low, high, last = A.tail_extremes(member, A.max_row_for(horizon))
+        v = _extremes_verdict(low, high, last, last, tol, lambda: 0.0)  # the window holds its last value
+        if v.converged:
+            return v
     part, n = _horizon_partials(A, ideal, member, horizon)
     return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
 

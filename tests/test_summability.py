@@ -635,6 +635,77 @@ class TestRunEnds:
             assert peak <= 16 * summability.BLOCK_ROWS, peak
 
 
+def _outcome(read) -> str:
+    """The repr of a verdict, or the error a reading raised, so two readings
+    compare bit for bit, refusals included."""
+    try:
+        return repr(read())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestHeadAndFill:
+    """A membership given as ``(head, fill)``, the marks of indices 1..m and
+    the membership of every later index, against its materialised array."""
+
+    KINDS = ["cesaro", "weighted:1", "squares", "weighted:0.5", "block:12", "identity"]
+
+    @given(
+        rows=run_memberships(),
+        mspec=st.sampled_from(KINDS),
+        cut=st.floats(0.0, 1.0),
+        fill=st.booleans(),
+        block=st.sampled_from([1, 2, 8, 64, summability.BLOCK_ROWS]),
+        tol=st.sampled_from([0.01, 0.05, 0.2]),
+    )
+    # windows of more runs than a block has rows, past a head that covers
+    # them all, part of them or none of them
+    @example(rows=(2000, np.arange(2000) % 2 == 0), mspec="cesaro", cut=1.0, fill=False, block=8, tol=0.01)
+    @example(rows=(2000, np.arange(2000) % 3 == 1), mspec="weighted:1", cut=0.8, fill=True, block=64, tol=0.01)
+    @example(rows=(2000, np.arange(2000) % 2 == 1), mspec="cesaro", cut=0.3, fill=True, block=2, tol=0.01)
+    # a head that ends at the window's first row, and an empty head
+    @example(rows=(400, np.arange(400) < 50), mspec="cesaro", cut=0.5, fill=True, block=summability.BLOCK_ROWS, tol=0.01)
+    @example(rows=(400, np.zeros(400, dtype=bool)), mspec="squares", cut=0.0, fill=True, block=summability.BLOCK_ROWS, tol=0.01)
+    def test_contains_reads_the_pair_as_its_array(self, rows, mspec, cut, fill, block, tol) -> None:
+        n, mem = rows
+        m = round(cut * n)
+        full = mem.copy()
+        full[m:] = fill
+        ideal = ideal_from_spec(f"density:{mspec}")
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            want = _outcome(lambda: ideal.contains(full, n, tol))
+            got = _outcome(lambda: ideal.contains((mem[:m], fill), n, tol))
+        assert got == want
+
+    @given(
+        rows=run_memberships(),
+        mspec=st.sampled_from(KINDS),
+        tol=st.sampled_from([0.001, 0.01, 0.05, 0.2]),
+    )
+    # the last value settles a decaying series; the identity's 0/1 window does not
+    @example(rows=(3000, np.arange(3000) < 40), mspec="cesaro", tol=0.01)
+    @example(rows=(3000, np.arange(3000) % 2 == 0), mspec="identity", tol=0.01)
+    # the last value 0.3 of this Cesaro window (0.27 to 0.38) does not
+    # converge at tol 0.02, and the tail median 0.3125 does
+    @example(rows=(20, np.array([c == "1" for c in "00001110000110000010"])), mspec="cesaro", tol=0.02)
+    # blocks of 9 members in 12, one empty block at the window's first row,
+    # and 10 in the last: the last value 10/12 is more than 4 * tol above the
+    # window's low 0, so it does not converge, and the tail median 9/12 does
+    @example(
+        rows=(480, np.concatenate([np.arange(12) < c for c in [9] * 19 + [0] + [9] * 19 + [10]])),
+        mspec="block:12",
+        tol=0.2,
+    )
+    def test_fin_density_is_the_limit_of_the_built_window(self, rows, mspec, tol) -> None:
+        n, mem = rows
+        N = max(n, 12)
+        member = np.zeros(N, dtype=bool)
+        member[:n] = mem
+        A = matrix_from_spec(mspec)
+        want = _outcome(lambda: ideal_limit(a_density_partial(A, member, A.max_row_for(N)), Ideal.fin(), tol))
+        assert _outcome(lambda: ai_density(A, Ideal.fin(), member, N, tol)) == want
+
+
 class TestRegularity:
     def test_cesaro_is_regular(self) -> None:
         rep = check_regularity(cesaro1(), 10_000, 2e-3)
@@ -1245,6 +1316,24 @@ class TestSharedDefectVerdicts:
             v = ideal_limit_at(y, ideal, target, tol)
         defects = {f"eps={eps}": np.abs(y - target) >= eps for eps in _eps_grid(tol)}
         assert v.detail == {name: ideal.contains(d, len(y), tol) for name, d in defects.items()}
+
+    def test_defects_are_read_on_their_compared_prefix(self) -> None:
+        # the Cesaro densities of EVENS settle at 1/2 within a few rows, so
+        # each defect is a short compared head and a filled suffix
+        N = 10**5
+        forms = []
+        contains = Ideal.contains
+
+        def recorded(ideal, member, horizon, tol=DEFAULT_TOL):
+            forms.append((len(member[0]), member[1]))
+            return contains(ideal, member, horizon, tol)
+
+        with mock.patch.object(Ideal, "contains", recorded):
+            v = ai_density(cesaro1(), Ideal.density_zero(cesaro1()), EVENS, N)
+        assert v.converged and v.value == 0.5
+        assert len(forms) == 7
+        assert max(m for m, _ in forms) < 100
+        assert {fill for _, fill in forms} == {False, True}
 
     def test_empty_defect_takes_its_closed_form(self) -> None:
         B = cesaro1()
