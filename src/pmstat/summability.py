@@ -32,11 +32,13 @@ A limit reading looks only at the tail window, rows ``tail_start(n)..n``
 of an n-row series, and only the rows a verdict reads are built: a fin
 limit reads the window of its A-series, a density ideal reads its
 A-series whole and the window of each B-series (``Ideal.reads_from``).
-A window equals that slice of the whole series bit for bit.  A null
-verdict builds no series where its extremes can be read without one: a
-triangular matrix of exact weights reads a window of few runs at its run
-ends (``TriangularMatrix.tail_extremes``), and a limit search computes a
-candidate only when it can still win.
+A window equals that slice of the whole series bit for bit.  A series is
+read through one reader, ``SummMatrix._series``: segment extremes, the
+last value, and rows only when asked.  A triangular matrix of exact
+weights reads few runs at their run ends
+(``TriangularMatrix._run_extremes``), so a null verdict builds no series
+where its extremes can be read without one, and a limit search computes
+a candidate only when it can still win.
 
 Membership of a set in a density ideal is decided in one place,
 ``Ideal.contains``; limit extraction under a density ideal asks it and
@@ -146,11 +148,6 @@ class Verdict:
 def tail_start(n: int) -> int:
     """First index (1-based) of the tail window [TAIL_FRACTION * n, n]."""
     return max(1, math.ceil(n * TAIL_FRACTION))
-
-
-def _extremes(win: np.ndarray) -> tuple[float, float, float]:
-    """The least, greatest and last value of a nonempty window."""
-    return float(win.min()), float(win.max()), float(win[-1])
 
 
 def _extremes_verdict(
@@ -374,6 +371,37 @@ def _check_window(n_rows: int, start: int) -> None:
         raise ValueError(f"start row {start} outside rows 1..{n_rows}")
 
 
+class _Series:
+    """Rows ``starts[0]..n`` of an n-row series, as a limit reads them: the
+    least and greatest row of each segment, rows ``starts[i]..starts[i + 1] - 1``
+    and, last, the tail window ``starts[-1]..n``; the last row; and rows
+    themselves only when asked, each span built once by ``build(lo, hi)``,
+    rows lo..hi: ``head(m)``, the first m, and ``window()``."""
+
+    def __init__(
+        self, n: int, starts: list[int], lows: list[float], highs: list[float], last: float, build: Callable[[int, int], np.ndarray]
+    ) -> None:
+        self.n, self.starts, self.lows, self.highs, self.last, self._build = n, starts, lows, highs, last, build
+        self._head = self._window = None
+
+    @classmethod
+    def of(cls, part: np.ndarray, n: int, starts: list[int]) -> "_Series":
+        """The series whose rows starts[0]..n are the array ``part``."""
+        at = [s - starts[0] for s in starts]
+        lows, highs = np.minimum.reduceat(part, at).tolist(), np.maximum.reduceat(part, at).tolist()
+        return cls(n, starts, lows, highs, float(part[-1]), lambda lo, hi: part[lo - starts[0] : hi - starts[0] + 1])
+
+    def head(self, m: int) -> np.ndarray:
+        if self._head is None or len(self._head) < m:
+            self._head = self._build(self.starts[0], self.starts[0] + m - 1) if m else np.empty(0)
+        return self._head[:m]
+
+    def window(self) -> np.ndarray:
+        if self._window is None:
+            self._window = self._build(self.starts[-1], self.n)
+        return self._window
+
+
 # ---------------------------------------------------------------------------
 # summability matrices
 
@@ -417,10 +445,17 @@ class SummMatrix:
         mem = _member_array(member, self.support_bound(n_rows))
         return np.array([sum((a for k, a in self.row(n) if mem[k - 1]), 0.0) for n in range(start, n_rows + 1)])
 
+    def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
+        """Rows ``starts[0]..n_rows`` of the series as a limit reads them,
+        split at ``starts``: here those rows, built whole."""
+        return _Series.of(self.density_series(member, n_rows, start=starts[0]), n_rows, starts)
+
     def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
         """The least, greatest and last partial A-density over the tail
-        window, rows ``tail_start(n_rows)..n_rows``: what a null reading reads."""
-        return _extremes(self.density_series(member, n_rows, start=tail_start(n_rows)))
+        window, rows ``tail_start(n_rows)..n_rows``: what a null reading
+        reads, the one-segment case of ``_series``."""
+        read = self._series(member, n_rows, [tail_start(n_rows)])
+        return read.lows[0], read.highs[0], read.last
 
     def nonvanishing_column(self) -> int | None:
         """A column that does not tend to 0, where the kind's closed form
@@ -496,7 +531,9 @@ class TriangularMatrix(SummMatrix):
             K += int(np.flatnonzero(block).sum()) + (lo + 1) * int(np.count_nonzero(block))
         return K
 
-    def _sums(self, mem: np.ndarray | None, n_rows: int, start: int = 1) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+    def _sums(
+        self, mem: np.ndarray | None, n_rows: int, start: int = 1, carry: float | None = None
+    ) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
         """The running sums (K_m, W_m) of the member weights and of all
         weights up to row m, for rows m = start..n_rows, in blocks of at most
         ``BLOCK_ROWS`` rows.  ``mem`` marks the member rows 1..len(mem); K
@@ -507,15 +544,16 @@ class TriangularMatrix(SummMatrix):
         element and then sums in sequence, so every value is the sequential
         running sum bit for bit: fl(carry + x) = fl(x + carry).  Exact
         weights start at row start, from K summed exactly over the rows
-        before it (``_carry``), and take W_m as m or m(m + 1)/2, with no
-        power and no sum; other weights carry their sums from row 1.  Weight
+        before it (``_carry``, or ``carry`` when the caller has it), and take
+        W_m as m or m(m + 1)/2, with no power and no sum; other weights carry
+        their sums from row 1.  Weight
         sums that overflow are an input error, raised at the first block
         that reaches them.
         """
         exact = self._exact(n_rows)
         before = start - 1
         covered = 0 if mem is None else len(mem)
-        K = float(self._carry(mem, False, before)) if exact and mem is not None else 0.0
+        K = float(self._carry(mem, False, before) if carry is None else carry) if exact and mem is not None else 0.0
         W = 0.0
         for lo in range(before if exact else 0, n_rows, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n_rows)
@@ -542,12 +580,14 @@ class TriangularMatrix(SummMatrix):
                 cut = max(0, before - lo)
                 yield (None if k is None else k[cut:]), w[cut:]
 
-    def _blocks(self, mem: np.ndarray, n_rows: int, start: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    def _blocks(
+        self, mem: np.ndarray, n_rows: int, start: int, out: np.ndarray | None = None, carry: float | None = None
+    ) -> Iterator[np.ndarray]:
         """Rows start..n_rows of the series K_m / W_m of the member rows
         ``mem``, in the blocks of ``_sums``; each block is divided into its
         place in ``out`` (rows start..n_rows) when that is given."""
         at = 0
-        for k, w in self._sums(mem, n_rows, start):
+        for k, w in self._sums(mem, n_rows, start, carry):
             yield np.divide(k, w, out=k if out is None else out[at : at + len(k)])
             at += len(k)
 
@@ -596,79 +636,108 @@ class TriangularMatrix(SummMatrix):
             pass
         return series
 
-    def _run_extremes(self, rows: Membership, n_rows: int) -> tuple[float, float, float] | None:
-        """The least, greatest and last value of the window of exact weights
-        read at its run ends, or None when it has more than ``BLOCK_ROWS`` runs;
-        ``rows``, a pair ``(head, fill)`` or an array, marks the member rows.
+    def _run_extremes(self, rows: Membership, n_rows: int, starts: list[int]) -> tuple[list, list, float, float] | None:
+        """Per segment of ``_Series`` the least and greatest value, then the
+        last value and K before the last segment, of exact weights read at
+        their run ends; None when these reach ``BLOCK_ROWS``, or for several
+        segments a sixteenth of the rows.  ``rows``, a pair ``(head, fill)``
+        or an array, marks the member rows.
 
         Row m is K_m / W_m.  A member row adds w to both sums, and
         (K + w)/(W + w) >= K/W because K <= W, so the series rises through a
         run of members; it falls through a run of non-members, where only W
-        grows.  So its extremes sit at row s, the window's first row, or at
-        the last row of a run, where K is the carry K_{s-1} plus the member
-        runs' weights, W_b - W_a for a run of rows a+1..b.  The sums are
-        exact integers, rounding is monotone, and each quotient is the
-        correctly rounded one that the series divides out, so the extremes
-        and the last value are the series' own, bit for bit.  A window of one
-        run is read at rows s and n_rows; run ends are searched for block by
-        block in the head only, and the search stops at the limit.
+        grows.  So a segment's extremes sit at its first row, its last row or
+        the last row of a run inside it, where K is the carry K_{r-1} before
+        row r = starts[0] plus the member runs' weights, W_b - W_a for member
+        rows a+1..b.  The sums are exact integers, rounding is monotone, and
+        each quotient is the correctly rounded one that the series divides
+        out, so the values are the series' own, bit for bit.  One pass finds
+        the run ends, in the head only; one run of one segment needs none.
         """
         head, fill = _member_head(rows, n_rows)
-        s, h = tail_start(n_rows), len(head)
-        first = bool(head[s - 1]) if s <= h else fill  # row s and the rest of its run
-        ends, count = [np.array([s - 1, s])], 0
-        for lo in range(s - 1, h - 1, BLOCK_ROWS):
+        r, s, h = starts[0], starts[-1], len(head)
+        # a defect set of several segments builds the rows before its fill, so
+        # their run ends pay only while few against the rows
+        limit = BLOCK_ROWS if r == s else min(BLOCK_ROWS, (n_rows - r) // 16)
+        ends, count = [], 0
+        for lo in range(r - 1, h - 1, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, h - 1)
-            at = np.flatnonzero(head[lo:hi] != head[lo + 1 : hi + 1])
+            change = head[lo:hi] != head[lo + 1 : hi + 1]
+            if lo == r - 1 and hi - lo >= limit and np.count_nonzero(change) >= limit:  # most many-run sets show it here
+                return None
+            at = np.flatnonzero(change)
             count += len(at)
-            if count >= BLOCK_ROWS:
+            if count >= limit:
                 return None
             at += lo + 1
             ends.append(at)
-        if s <= h < n_rows and head[h - 1] != fill:  # the head's last run ends at row h
+        if r <= h < n_rows and head[h - 1] != fill:  # the head's last run ends at row h
             ends.append(np.array([h]))
             count += 1
-        K_before = self._carry(head, fill, s - 1)
-        if count == 0:  # one run, monotone: its extremes are at rows s and n_rows
+        K_before = self._carry(head, fill, r - 1)
+        first = bool(head[r - 1]) if r <= h else fill  # row r and the rest of its run
+        if count == 0 and r == s:  # one run, monotone: its extremes are at rows s and n_rows
             W_before, W_s, W_n = (self._totals(float(m)) for m in (s - 1, s, n_rows))
             K_s = K_before + (W_s - W_before if first else 0.0)
             at_s, at_n = K_s / W_s, (K_s + (W_n - W_s if first else 0.0)) / W_n
-            return min(at_s, at_n), max(at_s, at_n), at_n
-        ends.append(np.array([n_rows]))
-        # rows s - 1 and s, then the last row of each run: W there, and
-        # the weight K gains over each segment between them
-        W = self._totals(np.concatenate(ends, dtype=float))
-        del ends  # so no more than two run arrays are alive
+            return [min(at_s, at_n)], [max(at_s, at_n)], at_n, K_before
+        # row r - 1, then in order each segment's first and last row, twice, the
+        # last row of each run and row n_rows: W there, and the weight K gains
+        # over each step between them
+        twice = [m for t in starts[1:] for m in (t - 1, t - 1, t, t)]
+        W = np.concatenate([[r - 1, r, r], *ends, twice + [n_rows]], dtype=float)
+        del ends  # so no more than three run arrays are alive
+        if twice:
+            W.sort(kind="stable")  # merges sorted runs in one pass
+        segs = np.searchsorted(W[1:], starts) if twice else [0]
+        self._totals(W)
         K = W[1:] - W[:-1]
-        # runs alternate from row s's membership
-        K[2 if first else 3 :: 2] = 0.0
-        if not first:
-            K[:2] = 0.0
+        # the steps alternate from row r's membership: a row set twice adds a step of no rows
+        K[1 if first else 0 :: 2] = 0.0
         K[0] += K_before
         np.cumsum(K, out=K)
+        carry = float(K[segs[-1] - 1]) if segs[-1] else float(K_before)
         values = np.divide(K, W[1:], out=K)
-        return float(values.min()), float(values.max()), float(values[-1])
+        return np.minimum.reduceat(values, segs).tolist(), np.maximum.reduceat(values, segs).tolist(), float(values[-1]), carry
 
-    def tail_extremes(self, member: Membership, n_rows: int) -> tuple[float, float, float]:
-        """A window of exact weights with at most ``BLOCK_ROWS`` runs is read
-        at its run ends (``_run_extremes``), and a window of other weights
-        with no member in closed form; any other window is read block by
-        block, from the membership expanded to every row.
+    def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
+        """Rows of exact weights and few run ends are read at them
+        (``_run_extremes``), other rows of one segment block by block
+        (``_block_extremes``), each with rows built only when asked; other
+        rows of several segments are built whole."""
+        several, exact = len(starts) > 1, self._exact(n_rows)
+        # several segments of other weights, or of fewer rows than a sixteenth of a block, cost less built whole
+        if several and (not exact or n_rows - starts[0] < BLOCK_ROWS // 16):
+            return super()._series(member, n_rows, starts)
+        rows = self._row_head(member, n_rows)
+        read = self._run_extremes(rows, n_rows, starts) if exact else None
+        if read is None and several:
+            return super()._series(member, n_rows, starts)
+        if read is None:
+            low, high, last = self._block_extremes(rows, n_rows)
+            read = [low], [high], last, None
+        lows, highs, last, carry = read
+
+        def build(lo: int, hi: int) -> np.ndarray:
+            out = np.empty(hi - lo + 1)
+            for _ in self._blocks(_member_array(rows, hi), hi, lo, out, carry if lo == starts[-1] else None):
+                pass
+            return out
+
+        return _Series(n_rows, starts, lows, highs, last, build)
+
+    def _block_extremes(self, rows: tuple[np.ndarray, bool], n_rows: int) -> tuple[float, float, float]:
+        """The least, greatest and last value of the tail window, read block
+        by block from the member ``rows`` expanded to every row, or for other
+        weights and no member in closed form.
 
         With K_s the members' weight before the window's first row s, a
         window with no member reads K_s / W_m, not rising in m because W is
         nondecreasing.  Rounding is monotone and each quotient is the
         correctly rounded one that the series divides out (zero terms leave
         its sequential running sum at K_s), so the window's extremes and
-        last value are its values at rows s and n_rows, bit for bit.  A
-        window read from ``_blocks`` keeps only each block's least, greatest
-        and last value.
+        last value are its values at rows s and n_rows, bit for bit.
         """
-        rows = self._row_head(member, n_rows)
-        if self._exact(n_rows):
-            read = self._run_extremes(rows, n_rows)
-            if read is not None:
-                return read
         mem = _member_array(rows, n_rows)
         s = tail_start(n_rows)
         if not mem[s - 1 :].any():  # only other weights: a window of many runs has members
@@ -1081,12 +1150,12 @@ def ideal_limit_at(
     extraction, across the epsilon grid and, in ``ideal_limit``, across
     the candidate limits.  A non-finite target is a ValueError.
     """
-    return _ideal_limit(*_limit_input(y, ideal), ideal, (target,), tol)
+    return _ideal_limit(_limit_input(y, ideal), ideal, (target,), tol)
 
 
-def _limit_input(y: np.ndarray, ideal: Ideal) -> tuple[np.ndarray, int]:
-    """The rows of ``y`` that a limit under ``ideal`` reads, as floats, and
-    the row count of ``y``; ``y`` is checked to be a nonempty sequence of
+def _limit_input(y: np.ndarray, ideal: Ideal) -> _Series:
+    """The rows of ``y`` that a limit under ``ideal`` reads, as the series
+    ``_ideal_limit`` reads; ``y`` is checked to be a nonempty sequence of
     finite reals."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or len(y) == 0:
@@ -1095,71 +1164,71 @@ def _limit_input(y: np.ndarray, ideal: Ideal) -> tuple[np.ndarray, int]:
     if not finite.all():
         first = int(np.argmin(finite)) + 1
         raise ValueError(f"y must be finite, got {y[first - 1]} at row {first}")
-    return y[ideal.reads_from(len(y)) - 1 :], len(y)
+    starts = _segments(len(y), ideal)
+    return _Series.of(y[starts[0] - 1 :], len(y), starts)
 
 
-def _tail_offset(n: int, ideal: Ideal) -> int:
-    """Where row ``tail_start(n)`` sits in the rows of an n-row series that ``ideal`` reads."""
-    return tail_start(n) - ideal.reads_from(n)
+def _segments(n: int, ideal: Ideal) -> list[int]:
+    """First rows of the segments of an n-row series that a limit under
+    ``ideal`` reads: from ``ideal.reads_from(n)``, each segment as long as
+    all before it, and last the tail window.  Under fin, the window alone."""
+    first, w = ideal.reads_from(n), tail_start(n) - ideal.reads_from(n)
+    return [first + (w >> j) for j in range(w.bit_length(), -1, -1)]
 
 
-def _ideal_limit(
-    part: np.ndarray,
-    n: int,
-    ideal: Ideal,
-    targets: Iterable[float],
-    tol: float,
-) -> Verdict:
-    """The best ``ideal_limit_at`` verdict over ``targets`` on ``part``, the
-    rows ``ideal.reads_from(n)..n`` of an n-row series.
+def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: float) -> Verdict:
+    """The best ``ideal_limit_at`` verdict over ``targets`` on ``series``,
+    an n-row series as ``_Series`` reads it, split at ``_segments(n, ideal)``.
 
     A converged target wins by smallest residual; otherwise the smallest
     residual wins with its status, and ties keep the earlier target.  So
     the targets, which may be a lazy iterable, are read only until one
     converges with residual 0: no later target can beat it.  The tail
-    window's extremes are taken once and shared by every target; a fin
-    target reads them (``_extremes_verdict``) and scans the window only
+    window's extremes are read once and shared by every target; a fin
+    target reads them (``_extremes_verdict``) and asks for the window only
     when it lies strictly inside their range.  Under a density ideal a
     defect set is read against ``_defect_bounds`` with no deviation built:
-    the longest suffix, from the tail window back to row 1 by halving,
-    inside or beyond the bounds is its fill, and only the m rows before it
-    are compared, into its head.  It goes to ``Ideal.contains`` as
-    ``(head, fill)``, so no row past the head is built or scanned, and is
-    decided once per call, keyed by (m, fill, packed head): equal keys are
-    equal sets.  A target is converged only if every epsilon is, and a
-    non-converged target never beats a converged one, so once some target
-    has converged a later one stops at its first non-converged epsilon.
+    the longest suffix, from the tail window back to row 1 segment by
+    segment, inside or beyond the bounds is its fill, and only the m rows
+    before it are built and compared, into its head.  It goes to
+    ``Ideal.contains`` as ``(head, fill)``, so no row past the head is
+    built or scanned, and is decided once per call, keyed by (m, fill,
+    packed head): equal keys are equal sets.  A target is converged only
+    if every epsilon is, and a non-converged target never beats a
+    converged one, so once some target has converged a later one stops at
+    its first non-converged epsilon.
     """
-    w = _tail_offset(n, ideal)
-    win = part[w:]
-    low, high, last = _extremes(win)
-    # the least and greatest rows of the suffixes part[m:] for m = w, w // 2, ..., 1, 0
-    starts = [w >> j for j in range(w.bit_length() + 1)]
-    lows = list(accumulate([low, *np.minimum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], min))
-    highs = list(accumulate([high, *np.maximum.reduceat(part[:w], starts[:0:-1]).tolist()[::-1]], max))
+    n, low, high = series.n, series.lows[-1], series.highs[-1]
+    # the least and greatest rows of each suffix from a segment's first row on, the window's first
+    offsets = [start - series.starts[0] for start in reversed(series.starts)]
+    lows, highs = list(accumulate(reversed(series.lows), min)), list(accumulate(reversed(series.highs), max))
     decided: dict[tuple[int, bool, bytes], Verdict] = {}
 
-    def defect_rows(lo: float, hi: float) -> tuple[np.ndarray, bool]:
-        # the fill: the longest suffix inside (lo, hi) or beyond one bound; the head: the rows compared
-        m, fill = len(part), False
-        for start, s_low, s_high in zip(starts, lows, highs):
+    def cut(lo: float, hi: float) -> tuple[int, bool]:
+        # the longest suffix inside (lo, hi) or beyond one bound: the rows before it, and whether it is all defects
+        m, fill = n - series.starts[0] + 1, False
+        for start, s_low, s_high in zip(offsets, lows, highs):
             beyond = s_low >= hi or s_high <= lo
             if not (beyond or lo < s_low and s_high < hi):
                 break
             m, fill = start, beyond
-        head = np.zeros(m, dtype=bool)
-        if highs[-1] >= hi:
-            np.greater_equal(part[:m], hi, out=head)
-        if lows[-1] <= lo:
-            head |= part[:m] <= lo
-        return head, fill
+        return m, fill
 
     # a nested function, so a target that can no longer win returns at its first unsettled epsilon
     def density_limit_at(target: float, must_converge: bool) -> Verdict | None:
         sub: dict[str, Verdict] = {}
-        for eps in _eps_grid(tol):
-            head, fill = defect_rows(*_defect_bounds(target, eps))
-            key = (len(head), fill, np.packbits(head).tobytes())  # equal keys, equal sets
+        bounds = ((eps, *_defect_bounds(target, eps)) for eps in _eps_grid(tol))
+        reads: Iterable[tuple[float, float, float, int, bool]] = ((eps, lo, hi, *cut(lo, hi)) for eps, lo, hi in bounds)
+        if not must_converge:  # every epsilon is read: build the rows the longest head compares, once
+            reads = list(reads)
+            series.head(max(m for *_, m, _ in reads))
+        for eps, lo, hi, m, fill in reads:
+            part, head = series.head(m), np.zeros(m, dtype=bool)  # the head: the rows compared
+            if highs[-1] >= hi:
+                np.greater_equal(part, hi, out=head)
+            if lows[-1] <= lo:
+                head |= part <= lo
+            key = (m, fill, np.packbits(head).tobytes())  # equal keys, equal sets
             v = decided.get(key)
             if v is None:
                 v = decided[key] = ideal.contains((head, fill), n, tol)
@@ -1173,7 +1242,7 @@ def _ideal_limit(
         if not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target}")
         if ideal.kind == "fin":
-            v = _extremes_verdict(low, high, last, target, tol, lambda t=target: float(np.abs(win - t).min()))
+            v = _extremes_verdict(low, high, series.last, target, tol, lambda t=target: float(np.abs(series.window() - t).min()))
         else:
             v = density_limit_at(target, best is not None and best.converged)
         if v is not None and (best is None or (v.converged, -v.residual) > (best.converged, -best.residual)):
@@ -1183,15 +1252,14 @@ def _ideal_limit(
     return best
 
 
-def _candidates(part: np.ndarray, n: int, ideal: Ideal) -> Iterator[float]:
-    """The default limit candidates of ``ideal_limit`` for ``part``, the
-    rows ``ideal.reads_from(n)..n`` of an n-row series, each computed only
-    when it is reached: the tail median is a copy and a partition of the
-    window."""
+def _candidates(series: _Series) -> Iterator[float]:
+    """The default limit candidates of ``ideal_limit`` for ``series``, each
+    computed only when it is reached: the tail median builds the window
+    (``_Series.window``) and copies and partitions it."""
 
     def raw() -> Iterator[float]:
-        yield float(part[-1])
-        yield float(np.median(part[_tail_offset(n, ideal) :]))
+        yield series.last
+        yield float(np.median(series.window()))
         yield from (0.0, 0.5, 1.0)
 
     seen: list[float] = []
@@ -1213,19 +1281,8 @@ def ideal_limit(y: np.ndarray, ideal: Ideal, tol: float = DEFAULT_TOL) -> Verdic
     later one can win, so the tail median is not computed after a last
     value that settles the answer.
     """
-    part, n = _limit_input(y, ideal)
-    return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
-
-
-def _horizon_partials(A: SummMatrix, ideal: Ideal, member: Membership, horizon: int) -> tuple[np.ndarray, int]:
-    """The partial A-densities that a limit under ``ideal`` reads, and the row count n.
-
-    The series has n rows, every row whose support fits the horizon; only
-    rows ``ideal.reads_from(n)..n`` are built.  A membership array
-    shorter than those rows' support is a ValueError.
-    """
-    n = A.max_row_for(horizon)
-    return A.density_series(member, n, start=ideal.reads_from(n)), n
+    series = _limit_input(y, ideal)
+    return _ideal_limit(series, ideal, _candidates(series), tol)
 
 
 def ai_density(
@@ -1239,19 +1296,19 @@ def ai_density(
 
     Forms the partial A-densities on as many rows as the horizon's worth
     of indices supports, then extracts the I-limit over the candidates
-    of ``ideal_limit``.  Under fin the first candidate, the last value, has
-    residual 0 and settles the answer when the window's extremes converge
-    it; a triangular A reads them with no window built (``tail_extremes``).
+    of ``ideal_limit``.  The first candidate, the last value, settles the
+    answer under fin when the window's extremes converge it (its residual
+    is 0).  A triangular A of exact weights reads those extremes, and a
+    density ideal's segment extremes, at run ends (``SummMatrix._series``),
+    so it builds the tail window only for the median or a fin target inside
+    the window's range, and of the rows before it only those a defect set
+    compares.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")
-    if ideal.kind == "fin" and isinstance(A, TriangularMatrix):  # other kinds build the window to read them
-        low, high, last = A.tail_extremes(member, A.max_row_for(horizon))
-        v = _extremes_verdict(low, high, last, last, tol, lambda: 0.0)  # the window holds its last value
-        if v.converged:
-            return v
-    part, n = _horizon_partials(A, ideal, member, horizon)
-    return _ideal_limit(part, n, ideal, _candidates(part, n, ideal), tol)
+    n = A.max_row_for(horizon)
+    series = A._series(member, n, _segments(n, ideal))
+    return _ideal_limit(series, ideal, _candidates(series), tol)
 
 
 def ai_density_is_null(
@@ -1270,8 +1327,9 @@ def ai_density_is_null(
     rows read has the zero series, and reads as the extraction of that
     series does, with no series built: converged at 0 on every epsilon, as
     rule 1 of ``Ideal.contains`` reads each zero defect once B has found
-    its rows.  Any other set builds A's series once and extracts its null
-    limit.
+    its rows.  Any other set reads A's series through ``SummMatrix._series``
+    and extracts its null limit: under exact triangular weights and few
+    runs no A-series is built but the rows a defect set compares.
     """
     n = A.max_row_for(horizon)
     if ideal.kind == "fin":
@@ -1281,7 +1339,7 @@ def ai_density_is_null(
         ideal.matrix.max_row_for(n)  # refuses a B that a defect reading refuses
         v = _extremes_verdict(0.0, 0.0, 0.0, 0.0, tol)
         return Verdict.all_of({f"eps={eps}": v for eps in _eps_grid(tol)}, 0.0, tol, tail_low=0.0, tail_high=0.0)
-    return _ideal_limit(A.density_series(marks, n), n, ideal, (0.0,), tol)
+    return _ideal_limit(A._series(marks, n, _segments(n, ideal)), ideal, (0.0,), tol)
 
 
 def ai_density_is_full(
@@ -1292,7 +1350,8 @@ def ai_density_is_full(
     tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Verdict for "the set has A^I-density one"."""
-    return _ideal_limit(*_horizon_partials(A, ideal, member, horizon), ideal, (1.0,), tol)
+    n = A.max_row_for(horizon)
+    return _ideal_limit(A._series(member, n, _segments(n, ideal)), ideal, (1.0,), tol)
 
 
 def ai_nonthin(

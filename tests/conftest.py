@@ -7,6 +7,7 @@ shrunk counterexamples readable.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -23,7 +24,8 @@ from pmstat import (
     cesaro1,
     matrix_from_spec,
 )
-from pmstat.summability import _extremes, _extremes_verdict
+from pmstat.harness import SuiteConfig, generate_suite, run_theorem_suite
+from pmstat.summability import _extremes_verdict
 
 settings.register_profile(
     "suite",
@@ -61,6 +63,11 @@ def wide_step_fns(draw, max_jumps: int = 4) -> StepDistFn:
     height = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     vals = draw(st.lists(height, min_size=n - 1, max_size=n - 1, unique=True).map(sorted)) + [1.0]
     return StepDistFn.from_pairs(zip(locs, vals))
+
+
+def _extremes(win: np.ndarray) -> tuple[float, float, float]:
+    """The least, greatest and last value of a nonempty window."""
+    return float(win.min()), float(win.max()), float(win[-1])
 
 
 def _tail_verdict(win: np.ndarray, target: float, tol: float) -> Verdict:
@@ -117,3 +124,17 @@ def file_matrix(tmp_path):
         return matrix_from_spec(f"file:{path}")
 
     return make
+
+
+@functools.cache
+def _suite_report(seed: int, horizon: int) -> dict:
+    """The default theorem-suite report of a seed at a horizon, built once
+    per test session; a report is read, never changed."""
+    return run_theorem_suite(generate_suite(seed), SuiteConfig(seed=seed, horizon=horizon))
+
+
+@pytest.fixture(scope="session")
+def suite_report():
+    """``suite_report(seed, horizon)``: the shared suite reports, so the
+    tests that read the reports at N = 10^6 build each one once."""
+    return _suite_report

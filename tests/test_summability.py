@@ -56,6 +56,7 @@ from pmstat import (
     weighted_mean,
 )
 from pmstat import summability
+from pmstat.harness import generate_suite
 from pmstat.summability import (
     REGULARITY_COLUMNS,
     SETTLE_FACTOR,
@@ -69,7 +70,7 @@ from pmstat.summability import (
     nonthin,
 )
 
-from conftest import _tail_verdict
+from conftest import _extremes, _tail_verdict
 
 
 class TestVerdict:
@@ -495,7 +496,7 @@ class TestBlockReads:
             extremes = A.tail_extremes(member, n_rows)
         want = _reference_density_series(A, member, n_rows, start)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert extremes == summability._extremes(_reference_density_series(A, member, n_rows, s))
+        assert extremes == _extremes(_reference_density_series(A, member, n_rows, s))
 
     @given(
         power=st.one_of(st.floats(-5.0, 800.0), st.sampled_from([0.0, 1.0, 40.0, 102.5, 400.0])),
@@ -597,20 +598,21 @@ class TestRunEnds:
         runs = 1 + np.count_nonzero(window[1:] != window[:-1])
         with mock.patch.object(summability, "BLOCK_ROWS", block), mock.patch.object(summability, "_EXACT_ROWS", exact_rows):
             exact = A._exact(n)
-            by_runs = A._run_extremes(mem, n) if exact else None
-            by_blocks = summability._extremes(np.concatenate([b.copy() for b in A._blocks(mem, n, s)]))
+            by_runs = A._run_extremes(mem, n, [s]) if exact else None
+            by_blocks = _extremes(np.concatenate([b.copy() for b in A._blocks(mem, n, s)]))
             got = A.tail_extremes(member, n)
             series = A.density_series(member, n, start=s)
         assert exact == (power == 0 or n <= exact_rows)
         assert (by_runs is None) == (not exact or runs > block)
         hexes = lambda xs: tuple(map(float.hex, xs))
         if by_runs is not None:
-            assert hexes(by_runs) == hexes(by_blocks)
+            (low,), (high,), last, _ = by_runs
+            assert hexes((low, high, last)) == hexes(by_blocks)
         assert hexes(got) == hexes(by_blocks)
         # the block reader, from row s under exact weights, is the whole chain's window
         want = _reference_density_series(A, member, n, s)
         assert series.tobytes() == want.tobytes()
-        assert hexes(by_blocks) == hexes(summability._extremes(want))
+        assert hexes(by_blocks) == hexes(_extremes(want))
 
     def test_a_weighted_fin_window_reads_one_block_of_run_arrays(self) -> None:
         """Read at its run ends, a weighted:1 window at N = 10^6 allocates at
@@ -642,6 +644,131 @@ def _outcome(read) -> str:
         return repr(read())
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+class TestSegmentReads:
+    """A's series as a limit reads it (``SummMatrix._series``): per-segment
+    extremes read at run ends or block by block, and rows built on demand,
+    against the series built whole."""
+
+    @given(
+        rows=run_memberships(),
+        power=st.sampled_from([0.0, 1.0]),
+        cut=st.floats(0.0, 1.0),
+        fill=st.sampled_from([None, False, True]),
+        block=st.sampled_from([1, 2, 8, 64, summability.BLOCK_ROWS]),
+        ladder=st.booleans(),
+    )
+    # several segments of few runs, a head that ends inside the window, and a window of one run
+    @example(rows=(3000, np.arange(3000) % 700 < 9), power=1.0, cut=0.9, fill=True, block=summability.BLOCK_ROWS, ladder=True)
+    @example(rows=(400, np.arange(400) < 50), power=0.0, cut=0.5, fill=False, block=64, ladder=True)
+    @example(rows=(1, np.ones(1, dtype=bool)), power=1.0, cut=1.0, fill=None, block=1, ladder=True)
+    def test_segment_extremes_equal_the_built_series(self, rows, power, cut, fill, block, ladder) -> None:
+        n, mem = rows
+        member = mem if fill is None else (mem[: round(cut * n)], fill)
+        full = summability._member_array(member, n)
+        A = TriangularMatrix("t", power)
+        starts = summability._segments(n, Ideal.density_zero(cesaro1()) if ladder else Ideal.fin())
+        r = starts[0]
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            read = A._run_extremes(A._row_head(member, n), n, starts)
+            series = A._series(member, n, starts)
+            window, head = series.window(), series.head(starts[-1] - r)
+        built = A.density_series(full, n, start=r)
+        at = [t - r for t in starts]
+        hexes = lambda xs: [float(x).hex() for x in xs]  # noqa: E731
+        want = hexes(np.minimum.reduceat(built, at)), hexes(np.maximum.reduceat(built, at)), built[-1].hex()
+        assert (hexes(series.lows), hexes(series.highs), series.last.hex()) == want
+        assert window.tobytes() == built[at[-1] :].tobytes() and head.tobytes() == built[: at[-1]].tobytes()
+        # run ends are read unless the head's rows from r on change at least the limit's count of times
+        h = min(len(full) if fill is None else len(member[0]), n)
+        changes = np.count_nonzero(full[r - 1 : h - 1] != full[r:h]) if h > r else 0
+        limit = block if len(starts) == 1 else min(block, (n - r) // 16)
+        assert (read is None) == (h > r and changes >= limit)
+        if read is not None:
+            assert (hexes(read[0]), hexes(read[1]), read[2].hex()) == want
+            weights = np.arange(1, starts[-1], dtype=float) ** power
+            assert read[3] == weights[full[: starts[-1] - 1]].sum()  # K before the window, exact
+
+    DENSITY_KINDS = ["cesaro", "weighted:1", "weighted:0.5", "squares", "block:12", "identity"]
+
+    @given(
+        rows=run_memberships(),
+        mspec=st.sampled_from(DENSITY_KINDS),
+        ispec=st.sampled_from(["density:cesaro", "density:squares", "density:block:4"]),
+        cut=st.floats(0.0, 1.0),
+        fill=st.sampled_from([None, False, True]),
+        block=st.sampled_from([1, 2, 8, 64, summability.BLOCK_ROWS]),
+        tol=st.sampled_from([0.01, 0.05]),
+    )
+    @example(rows=(3000, np.arange(3000) % 997 < 5), mspec="cesaro", ispec="density:cesaro", cut=1.0, fill=None, block=64, tol=0.01)
+    @example(rows=(3000, np.arange(3000) < 1500), mspec="weighted:1", ispec="density:block:4", cut=0.7, fill=True, block=8, tol=0.01)
+    def test_density_verdicts_equal_the_built_series_reading(self, rows, mspec, ispec, cut, fill, block, tol) -> None:
+        n, mem = rows
+        N = max(n, 12)
+        member = np.zeros(N, dtype=bool)
+        member[:n] = mem
+        if fill is not None:
+            member = (member[: round(cut * N)], fill)
+        A, ideal = matrix_from_spec(mspec), ideal_from_spec(ispec)
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            y = A.density_series(member, A.max_row_for(N))
+            whole = _limit_input(y, ideal)
+            assert _outcome(lambda: ai_density(A, ideal, member, N, tol)) == _outcome(
+                lambda: _ideal_limit(whole, ideal, _candidates(whole), tol)
+            )
+            assert _outcome(lambda: ai_density_is_null(A, ideal, member, N, tol)) == _outcome(
+                lambda: _ideal_limit(_limit_input(y, ideal), ideal, (0.0,), tol)
+            )
+
+    def test_few_run_null_readings_build_no_series(self) -> None:
+        """The visit sets of instance 20, eventually constant off the squares
+        from 2500 on, have at most about 1,900 runs at N = 10^6: their density
+        null readings read A at run ends, and every defect set they make is
+        decided by its fill, so neither A nor B builds a series."""
+        N, tol = 10**6, 0.02
+        inst = generate_suite(5)[19]
+        assert inst.family == "except-late-squares-density-ideal" and inst.ideal.name == "density-zero(cesaro)"
+        A, ideal = inst.matrix, inst.ideal
+        codes = inst.x.value_codes(N)
+        built = []
+        for M in (A, ideal.matrix):
+            for name in ("density_series", "_blocks"):
+                method = getattr(M, name)
+                setattr(M, name, lambda *a, method=method, **kw: built.append(a) or method(*a, **kw))
+        for points in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+            member = np.isin(codes, points)
+            ai_density_is_null(A, ideal, member, N, tol)  # warm
+            tracemalloc.start()
+            try:
+                v = ai_density_is_null(A, ideal, member, N, tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert built == [], points
+            assert peak <= 16 * summability.BLOCK_ROWS, (points, peak)
+            assert repr(v) == repr(ideal_limit_at(cesaro1().density_series(member, N), ideal, 0.0, tol))
+
+    @pytest.mark.parametrize("spec", ["cesaro", "weighted:1"])
+    def test_an_unsettled_fin_density_reads_its_window_once(self, spec: str) -> None:
+        """On the indices of [4^j, 2 * 4^j) that are even or in a random half,
+        the fin density does not settle at its last value, so the median
+        builds the window: once, from the members' weight before it that the
+        run-end read summed, not summed again."""
+        N = 10**6
+        k = np.arange(1, N + 1)
+        swing = k < 2 * 4 ** (np.floor(np.log2(k)).astype(np.int64) // 2)
+        for member in (swing & (k % 2 == 0), swing & (np.random.default_rng(31).random(N) < 0.5)):
+            A = matrix_from_spec(spec)
+            blocks, carries = [], []
+            block_reader, carry = A._blocks, A._carry
+            A._blocks = lambda mem, n_rows, start, *a, **kw: blocks.append(start) or block_reader(mem, n_rows, start, *a, **kw)
+            A._carry = lambda head, fill, rows: carries.append(rows) or carry(head, fill, rows)
+            v = ai_density(A, Ideal.fin(), member, N)
+            del A._blocks, A._carry
+            assert v.status == INCONCLUSIVE
+            assert blocks == [tail_start(N)] and carries == [tail_start(N) - 1]
+            assert repr(v) == repr(ideal_limit(A.density_series(member, N), Ideal.fin()))
 
 
 class TestHeadAndFill:
@@ -1379,8 +1506,7 @@ class TestSkippedWork:
     def test_best_of_separate_targets(self, y, shift, ispec, tol, order) -> None:
         y = y - shift
         ideal = ideal_from_spec(ispec)
-        part, n = _limit_input(y, ideal)
-        candidates = tuple(_candidates(part, n, ideal))
+        candidates = tuple(_candidates(_limit_input(y, ideal)))
         separate = [ideal_limit_at(y, ideal, t, tol) for t in candidates]
         if ideal.kind == "density":
             # each target on its own, against |y - t| built for every target
@@ -1389,7 +1515,7 @@ class TestSkippedWork:
         assert ideal_limit(y, ideal, tol) == _best(separate)
         ordered = [i for i in order if i < len(candidates)]
         want = _best([separate[i] for i in ordered])
-        got = _ideal_limit(part, n, ideal, tuple(candidates[i] for i in ordered), tol)
+        got = _ideal_limit(_limit_input(y, ideal), ideal, tuple(candidates[i] for i in ordered), tol)
         assert got == want
 
     @pytest.mark.parametrize("bspec", ["cesaro", "squares", "weighted:1", "weighted:-1", "block:4", "identity"])
@@ -1402,7 +1528,7 @@ class TestSkippedWork:
         assert not zero.any()
         # the extraction the zero series had before its closed form, and the
         # per-epsilon loop that builds a B-series for every defect
-        want = json.dumps(_ideal_limit(zero, n, ideal, (0.0,), tol).to_json())
+        want = json.dumps(ideal_limit_at(zero, ideal, 0.0, tol).to_json())
         assert json.dumps(_reference_ideal_limit_at(zero, ideal, 0.0, tol).to_json()) == want
         A.density_series = ideal.matrix.density_series = None  # any series built would raise
         # members only past the indices that A's rows read leave the series zero
