@@ -49,13 +49,11 @@ _KNIFE_EDGE = 1e-9
 class IndexedSequence:
     """A sequence of carrier points, worked with as an array at the horizon.
 
-    The working form is ``value_codes(n)``: the positions in
+    The one form is ``value_codes(n)``: the positions in
     ``space.points`` of x_1..x_n as one array of the smallest unsigned
     type that holds a point index (one byte up to 256 points), which
     ``codes`` computes in a few array passes; it is checked once, cached
-    and sliced for shorter horizons.  ``fn`` is the scalar generator on
-    k >= 1 that defines the sequence; it is the reference the equivalence
-    tests compare ``codes`` against, and nothing else reads it.
+    and sliced for shorter horizons.
 
     The sequence also keeps, per horizon asked, its first visits
     (``_first_visits``), scanned once and read by the anchor search, the
@@ -66,7 +64,6 @@ class IndexedSequence:
     """
 
     space: FinitePMSpace
-    fn: Callable[[int], str]
     description: str
     codes: Callable[[int], np.ndarray] = field(repr=False)
     _codes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8), init=False, repr=False)
@@ -111,7 +108,7 @@ def _code(space: FinitePMSpace, p: str) -> np.unsignedinteger:
 
 def constant_sequence(space: FinitePMSpace, point: str) -> IndexedSequence:
     c = _code(space, point)
-    return IndexedSequence(space, lambda k: point, f"const:{point}", lambda n: np.full(n, c))
+    return IndexedSequence(space, f"const:{point}", lambda n: np.full(n, c))
 
 
 def eventually_constant(
@@ -134,21 +131,13 @@ def eventually_constant(
         pool = (off,)
     pool_codes = np.array([_code(space, p) for p in pool], dtype=_code_type(space))
 
-    def gen(k: int) -> str:
-        return pool[k % len(pool)] if exceptional.fn(k) else limit
-
     def codes(n: int) -> np.ndarray:
         out = np.full(n, lc)
         ks = np.flatnonzero(exceptional.indicator(n)) + 1
         out[ks - 1] = pool_codes[ks % len(pool)]
         return out
 
-    return IndexedSequence(
-        space,
-        gen,
-        f"except:{limit}:{exceptional.name}",
-        codes,
-    )
+    return IndexedSequence(space, f"except:{limit}:{exceptional.name}", codes)
 
 
 def alternating(
@@ -156,12 +145,7 @@ def alternating(
 ) -> IndexedSequence:
     """``x_k = p`` on the selector set, ``q`` off it."""
     pc, qc = _code(space, p), _code(space, q)
-    return IndexedSequence(
-        space,
-        lambda k: p if selector.fn(k) else q,
-        f"alternate:{p},{q}:{selector.name}",
-        lambda n: _choose(selector.indicator(n), pc, qc),
-    )
+    return IndexedSequence(space, f"alternate:{p},{q}:{selector.name}", lambda n: _choose(selector.indicator(n), pc, qc))
 
 
 def _choose(sel: np.ndarray, a, b) -> np.ndarray:
@@ -172,8 +156,7 @@ def _choose(sel: np.ndarray, a, b) -> np.ndarray:
 
 def from_values(space: FinitePMSpace, values: Sequence[str], tail: str) -> IndexedSequence:
     """Explicit prefix, then the constant ``tail``."""
-    vals = tuple(values)
-    prefix = np.array([_code(space, v) for v in vals], dtype=_code_type(space))
+    prefix = np.array([_code(space, v) for v in values], dtype=_code_type(space))
     tc = _code(space, tail)
 
     def codes(n: int) -> np.ndarray:
@@ -181,12 +164,7 @@ def from_values(space: FinitePMSpace, values: Sequence[str], tail: str) -> Index
         out[: len(prefix)] = prefix[:n]
         return out
 
-    return IndexedSequence(
-        space,
-        lambda k: vals[k - 1] if k <= len(vals) else tail,
-        f"list[{len(vals)}]-then-{tail}",
-        codes,
-    )
+    return IndexedSequence(space, f"list[{len(prefix)}]-then-{tail}", codes)
 
 
 def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
@@ -194,7 +172,6 @@ def splice(x: IndexedSequence, keep: IndexSet, fill: str) -> IndexedSequence:
     fc = _code(x.space, fill)
     return IndexedSequence(
         x.space,
-        lambda k: x.fn(k) if keep.fn(k) else fill,
         f"splice({x.description}|{keep.name}|{fill})",
         lambda n: _choose(keep.indicator(n), x.value_codes(n), fc),
     )
@@ -229,12 +206,9 @@ def _first_visits(x: IndexedSequence, horizon: int) -> list[tuple[int, int]]:
 
 
 def _point_set(x: IndexedSequence, name: str, members: AbstractSet[str]) -> IndexSet:
-    """Index set ``{ k : x_k in members }``.
-
-    The indicator reads the cached codes; the scalar form reads ``fn``.
-    """
+    """Index set ``{ k : x_k in members }``, read from the cached codes."""
     points = x.space.points
-    return IndexSet(name, lambda k: x.fn(k) in members, lambda n: _among(x.value_codes(n), points, members))
+    return IndexSet(name, lambda n: _among(x.value_codes(n), points, members))
 
 
 def _points_null(
@@ -260,7 +234,7 @@ def _points_null(
 
 
 def visit_set(x: IndexedSequence, point: str) -> IndexSet:
-    """Indices where the sequence visits the point; total predicate."""
+    """Indices where the sequence visits the point."""
     _check_point(x.space, point)
     return _point_set(x, f"visits:{point}", {point})
 
@@ -296,11 +270,6 @@ def _outside(space: FinitePMSpace, target: str, t: float) -> frozenset[str]:
                 f"neighborhood forms disagree for ({p}, {target}) at t={t}"
             )
     return frozenset(space.points) - near
-
-
-def _neighborhood_defect(x: IndexedSequence, target: str, t: float) -> IndexSet:
-    """Index set ``{ k : x_k not in N_target(t) }``, by ``_outside``."""
-    return _point_set(x, f"defect({target},t={t})", _outside(x.space, target, t))
 
 
 def _grid(space: FinitePMSpace) -> tuple[float, ...]:

@@ -10,8 +10,9 @@ every regular check passes and every control fails.
 
 Also here: deliberately slow oracles for the Levy metric, which shares
 only the evaluation primitive with the library, and for matrix
-densities, the generic row loop over scalar rows and set predicates;
-tests freeze their outputs against the fast implementations.
+densities, the generic row loop over scalar rows on a set's indicator,
+which each kind's array series is checked against; tests freeze their
+outputs against the fast implementations.
 """
 
 from __future__ import annotations
@@ -81,11 +82,7 @@ _ROUNDING_BAND = 1e-9
 
 
 def _at_least(lo: int) -> IndexSet:
-    return IndexSet(
-        f"from:{lo}",
-        lambda k: k >= lo,
-        lambda n: np.arange(1, n + 1) >= lo,
-    )
+    return IndexSet(f"from:{lo}", lambda n: np.arange(1, n + 1) >= lo)
 
 
 # density-zero ideals resolve slowly at a finite horizon: a set is only
@@ -158,10 +155,9 @@ def oracle_levy_distance(f: StepDistFn, g: StepDistFn, step: float = 0.01) -> fl
 
 
 def oracle_density(A: SummMatrix, member: IndexSet, n_rows: int) -> np.ndarray:
-    """The generic row loop of ``SummMatrix`` on the indicator of the scalar
-    ``member.fn``: no kind's array series is read; small n_rows only."""
-    mem = np.array([member.fn(k) for k in range(1, A.support_bound(n_rows) + 1)], dtype=bool)
-    return SummMatrix.density_series(A, mem, n_rows)
+    """The generic row loop of ``SummMatrix`` on ``member.indicator``: no
+    kind's array series is read; small n_rows only."""
+    return SummMatrix.density_series(A, member, n_rows)
 
 
 # ---------------------------------------------------------------------------

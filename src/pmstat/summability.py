@@ -194,19 +194,12 @@ def _extremes_verdict(
 class IndexSet:
     """A set of positive integers, worked with as an array at the horizon.
 
-    The working form is ``indicator(n)``, the boolean array for indices
-    1..n, which ``vec`` computes in one array pass.  ``fn`` is the scalar
-    membership predicate that defines the set; it is the reference the
-    oracles and equivalence tests compare ``vec`` against, and nothing
-    else reads it.  Sets compose with ~, | and &.
+    The one form is ``indicator(n)``, the boolean array for indices 1..n,
+    which ``vec`` computes in one array pass.  Sets compose with ~, | and &.
     """
 
     name: str
-    fn: Callable[[int], bool]
     vec: Callable[[int], np.ndarray]
-
-    def __call__(self, k: int) -> bool:
-        return bool(self.fn(k))
 
     def indicator(self, n: int) -> np.ndarray:
         arr = self.vec(n)
@@ -215,21 +208,13 @@ class IndexSet:
         return arr
 
     def __invert__(self) -> "IndexSet":
-        return IndexSet(f"not({self.name})", lambda k: not self.fn(k), lambda n: ~self.indicator(n))
+        return IndexSet(f"not({self.name})", lambda n: ~self.indicator(n))
 
     def __or__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(
-            f"({self.name})|({other.name})",
-            lambda k: self.fn(k) or other.fn(k),
-            lambda n: self.indicator(n) | other.indicator(n),
-        )
+        return IndexSet(f"({self.name})|({other.name})", lambda n: self.indicator(n) | other.indicator(n))
 
     def __and__(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(
-            f"({self.name})&({other.name})",
-            lambda k: self.fn(k) and other.fn(k),
-            lambda n: self.indicator(n) & other.indicator(n),
-        )
+        return IndexSet(f"({self.name})&({other.name})", lambda n: self.indicator(n) & other.indicator(n))
 
 
 def _marked(n: int, members: Iterable[int]) -> np.ndarray:
@@ -239,23 +224,11 @@ def _marked(n: int, members: Iterable[int]) -> np.ndarray:
     return arr
 
 
-SQUARES = IndexSet(
-    "squares",
-    lambda k: math.isqrt(k) ** 2 == k,
-    lambda n: _marked(n, (j * j for j in range(1, math.isqrt(n) + 1))),
-)
-CUBES = IndexSet(
-    "cubes",
-    lambda k: round(k ** (1 / 3)) ** 3 == k or (round(k ** (1 / 3)) + 1) ** 3 == k,
-    lambda n: _marked(n, (j ** 3 for j in range(1, round(n ** (1 / 3)) + 2))),
-)
-POWERS_OF_TWO = IndexSet(
-    "pow2",
-    lambda k: k & (k - 1) == 0,
-    lambda n: _marked(n, (1 << i for i in range(n.bit_length()))),
-)
-ALL_INDICES = IndexSet("all", lambda k: True, lambda n: np.ones(n, dtype=bool))
-NO_INDICES = IndexSet("none", lambda k: False, lambda n: np.zeros(n, dtype=bool))
+SQUARES = IndexSet("squares", lambda n: _marked(n, (j * j for j in range(1, math.isqrt(n) + 1))))
+CUBES = IndexSet("cubes", lambda n: _marked(n, (j ** 3 for j in range(1, round(n ** (1 / 3)) + 2))))
+POWERS_OF_TWO = IndexSet("pow2", lambda n: _marked(n, (1 << i for i in range(n.bit_length()))))
+ALL_INDICES = IndexSet("all", lambda n: np.ones(n, dtype=bool))
+NO_INDICES = IndexSet("none", lambda n: np.zeros(n, dtype=bool))
 
 
 def finite_set(members: Iterable[int]) -> IndexSet:
@@ -268,7 +241,7 @@ def finite_set(members: Iterable[int]) -> IndexSet:
     if any(m < 1 for m in ms):
         raise ValueError("indices start at 1")
     label = ",".join(str(m) for m in sorted(ms))
-    return IndexSet(f"finite:{label}", lambda k: k in ms, lambda n: _marked(n, ms))
+    return IndexSet(f"finite:{label}", lambda n: _marked(n, ms))
 
 
 def multiples(m: int, r: int = 0) -> IndexSet:
@@ -281,7 +254,7 @@ def multiples(m: int, r: int = 0) -> IndexSet:
         arr[first - 1 :: m] = True
         return arr
 
-    return IndexSet(f"mod:{m},{r}", lambda k: k % m == r, vec)
+    return IndexSet(f"mod:{m},{r}", vec)
 
 
 EVENS = replace(multiples(2, 0), name="evens")
@@ -298,7 +271,7 @@ def index_block(lo: int, hi: int) -> IndexSet:
         arr[lo - 1 : min(hi - 1, n)] = True
         return arr
 
-    return IndexSet(f"block:{lo},{hi}", lambda k: lo <= k < hi, vec)
+    return IndexSet(f"block:{lo},{hi}", vec)
 
 
 _NAMED_SETS = {
@@ -330,14 +303,24 @@ def index_set_from_spec(spec: str) -> IndexSet:
     if spec in _NAMED_SETS:
         return _NAMED_SETS[spec]
     if spec.startswith("finite:"):
-        return finite_set(int(s) for s in spec[7:].split(",") if s)
+        return finite_set(_spec_numbers("index-set", spec, spec[7:]))
     if spec.startswith("mod:"):
-        m, r = (int(s) for s in spec[4:].split(","))
-        return multiples(m, r)
+        return multiples(*_spec_numbers("index-set", spec, spec[4:], 2))
     if spec.startswith("block:"):
-        lo, hi = (int(s) for s in spec[6:].split(","))
-        return index_block(lo, hi)
+        return index_block(*_spec_numbers("index-set", spec, spec[6:], 2))
     raise ValueError(f"cannot parse index-set spec {spec!r}")
+
+
+def _spec_numbers(what: str, spec: str, body: str, count: int = 0, parse: Callable[[str], float] = int) -> list:
+    """The comma-separated numbers of a spec's body: exactly ``count``, or any number
+    skipping empty pieces when ``count`` is 0; a refusal names the spec and keeps the reason."""
+    try:
+        nums = [parse(s) for s in body.split(",") if s or count]
+        if count and len(nums) != count:
+            raise ValueError(f"wanted {count} comma-separated number{'s' * (count > 1)}, got {len(nums)}")
+        return nums
+    except ValueError as e:
+        raise ValueError(f"cannot parse {what} spec {spec!r}: {e}") from None
 
 
 Membership = IndexSet | np.ndarray | tuple[np.ndarray, bool]
@@ -888,9 +871,9 @@ def matrix_from_spec(spec: str) -> SummMatrix:
     if spec == "squares":
         return squares_rows()
     if spec.startswith("block:"):
-        return BlockMatrix(int(spec[6:]))
+        return BlockMatrix(*_spec_numbers("matrix", spec, spec[6:], 1))
     if spec.startswith("weighted:"):
-        return weighted_mean(float(spec[9:]))
+        return weighted_mean(*_spec_numbers("matrix", spec, spec[9:], 1, float))
     if spec.startswith("file:"):
         return ExplicitMatrix.from_file(spec[5:])
     raise ValueError(f"cannot parse matrix spec {spec!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,43 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a deeper run of the equivalence properties in tests/test_vector_forms.py,
+# the only check of each constructor's array form against its definition:
+# pytest tests/test_vector_forms.py --hypothesis-profile deep
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")
+
+
+def icbrt(k: int) -> int:
+    """The integer cube root of k >= 0, by integer Newton steps from above:
+    exact at every size, where ``round(k ** (1/3))`` reads a rounded float."""
+    if k < 2:
+        return k
+    r = 1 << -(-k.bit_length() // 3)
+    while True:
+        s = (2 * r + k // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+# Membership predicates of the built-in index sets, by name: the scalar
+# reference the tests compare each set's indicator against, written apart
+# from the library's array forms.
+MEMBERSHIP = {
+    "all": lambda k: True,
+    "none": lambda k: False,
+    "evens": lambda k: k % 2 == 0,
+    "odds": lambda k: k % 2 == 1,
+    "squares": lambda k: math.isqrt(k) ** 2 == k,
+    "cubes": lambda k: icbrt(k) ** 3 == k,
+    "pow2": lambda k: k & (k - 1) == 0,
+}
+
+
+def reference_indicator(pred, n: int) -> np.ndarray:
+    """The indicator over indices 1..n of a membership predicate, one index at a time."""
+    return np.array([bool(pred(k)) for k in range(1, n + 1)], dtype=bool)
 
 
 @st.composite

@@ -302,6 +302,26 @@ class TestMatrixAndDensityCommands:
         assert main(["matrix-check", "--matrix", "hilbert"]) == 2
         assert "cannot parse matrix spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, refusal, reason",
+        [
+            (["mod:3,1&evens"], "index-set spec 'mod:3,1&evens'", "invalid literal for int() with base 10: '1&evens'"),
+            (["mod:x,1"], "index-set spec 'mod:x,1'", "invalid literal for int() with base 10: 'x'"),
+            (["mod:3"], "index-set spec 'mod:3'", "wanted 2 comma-separated numbers, got 1"),
+            (["block:1"], "index-set spec 'block:1'", "wanted 2 comma-separated numbers, got 1"),
+            (["finite:a"], "index-set spec 'finite:a'", "invalid literal for int() with base 10: 'a'"),
+            (["evens", "--matrix", "block:x"], "matrix spec 'block:x'", "invalid literal for int() with base 10: 'x'"),
+            (["evens", "--matrix", "block:"], "matrix spec 'block:'", "invalid literal for int() with base 10: ''"),
+            (["evens", "--matrix", "weighted:abc"], "matrix spec 'weighted:abc'", "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_a_refused_spec_is_named_with_its_reason(
+        self, args: list[str], refusal: str, reason: str, capsys: pytest.CaptureFixture
+    ) -> None:
+        # the error names the spec that failed, not only Python's own message
+        assert main(["density", *args]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse {refusal}: {reason}\n"
+
     @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
     def test_non_finite_weights_exit_2(self, power: str, capsys: pytest.CaptureFixture) -> None:
         assert main(["density", "evens", "--matrix", f"weighted:{power}"]) == 2

@@ -74,9 +74,9 @@ class TestSharedNullVerdicts:
         asked: collections.Counter[frozenset[int]] = collections.Counter()
         _counting(monkeypatch, lambda member, horizon: asked.update([_visited_part(codes, member[:horizon])]))
         conv.lemma_cauchy_predicates(x, inst.matrix, inst.ideal, N, TOL)
-        grid = conv._grid(inst.space)
+        grid, points = conv._grid(inst.space), inst.space.points
         defects = {
-            _visited_part(codes, conv._neighborhood_defect(x, c, t).indicator(N)) for c in inst.space.points for t in grid
+            _visited_part(codes, conv._among(codes, points, conv._outside(inst.space, c, t))) for c in points for t in grid
         }
         # the double-density reading needs every point's row
         assert defects <= set(asked)
@@ -200,7 +200,7 @@ class TestFirstVisits:
         for anchor in space.points:
             for slack in conv._grid(space):
                 # the masked path: the codes present off the removal set, in increasing code order
-                masked = codes[~conv._neighborhood_defect(x, anchor, slack).indicator(N)]
+                masked = codes[~conv._among(codes, space.points, conv._outside(space, anchor, slack))]
                 want = [space.points[c] for c in np.unique(masked).tolist()]
                 assert conv._kept(x, conv._outside(space, anchor, slack), N) == want, (anchor, slack)
 

@@ -24,7 +24,7 @@ import warnings
 from pathlib import Path
 
 import pmstat as pm
-from pmstat.convergence import _grid, _neighborhood_defect
+from pmstat.convergence import _grid, _outside, _point_set
 
 GOLDEN = Path(__file__).with_name("golden_fin_1e6_sha256.json")
 HORIZON = 10**6
@@ -69,7 +69,7 @@ def answers() -> dict:
         for c in points:
             out[f"{inst.name} conv {c}"] = _sha(pm.ai_stat_conv_detect(x, c, A, I, HORIZON, DETECTOR_TOL).to_json())
             for t in _grid(x.space):
-                v = pm.ai_density_is_null(A, I, ~_neighborhood_defect(x, c, t), HORIZON, DETECTOR_TOL)
+                v = pm.ai_density_is_null(A, I, ~_point_set(x, "defect", _outside(x.space, c, t)), HORIZON, DETECTOR_TOL)
                 out[f"{inst.name} cluster-null {c} t={t}"] = _sha(v.to_json())
         out[f"{inst.name} lambda"] = _sha(sorted(pm.lambda_set(x, A, I, HORIZON, DETECTOR_TOL)))
         with warnings.catch_warnings(record=True) as caught:

@@ -20,7 +20,7 @@ import warnings
 from pathlib import Path
 
 import pmstat as pm
-from pmstat.convergence import _grid, _neighborhood_defect
+from pmstat.convergence import _grid, _outside, _point_set
 
 GOLDEN = Path(__file__).with_name("golden_horizon_1e6.json")
 HORIZON = 10**6
@@ -44,7 +44,7 @@ def answers() -> dict:
         inst = instances[number - 1]
         x, A, I = inst.x, inst.matrix, inst.ideal
         nulls = {
-            f"{c} t={t}": pm.ai_density_is_null(A, I, ~_neighborhood_defect(x, c, t), HORIZON, DETECTOR_TOL).to_json()
+            f"{c} t={t}": pm.ai_density_is_null(A, I, ~_point_set(x, "defect", _outside(x.space, c, t)), HORIZON, DETECTOR_TOL).to_json()
             for c in x.space.points
             for t in _grid(x.space)
         }

@@ -11,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import MEMBERSHIP
 from pmstat import EPS0, levy_distance, unit_step
 from pmstat.harness import (
     DEFAULT_SUITE_SIZE,
@@ -123,9 +124,10 @@ def _row_support(A: SummMatrix, n: int) -> range | tuple[int, ...]:
 
 
 def _entry_oracle_density(A: SummMatrix, member, n_rows: int) -> np.ndarray:
-    """The density oracle as it was read cell by cell, from ``_entry`` and ``_row_support``."""
+    """The density oracle as it was read cell by cell, from ``_entry`` and
+    ``_row_support``, on a membership predicate."""
     return np.array(
-        [sum((_entry(A, n, k) for k in _row_support(A, n) if member.fn(k)), 0.0) for n in range(1, n_rows + 1)]
+        [sum((_entry(A, n, k) for k in _row_support(A, n) if member(k)), 0.0) for n in range(1, n_rows + 1)]
     )
 
 
@@ -137,9 +139,10 @@ def _entry_oracle_density(A: SummMatrix, member, n_rows: int) -> np.ndarray:
 def test_density_oracle_is_bit_identical_to_the_entry_oracle(spec: str, file_matrix) -> None:
     A = file_matrix(int(spec[5:])) if spec.startswith("file:") else matrix_from_spec(spec)
     rows = min(200, A.max_row_for(40_000))
-    for member in (EVENS, SQUARES, POWERS_OF_TWO, finite_set([1, 3, 50]), NO_INDICES):
+    sets = [(s, MEMBERSHIP[s.name]) for s in (EVENS, SQUARES, POWERS_OF_TWO, NO_INDICES)]
+    for member, pred in sets + [(finite_set([1, 3, 50]), lambda k: k in (1, 3, 50))]:
         got = oracle_density(A, member, rows)
-        want = _entry_oracle_density(A, member, rows)
+        want = _entry_oracle_density(A, pred, rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (spec, member.name)
 
 
@@ -154,7 +157,7 @@ class TestIndexSetsForInstances:
             assert partial.max() < 0.02
 
     def test_late_pow2_members(self) -> None:
-        assert [k for k in range(1, 10_001) if LATE_POW2(k)] == [2048, 4096, 8192]
+        assert (np.flatnonzero(LATE_POW2.indicator(10_000)) + 1).tolist() == [2048, 4096, 8192]
 
 
 class TestInstanceGeneration:

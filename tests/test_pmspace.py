@@ -25,7 +25,7 @@ from pmstat import (
     from_values,
     unit_step,
 )
-from pmstat.convergence import _neighborhood_defect
+from pmstat.convergence import _outside, _point_set
 
 F_HALF = StepDistFn.from_pairs([(0.25, 0.5), (0.75, 1.0)])
 
@@ -507,7 +507,7 @@ class TestNeighborhoodReadersAgainstReference:
         symmetric = all(space.table[(p, q)] == space.table[(q, p)] for p in space.points for q in space.points)
         for c in space.points:
             for t in space.thresholds() + (0.05, 0.37, 1.0):
-                got = _neighborhood_defect(x, c, t).indicator(len(values)).tolist()
+                got = _point_set(x, "defect", _outside(space, c, t)).indicator(len(values)).tolist()
                 near = space.strong_neighborhood(c, t)
                 assert got == [v not in near for v in values]
                 if symmetric:
