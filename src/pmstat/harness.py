@@ -82,7 +82,14 @@ _ROUNDING_BAND = 1e-9
 
 
 def _at_least(lo: int) -> IndexSet:
-    return IndexSet(f"from:{lo}", lambda n: np.arange(1, n + 1) >= lo)
+    """Indices from ``lo`` on."""
+
+    def vec(n: int) -> np.ndarray:
+        arr = np.zeros(n, dtype=bool)
+        arr[max(lo, 1) - 1 :] = True
+        return arr
+
+    return IndexSet(f"from:{lo}", vec)
 
 
 # density-zero ideals resolve slowly at a finite horizon: a set is only

@@ -54,7 +54,7 @@ import math
 import operator
 import struct
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -203,8 +203,9 @@ class IndexSet:
 
     def indicator(self, n: int) -> np.ndarray:
         arr = self.vec(n)
-        if len(arr) != n:
-            raise ValueError(f"indicator for {self.name} returned length {len(arr)}, wanted {n}")
+        if not (isinstance(arr, np.ndarray) and arr.dtype == bool and arr.shape == (n,)):
+            got = f"{arr.dtype} array of shape {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise ValueError(f"indicator for {self.name} must be a 1-D bool array of length {n}, got {got}")
         return arr
 
     def __invert__(self) -> "IndexSet":
@@ -343,7 +344,8 @@ def _member_array(member: Membership, n: int) -> np.ndarray:
         return member.indicator(n)
     if isinstance(member, tuple):
         head, fill = member
-        return head[:n] if len(head) >= n else np.concatenate([head, np.full(n - len(head), fill)])
+        arr = head[:n] if len(head) >= n else np.concatenate([head, np.full(n - len(head), fill, dtype=bool)])
+        return arr.astype(bool, copy=False)
     if len(member) < n:
         raise ValueError(f"membership array of length {len(member)} does not cover index {n}")
     return member[:n].astype(bool, copy=False)
@@ -359,7 +361,9 @@ class _Series:
     least and greatest row of each segment, rows ``starts[i]..starts[i + 1] - 1``
     and, last, the tail window ``starts[-1]..n``; the last row; and rows
     themselves only when asked, each span built once by ``build(lo, hi)``,
-    rows lo..hi: ``head(m)``, the first m, and ``window()``."""
+    rows lo..hi: ``head(m)``, the first m, and ``window()``.  A limit reads
+    rows through ``defects`` and ``median``, which a series of few values
+    answers from its level codes (``of_levels``)."""
 
     def __init__(
         self, n: int, starts: list[int], lows: list[float], highs: list[float], last: float, build: Callable[[int, int], np.ndarray]
@@ -374,6 +378,12 @@ class _Series:
         lows, highs = np.minimum.reduceat(part, at).tolist(), np.maximum.reduceat(part, at).tolist()
         return cls(n, starts, lows, highs, float(part[-1]), lambda lo, hi: part[lo - starts[0] : hi - starts[0] + 1])
 
+    @classmethod
+    def of_levels(cls, levels: list[float], codes: np.ndarray, n: int, starts: list[int]) -> "_Series":
+        """The series whose rows starts[0]..n are ``levels[codes]``: increasing
+        level values, and an unsigned code per row."""
+        return _LevelSeries(levels, codes, n, starts)
+
     def head(self, m: int) -> np.ndarray:
         if self._head is None or len(self._head) < m:
             self._head = self._build(self.starts[0], self.starts[0] + m - 1) if m else np.empty(0)
@@ -383,6 +393,103 @@ class _Series:
         if self._window is None:
             self._window = self._build(self.starts[-1], self.n)
         return self._window
+
+    def compares(self, m: int) -> None:
+        """Ready the first m rows for ``defects`` to compare: built once, so
+        shorter heads are read from them."""
+        self.head(m)
+
+    def defects(self, lo: float, hi: float, m: int) -> tuple[tuple, Callable[[], np.ndarray]]:
+        """The rows among the first m at most ``lo`` or at least ``hi``: a key,
+        equal for equal sets, and their indicator.  Here the rows are
+        compared, on a side some row reaches, and keyed by their packed marks."""
+        part, head = self.head(m), np.zeros(m, dtype=bool)
+        if max(self.highs) >= hi:
+            np.greater_equal(part, hi, out=head)
+        if min(self.lows) <= lo:
+            head |= part <= lo
+        return (m, np.packbits(head).tobytes()), lambda: head
+
+    def median(self) -> float:
+        """The tail window's median, as ``np.median`` gives it."""
+        return float(np.median(self.window()))
+
+    def nearest(self, t: float) -> float:
+        """The least deviation |fl(y - t)| over the tail window."""
+        return float(np.abs(self.window() - t).min())
+
+
+class _LevelSeries(_Series):
+    """A series of few values: row i of rows starts[0]..n is ``levels[codes[i]]``,
+    with ``levels`` increasing, so the order of rows is the order of codes.
+
+    A defect set is keyed by the level indices of its bounds before any row
+    is read, and built on a miss by two comparisons of the codes; the tail
+    median is the level where the count of codes at most j passes the middle
+    rank.  No float row is built for either."""
+
+    def __init__(self, levels: list[float], codes: np.ndarray, n: int, starts: list[int]) -> None:
+        at = [s - starts[0] for s in starts]
+        lows, highs = np.minimum.reduceat(codes, at).tolist(), np.maximum.reduceat(codes, at).tolist()
+        values = np.array(levels)
+        super().__init__(
+            n, starts, [levels[c] for c in lows], [levels[c] for c in highs], levels[codes[-1]],
+            lambda lo, hi: values[codes[lo - starts[0] : hi - starts[0] + 1]],
+        )
+        self.levels, self.codes, self._tally = levels, codes, {}
+        # the least and greatest code of the window, and of every row
+        self._window_codes, self._code_range = (lows[-1], highs[-1]), (min(lows), max(highs))
+
+    def compares(self, m: int) -> None:
+        pass
+
+    def defects(self, lo: float, hi: float, m: int) -> tuple[tuple, Callable[[], np.ndarray]]:
+        """Levels at most ``lo`` are those below index ``bisect_right(levels, lo)``,
+        levels at least ``hi`` those from ``bisect_left(levels, hi)`` on; a side
+        that no code of the series reaches is keyed and read as empty."""
+        below, above = bisect_right(self.levels, lo), bisect_left(self.levels, hi)
+        below, above = below if below > self._code_range[0] else 0, above if above <= self._code_range[1] else len(self.levels)
+
+        def head() -> np.ndarray:
+            part = self.codes[:m]
+            if above == len(self.levels):
+                return part < below
+            out = part >= above
+            if below:
+                out |= part < below
+            return out
+
+        return (m, below, above), head
+
+    def _at_most(self, j: int) -> int:
+        """The count of the window's codes at most j."""
+        if j not in self._tally:
+            self._tally[j] = int(np.count_nonzero(self.codes[self.starts[-1] - self.starts[0] :] <= j))
+        return self._tally[j]
+
+    def _ranked(self, r: int) -> float:
+        """The window's value of rank r, from 0: the least level whose count
+        of codes at most its index passes r, bisected between the window's
+        extremes."""
+        lo, hi = self._window_codes
+        while lo < hi:
+            j = (lo + hi) // 2
+            lo, hi = (lo, j) if self._at_most(j) > r else (j + 1, hi)
+        return self.levels[lo]
+
+    def median(self) -> float:
+        """``np.median`` of the window's values: the middle one, or ``np.mean``
+        of the two middle ones."""
+        size = self.n - self.starts[-1] + 1
+        mid = size // 2
+        return self._ranked(mid) if size % 2 else float(np.mean([self._ranked(mid - 1), self._ranked(mid)]))
+
+    def nearest(self, t: float) -> float:
+        """fl(y - t) is nondecreasing in y, so the least |fl(y - t)| is at the
+        greatest value below t or the least from t on, of ranks k - 1 and k
+        for the k codes below t's level index."""
+        k = self._at_most(bisect_left(self.levels, t) - 1)
+        return min(abs(self._ranked(k - 1) - t), abs(self._ranked(k) - t))
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +863,11 @@ class IdentityMatrix(SummMatrix):
         _check_window(n_rows, start)
         return _member_array(member, n_rows)[start - 1 :].astype(float)
 
+    def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
+        """The 0/1 series as level codes: the membership viewed as bytes."""
+        codes = _member_array(member, n_rows)[starts[0] - 1 :].view(np.uint8)
+        return _Series.of_levels([0.0, 1.0], codes, n_rows, starts)
+
 
 class ConstantColumnMatrix(SummMatrix):
     """a_nk = 1 for k = col = 1 in every row; fails the vanishing-column condition."""
@@ -792,10 +904,21 @@ class BlockMatrix(SummMatrix):
     def support_bound(self, n: int) -> int:
         return n * self.m
 
+    def _counts(self, member: Membership, n_rows: int, start: int) -> np.ndarray:
+        """The member count of each block of rows start..n_rows, in the least
+        unsigned type that holds m: summed on the membership viewed as bytes,
+        with no cast copy or index array."""
+        mem = _member_array(member, n_rows * self.m)[(start - 1) * self.m :]
+        return mem.view(np.uint8).reshape(-1, self.m).sum(axis=1, dtype=np.min_scalar_type(self.m))
+
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
-        mem = _member_array(member, n_rows * self.m)
-        return np.count_nonzero(mem[(start - 1) * self.m :].reshape(-1, self.m), axis=1) / self.m
+        return self._counts(member, n_rows, start) / self.m
+
+    def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
+        """The series as level codes: the member counts, of levels k/m."""
+        levels = (np.arange(self.m + 1) / self.m).tolist()
+        return _Series.of_levels(levels, self._counts(member, n_rows, starts[0]), n_rows, starts)
 
 
 class ExplicitMatrix(SummMatrix):
@@ -1173,10 +1296,12 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
     defect set is read against ``_defect_bounds`` with no deviation built:
     the longest suffix, from the tail window back to row 1 segment by
     segment, inside or beyond the bounds is its fill, and only the m rows
-    before it are built and compared, into its head.  It goes to
-    ``Ideal.contains`` as ``(head, fill)``, so no row past the head is
-    built or scanned, and is decided once per call, keyed by (m, fill,
-    packed head): equal keys are equal sets.  A target is converged only
+    before it are compared, into its head (``_Series.defects``).  It goes
+    to ``Ideal.contains`` as ``(head, fill)``, so no row past the head is
+    built or scanned, and is decided once per call, keyed by its fill and
+    the series' key: (m, packed head), or for a level series (m, level
+    indices of the bounds), read before any row.  Equal keys are equal
+    sets.  A target is converged only
     if every epsilon is, and a non-converged target never beats a
     converged one, so once some target has converged a later one stops at
     its first non-converged epsilon.
@@ -1185,7 +1310,7 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
     # the least and greatest rows of each suffix from a segment's first row on, the window's first
     offsets = [start - series.starts[0] for start in reversed(series.starts)]
     lows, highs = list(accumulate(reversed(series.lows), min)), list(accumulate(reversed(series.highs), max))
-    decided: dict[tuple[int, bool, bytes], Verdict] = {}
+    decided: dict[tuple[bool, tuple], Verdict] = {}
 
     def cut(lo: float, hi: float) -> tuple[int, bool]:
         # the longest suffix inside (lo, hi) or beyond one bound: the rows before it, and whether it is all defects
@@ -1202,19 +1327,14 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
         sub: dict[str, Verdict] = {}
         bounds = ((eps, *_defect_bounds(target, eps)) for eps in _eps_grid(tol))
         reads: Iterable[tuple[float, float, float, int, bool]] = ((eps, lo, hi, *cut(lo, hi)) for eps, lo, hi in bounds)
-        if not must_converge:  # every epsilon is read: build the rows the longest head compares, once
+        if not must_converge:  # every epsilon is read: ready the rows the longest head compares, once
             reads = list(reads)
-            series.head(max(m for *_, m, _ in reads))
+            series.compares(max(m for *_, m, _ in reads))
         for eps, lo, hi, m, fill in reads:
-            part, head = series.head(m), np.zeros(m, dtype=bool)  # the head: the rows compared
-            if highs[-1] >= hi:
-                np.greater_equal(part, hi, out=head)
-            if lows[-1] <= lo:
-                head |= part <= lo
-            key = (m, fill, np.packbits(head).tobytes())  # equal keys, equal sets
-            v = decided.get(key)
+            key, head = series.defects(lo, hi, m)  # the head: the rows compared
+            v = decided.get((fill, key))  # equal keys, equal sets
             if v is None:
-                v = decided[key] = ideal.contains((head, fill), n, tol)
+                v = decided[fill, key] = ideal.contains((head(), fill), n, tol)
             if must_converge and not v.converged:
                 return None
             sub[f"eps={eps}"] = v
@@ -1225,7 +1345,7 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
         if not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target}")
         if ideal.kind == "fin":
-            v = _extremes_verdict(low, high, series.last, target, tol, lambda t=target: float(np.abs(series.window() - t).min()))
+            v = _extremes_verdict(low, high, series.last, target, tol, lambda t=target: series.nearest(t))
         else:
             v = density_limit_at(target, best is not None and best.converged)
         if v is not None and (best is None or (v.converged, -v.residual) > (best.converged, -best.residual)):
@@ -1237,12 +1357,12 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
 
 def _candidates(series: _Series) -> Iterator[float]:
     """The default limit candidates of ``ideal_limit`` for ``series``, each
-    computed only when it is reached: the tail median builds the window
-    (``_Series.window``) and copies and partitions it."""
+    computed only when it is reached: the tail median (``_Series.median``)
+    copies and partitions the window, or counts a level series' codes."""
 
     def raw() -> Iterator[float]:
         yield series.last
-        yield float(np.median(series.window()))
+        yield series.median()
         yield from (0.0, 0.5, 1.0)
 
     seen: list[float] = []

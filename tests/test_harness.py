@@ -10,6 +10,7 @@ from bisect import bisect_left
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import MEMBERSHIP
 from pmstat import EPS0, levy_distance, unit_step
@@ -18,6 +19,7 @@ from pmstat.harness import (
     LATE_POW2,
     LATE_SQUARES,
     REPORT_SCHEMA,
+    _at_least,
     Instance,
     ReportSchemaError,
     SuiteConfig,
@@ -158,6 +160,13 @@ class TestIndexSetsForInstances:
 
     def test_late_pow2_members(self) -> None:
         assert (np.flatnonzero(LATE_POW2.indicator(10_000)) + 1).tolist() == [2048, 4096, 8192]
+
+    @given(n=st.integers(0, 3000), lo=st.integers(-5, 3010))
+    @example(n=10, lo=11)  # past the horizon: no member
+    @example(n=10, lo=0)  # from before index 1: every index
+    def test_at_least_marks_the_indices_from_lo_on(self, n: int, lo: int) -> None:
+        ind = _at_least(lo).indicator(n)
+        assert ind.dtype == bool and ind.tobytes() == (np.arange(1, n + 1) >= lo).tobytes()
 
 
 class TestInstanceGeneration:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -772,6 +773,107 @@ class TestSegmentReads:
             assert v.status == INCONCLUSIVE
             assert blocks == [tail_start(N)] and carries == [tail_start(N) - 1]
             assert repr(v) == repr(ideal_limit(A.density_series(member, N), Ideal.fin()))
+
+
+class TestLevelSeries:
+    """Identity and block series read as level codes (``_Series.of_levels``):
+    defect sets keyed by level indices and medians from code counts, against
+    the same readings of the float series built whole."""
+
+    LEVEL_KINDS = ["identity", "block:1", "block:2", "block:12", "block:255", "block:256", "block:300"]
+
+    @staticmethod
+    def float_reads():
+        """Identity and block matrices read through the float series built whole."""
+        patches = [mock.patch.object(M, "_series", SummMatrix._series) for M in (IdentityMatrix, BlockMatrix)]
+        stack = contextlib.ExitStack()
+        for patch in patches:
+            stack.enter_context(patch)
+        return stack
+
+    @given(
+        rows=run_memberships(),
+        mspec=st.sampled_from(LEVEL_KINDS),
+        ispec=st.sampled_from(["fin", "density:cesaro", "density:identity", "density:block:4"]),
+        cut=st.floats(0.0, 1.0),
+        fill=st.sampled_from([None, False, True]),
+        extra=st.integers(0, 3),
+        tol=st.sampled_from([0.01, 0.05]),
+    )
+    # windows of odd and even length: 10 and 11 rows give 6 rows each, 12 gives 7
+    @example(rows=(24, np.arange(24) % 3 == 0), mspec="block:2", ispec="density:cesaro", cut=1.0, fill=None, extra=0, tol=0.01)
+    @example(rows=(22, np.arange(22) % 2 == 0), mspec="block:2", ispec="fin", cut=1.0, fill=None, extra=0, tol=0.01)
+    @example(rows=(11, np.arange(11) % 2 == 0), mspec="identity", ispec="fin", cut=1.0, fill=None, extra=0, tol=0.01)
+    @example(rows=(3000, np.arange(3000) < 1200), mspec="block:12", ispec="density:identity", cut=0.5, fill=True, extra=1, tol=0.01)
+    def test_level_reads_equal_the_float_series_reading(self, rows, mspec, ispec, cut, fill, extra, tol) -> None:
+        n, mem = rows
+        A, ideal = matrix_from_spec(mspec), ideal_from_spec(ispec)
+        N = max(n, A.support_bound(1), 10) + extra * A.support_bound(1)
+        member = np.resize(mem, N)
+        if fill is not None:
+            member = (member[: round(cut * N)], fill)
+        B = Ideal.density_zero(A)
+        got = [
+            _outcome(lambda: ai_density(A, ideal, member, N, tol)),
+            _outcome(lambda: ai_density_is_null(A, ideal, member, N, tol)),
+            _outcome(lambda: B.contains(member, N, tol)),
+        ]
+        with self.float_reads():
+            rows_n = A.max_row_for(N)
+            starts = summability._segments(rows_n, ideal)
+            whole = summability._Series.of(A.density_series(member, rows_n, start=starts[0]), rows_n, starts)
+            want = [
+                _outcome(lambda: _ideal_limit(whole, ideal, _candidates(whole), tol)),
+                _outcome(lambda: _ideal_limit(whole, ideal, (0.0,), tol)),
+                _outcome(lambda: B.contains(member, N, tol)),
+            ]
+            # the block counts, divided, are the member counts of each block divided
+            full = summability._member_array(member, A.support_bound(rows_n))
+            counted = np.count_nonzero(full.reshape(rows_n, -1), axis=1) / (len(full) // rows_n)
+            assert A.density_series(member, rows_n).tobytes() == counted.tobytes()
+        assert got == want
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 255, 256, 300])
+    def test_block_counts_take_the_least_type_that_holds_m(self, m: int) -> None:
+        A = BlockMatrix(m)
+        counts = A._counts(np.ones(4 * m, dtype=bool), 4, 2)
+        assert counts.dtype == np.min_scalar_type(m) and counts.tolist() == [m] * 3
+        assert A.density_series(EVENS, 4).dtype == np.float64
+
+    def test_median_and_nearest_deviation_read_the_level_counts(self) -> None:
+        # a window of rows 3..6 (codes 0, 2, 2, 3): the two middle ones average
+        levels = [0.0, 0.25, 0.5, 1.0]
+        series = summability._Series.of_levels(levels, np.array([3, 1, 0, 2, 2, 3], dtype=np.uint8), 6, [1, 3])
+        assert series.median() == 0.5 == float(np.median([0.0, 0.5, 0.5, 1.0]))
+        assert series.nearest(0.3) == abs(0.5 - 0.3) and series.nearest(0.1) == 0.1 and series.nearest(0.5) == 0.0
+        assert (series.lows, series.highs, series.last) == ([0.25, 0.0], [1.0, 1.0], 1.0)
+        # levels 0.25 never occurs in the window: ranks skip it
+        odd = summability._Series.of_levels(levels, np.array([0, 0, 3, 3, 0], dtype=np.uint8), 5, [3])
+        assert odd.median() == 0.0 and odd.nearest(0.3) == 0.3
+
+    def test_a_head_of_another_kind_is_read_as_bool(self) -> None:
+        # level codes view the membership as bytes, so a head of counts must not reach them as is
+        head = np.array([2, 0, 1], dtype=np.int64)
+        for n in (2, 5):
+            arr = summability._member_array((head, True), n)
+            assert arr.dtype == bool and arr.tolist() == [True, False, True, True, True][:n]
+        assert IdentityMatrix().tail_extremes((head, False), 3) == (0.0, 1.0, 1.0)
+
+    def test_an_identity_density_ideal_query_builds_no_float_rows(self, monkeypatch) -> None:
+        """An identity A under density:cesaro at 10^6 keys every defect set by
+        level indices and takes the median from code counts: no float head
+        or window of A's series is built."""
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a float row of A's series was built")
+
+        N, A, ideal = 10**6, IdentityMatrix(), Ideal.density_zero(cesaro1())
+        want = [repr(ai_density(A, ideal, S, N)) for S in (SQUARES, ~SQUARES, EVENS)]
+        monkeypatch.setattr(summability._Series, "head", no_rows)
+        monkeypatch.setattr(summability._Series, "window", no_rows)
+        monkeypatch.setattr(IdentityMatrix, "density_series", no_rows)
+        assert [repr(ai_density(A, ideal, S, N)) for S in (SQUARES, ~SQUARES, EVENS)] == want
+        assert ai_density(A, ideal, ~SQUARES, N).value == 1.0
 
 
 class TestHeadAndFill:

@@ -214,10 +214,14 @@ def test_array_form_is_required(eq3) -> None:
         IndexedSequence(eq3, lambda k: "a", "d", lambda n: np.zeros(n, np.uint8))
     with pytest.raises(TypeError, match="codes"):
         IndexedSequence(eq3, "d")
-    # a membership predicate in place of vec is taken, and fails at its first indicator
+    # a membership predicate in place of vec is taken, and fails at its first indicator, named
     evens = IndexSet("evens", lambda k: k % 2 == 0)
-    with pytest.raises(TypeError, match="has no len"):
+    with pytest.raises(ValueError, match="indicator for evens must be a 1-D bool array of length 5, got bool"):
         evens.indicator(5)
+    # so does an array of another kind or shape
+    for vec, got in ((lambda n: np.ones(n, dtype=np.uint8), "uint8 array of shape"), (lambda n: np.ones((n, 1), dtype=bool), r"bool array of shape \(5, 1\)")):
+        with pytest.raises(ValueError, match=f"indicator for x must be a 1-D bool array of length 5, got {got}"):
+            IndexSet("x", vec).indicator(5)
 
 
 def test_cached_codes_are_not_an_input(eq3) -> None:
