@@ -460,18 +460,25 @@ def ai_star_conv_detect(
     ``cauchy=True``).  No search over witness sets is attempted, and a
     witness whose density verdict is inconclusive is rejected as an
     error, not a negative.  The status combines the two checks, so a
-    witness whose complement is shown not to be null diverges.
+    witness whose complement is shown not to be null diverges.  A
+    complement that is a union of visit sets, where no point is visited
+    both on K and off it, is read through the sequence's null memo
+    (``_points_null``) as the set of the points visited off K.
     """
-    comp_v = ai_density_is_null(A, ideal, ~witness, horizon, tol)
+    points, codes, keep = x.space.points, x.value_codes(horizon), witness.indicator(horizon)
+    off = {points[c] for k, c in _first_visits(x, horizon) if not keep[k]}  # the points first visited off K
+    if (_among(codes, points, off) != keep).all():  # and every visit to them, and only those, is off K
+        comp_v = _points_null(x, off, A, ideal, horizon, tol)
+    else:
+        comp_v = ai_density_is_null(A, ideal, ~witness, horizon, tol)
     if comp_v.status == INCONCLUSIVE:
         raise ValueError(
             f"witness set {witness.name} has inconclusive density (residual {comp_v.residual})"
         )
-    keep = witness.indicator(horizon)
     kept = int(keep.sum())
     if kept < 10:
         return Verdict(INCONCLUSIVE, limit, 1.0, tol, witness={"kept": kept})
-    sub = x.value_codes(horizon)[keep]
+    sub = codes[keep]
     target = x.space.points[int(sub[-1])] if cauchy else limit
     if target is None:
         raise ValueError("a limit point is required unless cauchy=True")

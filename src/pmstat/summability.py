@@ -36,9 +36,10 @@ A window equals that slice of the whole series bit for bit.  A series is
 read through one reader, ``SummMatrix._series``: segment extremes, the
 last value, and rows only when asked.  A triangular matrix of exact
 weights reads few runs at their run ends
-(``TriangularMatrix._run_extremes``), so a null verdict builds no series
-where its extremes can be read without one, and a limit search computes
-a candidate only when it can still win.
+(``TriangularMatrix._run_extremes``), and under weights 1 rows that
+repeat with a short period in closed form (``periodic``), so a null
+verdict builds no series where its extremes can be read without one,
+and a limit search computes a candidate only when it can still win.
 
 Membership of a set in a density ideal is decided in one place,
 ``Ideal.contains``; limit extraction under a density ideal asks it and
@@ -363,7 +364,8 @@ class _Series:
     themselves only when asked, each span built once by ``build(lo, hi)``,
     rows lo..hi: ``head(m)``, the first m, and ``window()``.  A limit reads
     rows through ``defects`` and ``median``, which a series of few values
-    answers from its level codes (``of_levels``)."""
+    answers from its level codes (``of_levels``), and a periodic one per
+    residue class (``periodic._PeriodicSeries``)."""
 
     def __init__(
         self, n: int, starts: list[int], lows: list[float], highs: list[float], last: float, build: Callable[[int, int], np.ndarray]
@@ -411,8 +413,13 @@ class _Series:
         return (m, np.packbits(head).tobytes()), lambda: head
 
     def median(self) -> float:
-        """The tail window's median, as ``np.median`` gives it."""
-        return float(np.median(self.window()))
+        """The tail window's median, as ``np.median`` gives it: the middle
+        value of one single-kth ``np.partition``, or ``np.mean`` of it and the
+        greatest value below it, the least half's maximum."""
+        w = self.window()
+        mid = len(w) // 2
+        part = np.partition(w, mid)
+        return float(part[mid]) if len(w) % 2 else float(np.mean([part[:mid].max(), part[mid]]))
 
     def nearest(self, t: float) -> float:
         """The least deviation |fl(y - t)| over the tail window."""
@@ -791,15 +798,25 @@ class TriangularMatrix(SummMatrix):
         return np.minimum.reduceat(values, segs).tolist(), np.maximum.reduceat(values, segs).tolist(), float(values[-1]), carry
 
     def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
-        """Rows of exact weights and few run ends are read at them
-        (``_run_extremes``), other rows of one segment block by block
-        (``_block_extremes``), each with rows built only when asked; other
-        rows of several segments are built whole."""
+        """Rows of weights 1 whose member rows repeat with a period from 2
+        to ``periodic._PERIOD_MAX``, a block of rows or more, are read in
+        closed form one residue class at a time (``periodic._PeriodicSeries``),
+        with no row built; other rows of exact weights and few run ends are
+        read at them (``_run_extremes``), other rows of one segment block by
+        block (``_block_extremes``), each with rows built only when asked;
+        other rows of several segments are built whole."""
         several, exact = len(starts) > 1, self._exact(n_rows)
         # several segments of other weights, or of fewer rows than a sixteenth of a block, cost less built whole
         if several and (not exact or n_rows - starts[0] < BLOCK_ROWS // 16):
             return super()._series(member, n_rows, starts)
         rows = self._row_head(member, n_rows)
+        if self.power == 0 and n_rows - starts[0] >= BLOCK_ROWS:  # fewer rows cost less at run ends or built
+            # imported here, so a process that reads no such series never compiles the reader
+            from .periodic import _PeriodicSeries, _period
+
+            pattern = _period(rows, starts[0], n_rows)
+            if pattern is not None:
+                return _PeriodicSeries(pattern, self._carry(*rows, starts[0] - 1), n_rows, starts)
         read = self._run_extremes(rows, n_rows, starts) if exact else None
         if read is None and several:
             return super()._series(member, n_rows, starts)
@@ -1358,7 +1375,8 @@ def _ideal_limit(series: _Series, ideal: Ideal, targets: Iterable[float], tol: f
 def _candidates(series: _Series) -> Iterator[float]:
     """The default limit candidates of ``ideal_limit`` for ``series``, each
     computed only when it is reached: the tail median (``_Series.median``)
-    copies and partitions the window, or counts a level series' codes."""
+    copies and partitions the window, counts a level series' codes, or
+    selects by rank among a periodic series' residue classes."""
 
     def raw() -> Iterator[float]:
         yield series.last
@@ -1405,7 +1423,9 @@ def ai_density(
     density ideal's segment extremes, at run ends (``SummMatrix._series``),
     so it builds the tail window only for the median or a fin target inside
     the window's range, and of the rows before it only those a defect set
-    compares.
+    compares.  Under weights 1, rows that repeat with a short period are
+    read in closed form per residue class: extremes, defect sets, the
+    median and a fin target's nearest row, with no row built at 10^6.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")

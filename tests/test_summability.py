@@ -56,7 +56,7 @@ from pmstat import (
     tail_start,
     weighted_mean,
 )
-from pmstat import summability
+from pmstat import periodic, summability
 from pmstat.harness import generate_suite
 from pmstat.summability import (
     REGULARITY_COLUMNS,
@@ -876,6 +876,166 @@ class TestLevelSeries:
         assert ai_density(A, ideal, ~SQUARES, N).value == 1.0
 
 
+@st.composite
+def periodic_rows(draw) -> tuple[np.ndarray, int, np.ndarray]:
+    """Member rows 1..n that repeat a pattern of p <= 64 rows from row r on,
+    after rows of any marks, with r the first row a limit under the drawn
+    ideal reads: (rows, r, pattern)."""
+    p = draw(st.integers(1, periodic._PERIOD_MAX))
+    pattern = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    n = draw(st.integers(2 * periodic._PERIOD_MAX, 6000))
+    r = draw(st.sampled_from([1, tail_start(n)]))
+    before = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(r - 1) < draw(st.floats(0.0, 1.0))
+    return np.concatenate([before, np.resize(pattern, n - r + 1)]), r, pattern
+
+
+class TestPeriodicSeries:
+    """Series of weights 1 whose member rows repeat with a short period, read
+    in closed form one residue class at a time (``_PeriodicSeries``), against
+    the same readings of the float series built whole."""
+
+    @given(
+        drawn=periodic_rows(),
+        squares=st.booleans(),
+        targets=st.lists(st.floats(-0.1, 1.1), max_size=3),
+        cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        block=st.sampled_from([16, summability.BLOCK_ROWS]),
+    )
+    @example(drawn=(np.arange(1, 201) % 2 == 0, 1, np.array([False, True])), squares=False, targets=[0.5], cuts=[0.0, 1.0], block=16)
+    def test_periodic_reads_equal_the_float_series_reading(self, drawn, squares, targets, cuts, block) -> None:
+        rows, r, pattern = drawn
+        n = len(rows)
+        A = squares_rows() if squares else cesaro1()
+        if squares:
+            member = np.zeros(n * n, dtype=bool)
+            member[np.arange(1, n + 1) ** 2 - 1] = rows
+        else:
+            member = rows
+        starts = summability._segments(n, Ideal.fin() if r > 1 else Ideal.density_zero(cesaro1()))
+        assert starts[0] == r
+        whole = summability._Series.of(A.density_series(member, n, start=r), n, starts)
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            head = A._row_head(member, n)
+            series = periodic._PeriodicSeries(pattern, A._carry(*head, r - 1), n, starts)
+            assert (series.lows, series.highs, series.last) == (whole.lows, whole.highs, whole.last)
+            assert series.median() == float(np.median(whole.window()))
+            c = np.count_nonzero(pattern) / len(pattern)
+            window = whole.window()
+            for t in [c, *targets, *np.random.default_rng(n).choice(window, 2).tolist()]:
+                assert series.nearest(t) == float(np.abs(window - t).min())
+            seen: dict = {}
+            for t in [c, *targets, 0.0, 0.5, 1.0]:
+                for eps in _eps_grid(0.01):
+                    lo, hi = _defect_bounds(t, eps)
+                    for m in sorted({round(cut * (n - r + 1)) for cut in cuts}):
+                        key, marks = series.defects(lo, hi, m)
+                        got, want = marks(), whole.defects(lo, hi, m)[1]()
+                        assert got.tobytes() == want.tobytes()
+                        assert seen.setdefault(key, got.tobytes()) == got.tobytes()
+            # the least period of the rows from r on, found on their prefix and checked on all of them
+            least = periodic._period(head, r, n)
+            if pattern.all() or not pattern.any() or n - r + 1 < 2 * periodic._PERIOD_MAX:
+                assert least is None
+            else:
+                assert least is not None and len(pattern) % len(least) == 0
+                assert np.resize(least, len(pattern)).tolist() == pattern.tolist()
+
+    def test_median_where_products_may_pass_int64_is_read_from_the_window(self) -> None:
+        n, A = 3000, cesaro1()
+        starts = summability._segments(n, Ideal.fin())
+        rows = np.resize(np.array([True, False, False, True, True]), n)
+        whole = summability._Series.of(A.density_series(rows, n, start=starts[0]), n, starts)
+        with mock.patch.object(summability, "BLOCK_ROWS", 16):
+            series = periodic._PeriodicSeries(rows[starts[0] - 1 : starts[0] + 4], A._carry(rows, False, starts[0] - 1), n, starts)
+            for bound in (periodic._EXACT_PRODUCTS, 0):
+                with mock.patch.object(periodic, "_EXACT_PRODUCTS", bound):
+                    assert series.median() == float(np.median(whole.window()))
+
+    def test_period_is_checked_on_every_row(self) -> None:
+        n = 1000
+        evens = EVENS.indicator(n)
+        assert periodic._period((evens, False), 1, n).tolist() == [False, True]
+        late = evens.copy()
+        late[n - 2] = True  # one odd member, past the prefix the period is found on
+        assert periodic._period((late, False), 1, n) is None
+        # rows fewer than the prefix, one run, and a long fill are left to run ends
+        assert periodic._period((evens, False), n - 100, n) is None
+        assert periodic._period((np.ones(n, dtype=bool), False), 1, n) is None
+        assert periodic._period((evens[:900], True), 1, n) is None
+        # a short fill is read with the head: it repeats when it continues the pattern
+        assert periodic._period((evens[: n - 1], True), 1, n).tolist() == [False, True]
+        assert periodic._period((evens[: n - 2], True), 1, n) is None
+
+    @staticmethod
+    def no_periods():
+        """The readers as they are without the periodic read."""
+        return mock.patch.object(periodic, "_period", lambda rows, r, n: None)
+
+    @given(
+        spec=st.sampled_from(["evens", "odds", "mod:3,1", "mod:4,0", "mod:12,5", "not:mod:5,2", "all"]),
+        extra=st.sampled_from([None, "squares", "finite:3,40"]),
+        mspec=st.sampled_from(["cesaro", "squares", "weighted:0", "weighted:1"]),
+        ispec=st.sampled_from(["fin", "density:cesaro", "density:squares", "density:weighted:0"]),
+        N=st.sampled_from([1000, 20000, 150000]),
+        block=st.sampled_from([16, summability.BLOCK_ROWS]),
+    )
+    def test_verdicts_equal_those_without_the_periodic_read(self, spec, extra, mspec, ispec, N, block) -> None:
+        member = index_set_from_spec(spec)
+        if extra is not None:
+            member = member | index_set_from_spec(extra)
+        A, ideal = matrix_from_spec(mspec), ideal_from_spec(ispec)
+
+        def readings() -> list:
+            return [
+                _outcome(lambda: ai_density(A, ideal, member, N)),
+                _outcome(lambda: ai_density_is_null(A, ideal, member, N)),
+                _outcome(lambda: Ideal.density_zero(A).contains(member, N)),
+            ]
+
+        with mock.patch.object(summability, "BLOCK_ROWS", block):
+            got = readings()
+            with self.no_periods():
+                assert readings() == got
+
+    def test_periodic_sets_build_no_series_at_a_million_rows(self, monkeypatch) -> None:
+        """cesaro under density:cesaro on residue classes, and the Cauchy
+        detector on a sequence alternating on the evens, read every series in
+        closed form: no triangular block is built.  Weights j are not read by
+        period: their answers and the blocks they build are unchanged."""
+        from pmstat.cli import sequence_from_spec, space_from_spec
+        from pmstat.convergence import ai_stat_cauchy_detect
+
+        N, A, ideal = 10**6, cesaro1(), Ideal.density_zero(cesaro1())
+        space = space_from_spec("equilateral:3:eps:0.5")
+
+        def read() -> list[Verdict]:
+            x = sequence_from_spec(space, "alternate:a,b:evens")
+            return [ai_density(A, ideal, EVENS, N), ai_density(A, ideal, multiples(4, 0), N), ai_stat_cauchy_detect(x, A, ideal, N)]
+
+        with self.no_periods():
+            want = read()
+        built: list[tuple[int, int]] = []
+        blocks = TriangularMatrix._blocks
+
+        def counted(self, mem, n_rows, start, out=None, carry=None):
+            built.append((n_rows, start))
+            return blocks(self, mem, n_rows, start, out, carry)
+
+        monkeypatch.setattr(TriangularMatrix, "_blocks", counted)
+        got = read()
+        assert got == want and built == []
+        assert [(v.status, v.value) for v in got] == [(CONVERGED, 0.5), (CONVERGED, 0.249999500001), (DIVERGED, "b")]
+
+        W = weighted_mean(1)
+        for S in (EVENS, multiples(3, 1)):
+            built.clear()
+            got = ai_density(W, ideal, S, N)
+            paths, built[:] = built[:], []
+            with self.no_periods():
+                assert ai_density(W, ideal, S, N) == got
+            assert built == paths and paths
+
+
 class TestHeadAndFill:
     """A membership given as ``(head, fill)``, the marks of indices 1..m and
     the membership of every later index, against its materialised array."""
@@ -1521,9 +1681,17 @@ class TestSharedDefectVerdicts:
         assert built == []
 
         # the identity's partial densities are EVENS itself: its defects at 0
-        # and 1 alternate on every row, more runs than a block has rows
+        # and 1 alternate on every row, more runs than a block has rows, but
+        # repeat with period 2, so B reads them in closed form
         N = 3 * summability.BLOCK_ROWS
         distinct, few, many = read(IdentityMatrix(), EVENS.indicator(N), N)
+        assert len(many) == 2 and not few
+        assert built == []
+
+        # one odd member more, in the window, and they no longer repeat
+        uneven = EVENS.indicator(N)
+        uneven[N - 2] = True
+        distinct, few, many = read(IdentityMatrix(), uneven, N)
         assert len(many) == 2 and not few
         assert len(built) == len(many)
         assert set(built) == {N}

@@ -35,6 +35,7 @@ from pmstat import (
     ai_density_is_full,
     ai_density_is_null,
     cesaro1,
+    finite_set,
     index_block,
     index_set_from_spec,
     matrix_from_spec,
@@ -200,18 +201,23 @@ class TestTailWindow:
             ai_density_is_full(A, Ideal.fin(), member, N, tol)
         assert built and all(start == tail_start(rows) for _, rows, start in built)
 
-        # density ideal: the first-level series is whole, and a B-series is
-        # built only for a window of more runs than a block has rows, and
-        # then only the window.  The defects of EVENS lie before the window
-        # or cover it, and SQUARES holds every index j*j the squares rows
-        # read: one run each.  EVENS holds every other one, 51 runs over the
-        # window of 100 rows, so with blocks of 16 rows only its membership
+        # density ideal: the first-level series is whole unless its rows
+        # repeat with a short period, and a B-series is built only for a
+        # window of more runs than a block has rows, and then only the
+        # window.  EVENS repeats with period 2, so A reads it in closed form;
+        # one odd member more, 5001, keeps it from repeating.  The defects of
+        # EVENS lie before the window or cover it, and SQUARES holds every
+        # index j*j the squares rows read: one run each.  EVENS holds every
+        # other one, 51 runs over the window of 100 rows, too few rows to be
+        # read by period, so with blocks of 16 rows only its membership
         # query builds a B-series; with blocks of 64 none does.
         rows = B.max_row_for(N)
         for block, want in ((16, [("squares", rows, tail_start(rows))]), (64, [])):
             built.clear()
             with mock.patch.object(summability, "BLOCK_ROWS", block):
                 ai_density(A, Ideal.density_zero(B), EVENS, N, tol)
+                assert built == []
+                ai_density(A, Ideal.density_zero(B), EVENS | finite_set([5001]), N, tol)
                 Ideal.density_zero(B).contains(SQUARES, N, tol)
                 Ideal.density_zero(B).contains(EVENS, N, tol)
             assert [b for b in built if b[0] == "cesaro"] == [("cesaro", N, 1)]
