@@ -15,7 +15,8 @@ Spec grammars used by the flags:
 * sequence: ``const:<p>``, ``except:<p>:<set spec>``,
   ``alternate:<p>,<q>:<set spec>``, or ``splice:<seq>@<set spec>@<p>``
 * matrix: ``cesaro | identity | constcol | squares | block:<m> |
-  weighted:<p> | file:<path>``; ideal: ``fin | density:<matrix spec>``
+  weighted:<p> | file:<path>``; ideal: ``fin | density:<matrix spec>``, or
+  ``density-zero(<matrix spec>)`` as reports name it; each name parses back
 
 Exit codes: 0 success (for checks: the property holds), 1 the check or
 suite failed, 2 usage or input errors.

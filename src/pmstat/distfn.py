@@ -11,9 +11,9 @@ This module implements the piecewise-constant members of the family:
 
 * left-continuous evaluation, so ``unit_step(b)`` evaluates to 0 at ``b``
   and to 1 strictly above ``b``;
-* the modified Levy metric ``levy_distance``, computed exactly by a
-  binary search over a finite candidate set of slacks, with one
-  feasibility test (``levy_feasible``) per step, and a one-test bound
+* the modified Levy metric ``levy_distance``, computed by a binary search
+  over a finite candidate set of slacks, with one feasibility test
+  (``levy_feasible``) per step, to within an ulp, and a one-test bound
   ``levy_within`` that can prove the distance at most a given slack;
 * an exact closed form ``levy_distance_to_zero`` for the distance to the
   unit step at 0 (the maximal d.d.f.);
@@ -234,7 +234,7 @@ def _levy_candidates(f: StepDistFn, g: StepDistFn) -> list[float]:
 
 
 def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> float:
-    """Modified Levy metric between two step d.d.f.s, exact.
+    """Modified Levy metric between two step d.d.f.s, to within an ulp.
 
     By ``levy_feasible`` the slack a is feasible exactly when, for every
     jump ``(m, w)`` of g with ``m < 1/a``, ``w <= f+(m + a) + a`` (f+ the
@@ -257,8 +257,12 @@ def levy_distance(f: StepDistFn, g: StepDistFn, tol: float = DEFAULT_DL_TOL) -> 
     interval [distance, 1], so when two candidates are adjacent floats and
     no float lies between them, the test is made at the lower one instead;
     in floats a slack just below a candidate can already be feasible (see
-    ``levy_within``).  The result is exact up to the rounding of the
-    candidate arithmetic (a difference or reciprocal of floats), and it is
+    ``levy_within``).  The result is a candidate, moved by the rounding of
+    the candidate arithmetic, and the test reads the rounded sum m + a,
+    which can land on l while a < l - m: so it can read below the exact
+    distance, by up to an ulp of max(1, largest jump location), and unit
+    steps at 1 + 2**-52 and 1 + 2**-51 read 0.0 (the strict xfail
+    ``TestLevyMetric::test_unit_steps_one_ulp_apart_are_apart``).  It is
     symmetric in f and g because the candidate set and the test are.
 
     ``tol`` is kept for callers of the earlier bisection; it must be

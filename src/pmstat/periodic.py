@@ -3,8 +3,9 @@
 ``TriangularMatrix._series`` reads such a series through ``_PeriodicSeries``
 when its rows read number at least ``BLOCK_ROWS``: in closed form, one
 residue class at a time, with no float row built.  Spans shorter than
-``BLOCK_ROWS`` are built from the closed form and read as ``_Series`` reads
-them, which costs less.
+``BLOCK_ROWS``, and the window a fin target inside its range reads
+(``_Series.nearest``), are built from the closed form and read as ``_Series``
+reads them.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class _PeriodicSeries(_Series):
             lambda lo, hi: self._at(np.arange(lo, hi + 1)),
         )
 
-    def _tail(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each residue's first q in the tail window, and its count of rows there."""
-        q0 = -((self.first - self.starts[-1]) // self.p)
-        return q0, np.maximum(0, (self.n - self.first) // self.p - q0 + 1)
-
     def _at(self, x: np.ndarray) -> np.ndarray:
         """The values of rows x."""
         q, i = np.divmod(x - self.first[0], self.p)
@@ -146,7 +142,9 @@ class _PeriodicSeries(_Series):
         window rows at most them is at most k, compared as D_i / x exactly;
         the least row past them is one of rank k or above, and the least of
         those is of rank k."""
-        (q0, span), first, D = self._tail(), self.first, self.D
+        first, D = self.first, self.D
+        q0 = -((first - self.starts[-1]) // self.p)  # each residue's first q in the tail window
+        span = np.maximum(0, (self.n - first) // self.p - q0 + 1)  # and its count of rows there
         q1 = q0 + span - 1
 
         def holds(q: np.ndarray) -> np.ndarray:
@@ -166,21 +164,10 @@ class _PeriodicSeries(_Series):
 
     def median(self) -> float:
         """``np.median`` of the window's values: the middle one, or ``np.mean``
-        of the two middle ones; built, as for ``nearest``, for a window of fewer
-        rows than a block, and where D_i * x may pass int64."""
+        of the two middle ones; built for a window of fewer rows than a block,
+        and where D_i * x may pass int64."""
         size = self.n - self.starts[-1] + 1
         if size < summability.BLOCK_ROWS or int(np.abs(self.D).max()) * self.n >= _EXACT_PRODUCTS:
             return super().median()
         mid = size // 2
         return self._ranked(mid) if size % 2 else float(np.mean([self._ranked(mid - 1), self._ranked(mid)]))
-
-    def nearest(self, t: float) -> float:
-        """fl(y - t) is monotone in y, so the least |fl(y - t)| of a residue is
-        at one of the two rows where it crosses t."""
-        if self.n - self.starts[-1] + 1 < summability.BLOCK_ROWS:
-            return super().nearest(t)
-        q0, span = self._tail()
-        up = self._search(q0, span, self.D < 0, lambda q: self._value(q) >= t)
-        k = np.where(self.D < 0, span - up, up)  # the first row past the crossing
-        q = q0[:, None] + np.clip(k[:, None] + np.array([-1, 0]), 0, np.maximum(span - 1, 0)[:, None])
-        return float(np.abs(self._value(q) - t)[span > 0].min())

@@ -364,7 +364,7 @@ class _Series:
     themselves only when asked, each span built once by ``build(lo, hi)``,
     rows lo..hi: ``head(m)``, the first m, and ``window()``.  A limit reads
     rows through ``defects`` and ``median``, which a series of few values
-    answers from its level codes (``of_levels``), and a periodic one per
+    answers from its level codes (``_LevelSeries``), and a periodic one per
     residue class (``periodic._PeriodicSeries``)."""
 
     def __init__(
@@ -379,12 +379,6 @@ class _Series:
         at = [s - starts[0] for s in starts]
         lows, highs = np.minimum.reduceat(part, at).tolist(), np.maximum.reduceat(part, at).tolist()
         return cls(n, starts, lows, highs, float(part[-1]), lambda lo, hi: part[lo - starts[0] : hi - starts[0] + 1])
-
-    @classmethod
-    def of_levels(cls, levels: list[float], codes: np.ndarray, n: int, starts: list[int]) -> "_Series":
-        """The series whose rows starts[0]..n are ``levels[codes]``: increasing
-        level values, and an unsigned code per row."""
-        return _LevelSeries(levels, codes, n, starts)
 
     def head(self, m: int) -> np.ndarray:
         if self._head is None or len(self._head) < m:
@@ -805,10 +799,6 @@ class TriangularMatrix(SummMatrix):
         read at them (``_run_extremes``), other rows of one segment block by
         block (``_block_extremes``), each with rows built only when asked;
         other rows of several segments are built whole."""
-        several, exact = len(starts) > 1, self._exact(n_rows)
-        # several segments of other weights, or of fewer rows than a sixteenth of a block, cost less built whole
-        if several and (not exact or n_rows - starts[0] < BLOCK_ROWS // 16):
-            return super()._series(member, n_rows, starts)
         rows = self._row_head(member, n_rows)
         if self.power == 0 and n_rows - starts[0] >= BLOCK_ROWS:  # fewer rows cost less at run ends or built
             # imported here, so a process that reads no such series never compiles the reader
@@ -817,13 +807,10 @@ class TriangularMatrix(SummMatrix):
             pattern = _period(rows, starts[0], n_rows)
             if pattern is not None:
                 return _PeriodicSeries(pattern, self._carry(*rows, starts[0] - 1), n_rows, starts)
-        read = self._run_extremes(rows, n_rows, starts) if exact else None
-        if read is None and several:
+        read = self._run_extremes(rows, n_rows, starts) if self._exact(n_rows) else None
+        if read is None and len(starts) > 1:
             return super()._series(member, n_rows, starts)
-        if read is None:
-            low, high, last = self._block_extremes(rows, n_rows)
-            read = [low], [high], last, None
-        lows, highs, last, carry = read
+        lows, highs, last, carry = read or self._block_extremes(rows, n_rows)
 
         def build(lo: int, hi: int) -> np.ndarray:
             out = np.empty(hi - lo + 1)
@@ -833,10 +820,10 @@ class TriangularMatrix(SummMatrix):
 
         return _Series(n_rows, starts, lows, highs, last, build)
 
-    def _block_extremes(self, rows: tuple[np.ndarray, bool], n_rows: int) -> tuple[float, float, float]:
-        """The least, greatest and last value of the tail window, read block
-        by block from the member ``rows`` expanded to every row, or for other
-        weights and no member in closed form.
+    def _block_extremes(self, rows: tuple[np.ndarray, bool], n_rows: int) -> tuple[list, list, float, None]:
+        """The tail window as ``_run_extremes`` reads it, with no carry, read
+        block by block from the member ``rows`` expanded to every row, or for
+        other weights and no member in closed form.
 
         With K_s the members' weight before the window's first row s, a
         window with no member reads K_s / W_m, not rising in m because W is
@@ -853,11 +840,11 @@ class TriangularMatrix(SummMatrix):
             before, at_s = k[0], w[0]
             for _, w in sums:
                 pass
-            return float(before / w[-1]), float(before / at_s), float(before / w[-1])
+            return [float(before / w[-1])], [float(before / at_s)], float(before / w[-1]), None
         low, high = math.inf, -math.inf
         for block in self._blocks(mem, n_rows, s):
             low, high = min(low, float(block.min())), max(high, float(block.max()))
-        return low, high, float(block[-1])
+        return [low], [high], float(block[-1]), None
 
     def nonvanishing_column(self) -> int | None:
         """Column phi(1) keeps the share w_1 / (w_1 + ... + w_n), which tends
@@ -865,32 +852,11 @@ class TriangularMatrix(SummMatrix):
         return self.support_bound(1) if self.power < -1 else None
 
 
-class IdentityMatrix(SummMatrix):
-    """a_nk = 1 when n = k; A-density of M is just the indicator of M."""
-
-    name = "identity"
-
-    def row(self, n: int) -> tuple[tuple[int, float], ...]:
-        return ((n, 1.0),)
-
-    def support_bound(self, n: int) -> int:
-        return n
-
-    def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
-        _check_window(n_rows, start)
-        return _member_array(member, n_rows)[start - 1 :].astype(float)
-
-    def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
-        """The 0/1 series as level codes: the membership viewed as bytes."""
-        codes = _member_array(member, n_rows)[starts[0] - 1 :].view(np.uint8)
-        return _Series.of_levels([0.0, 1.0], codes, n_rows, starts)
-
-
 class ConstantColumnMatrix(SummMatrix):
     """a_nk = 1 for k = col = 1 in every row; fails the vanishing-column condition."""
 
     col = 1
-    name = "constcol:1"
+    name = "constcol"
 
     def row(self, n: int) -> tuple[tuple[int, float], ...]:
         return ((self.col, 1.0),)
@@ -924,9 +890,9 @@ class BlockMatrix(SummMatrix):
     def _counts(self, member: Membership, n_rows: int, start: int) -> np.ndarray:
         """The member count of each block of rows start..n_rows, in the least
         unsigned type that holds m: summed on the membership viewed as bytes,
-        with no cast copy or index array."""
-        mem = _member_array(member, n_rows * self.m)[(start - 1) * self.m :]
-        return mem.view(np.uint8).reshape(-1, self.m).sum(axis=1, dtype=np.min_scalar_type(self.m))
+        with no cast copy or index array, and for m = 1 that view itself."""
+        mem = _member_array(member, n_rows * self.m)[(start - 1) * self.m :].view(np.uint8)
+        return mem if self.m == 1 else mem.reshape(-1, self.m).sum(axis=1, dtype=np.min_scalar_type(self.m))
 
     def density_series(self, member: Membership, n_rows: int, start: int = 1) -> np.ndarray:
         _check_window(n_rows, start)
@@ -935,7 +901,16 @@ class BlockMatrix(SummMatrix):
     def _series(self, member: Membership, n_rows: int, starts: list[int]) -> _Series:
         """The series as level codes: the member counts, of levels k/m."""
         levels = (np.arange(self.m + 1) / self.m).tolist()
-        return _Series.of_levels(levels, self._counts(member, n_rows, starts[0]), n_rows, starts)
+        return _LevelSeries(levels, self._counts(member, n_rows, starts[0]), n_rows, starts)
+
+
+class IdentityMatrix(BlockMatrix):
+    """a_nk = 1 when n = k: ``block:1``, whose blocks hold one index, so the
+    A-density series of M is the indicator of M, read as its own bytes."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        self.name = "identity"
 
 
 class ExplicitMatrix(SummMatrix):
@@ -1197,12 +1172,14 @@ class Ideal:
 
 
 def ideal_from_spec(spec: str) -> Ideal:
-    """Parse an ideal spec: ``fin | density:<matrix spec>``."""
+    """Parse an ideal spec: ``fin | density:<matrix spec> | density-zero(<matrix spec>)``."""
     spec = spec.strip()
     if spec == "fin":
         return Ideal.fin()
     if spec.startswith("density:"):
         return Ideal.density_zero(matrix_from_spec(spec[8:]))
+    if spec.startswith("density-zero(") and spec.endswith(")"):
+        return Ideal.density_zero(matrix_from_spec(spec[13:-1]))
     raise ValueError(f"cannot parse ideal spec {spec!r}")
 
 
@@ -1424,8 +1401,8 @@ def ai_density(
     so it builds the tail window only for the median or a fin target inside
     the window's range, and of the rows before it only those a defect set
     compares.  Under weights 1, rows that repeat with a short period are
-    read in closed form per residue class: extremes, defect sets, the
-    median and a fin target's nearest row, with no row built at 10^6.
+    read in closed form per residue class: extremes, defect sets and the
+    median, with no row built at 10^6.
     """
     if horizon < 10:
         raise ValueError(f"horizon must be at least 10, got {horizon}")

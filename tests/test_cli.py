@@ -469,7 +469,7 @@ class TestConfigAndEnv:
         assert json.loads(out.read_text())["matrix"] == "cesaro"
         rc = main(["density", "evens", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
-        assert json.loads(out.read_text())["matrix"] == "constcol:1"
+        assert json.loads(out.read_text())["matrix"] == "constcol"
 
     def test_horizon_is_not_a_config_key(self, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
         # the horizon is set by N alone

@@ -375,6 +375,32 @@ class TestMatrices:
         with pytest.raises(ValueError, match="cannot parse"):
             matrix_from_spec("hilbert")
 
+    BUILT_IN_KINDS = ["cesaro", "identity", "constcol", "squares", "block:1", "block:12", "weighted:1", "weighted:-0.5"]
+
+    @pytest.mark.parametrize("spec", [*BUILT_IN_KINDS, "file"])
+    def test_a_matrix_name_parses_back(self, spec: str, tmp_path) -> None:
+        # the name a report prints reads back as the matrix that printed it
+        if spec == "file":
+            path = tmp_path / "m.json"
+            path.write_text("[[1.0], [0.5, 0.5]]")
+            spec = f"file:{path}"
+        A = matrix_from_spec(spec)
+        back = matrix_from_spec(A.name)
+        assert (type(back), back.name) == (type(A), A.name)
+
+    # constcol keeps column 1, so no density ideal is built on it
+    @pytest.mark.parametrize("spec", ["fin", *(f"density:{m}" for m in BUILT_IN_KINDS if m != "constcol")])
+    def test_an_ideal_name_parses_back(self, spec: str) -> None:
+        ideal = ideal_from_spec(spec)
+        back = ideal_from_spec(ideal.name)
+        assert (back.kind, back.name) == (ideal.kind, ideal.name)
+
+    def test_identity_is_block_1(self) -> None:
+        A = IdentityMatrix()
+        assert isinstance(A, BlockMatrix) and A.m == 1 and A.name == "identity"
+        # it reads through block's readers alone
+        assert not {"row", "support_bound", "density_series", "_series", "_counts"} & set(IdentityMatrix.__dict__)
+
     def test_max_row_for_respects_horizon(self) -> None:
         with pytest.raises(ValueError, match="below the support"):
             squares_rows().max_row_for(0)
@@ -776,7 +802,7 @@ class TestSegmentReads:
 
 
 class TestLevelSeries:
-    """Identity and block series read as level codes (``_Series.of_levels``):
+    """Identity and block series read as level codes (``_LevelSeries``):
     defect sets keyed by level indices and medians from code counts, against
     the same readings of the float series built whole."""
 
@@ -843,13 +869,22 @@ class TestLevelSeries:
     def test_median_and_nearest_deviation_read_the_level_counts(self) -> None:
         # a window of rows 3..6 (codes 0, 2, 2, 3): the two middle ones average
         levels = [0.0, 0.25, 0.5, 1.0]
-        series = summability._Series.of_levels(levels, np.array([3, 1, 0, 2, 2, 3], dtype=np.uint8), 6, [1, 3])
+        series = summability._LevelSeries(levels, np.array([3, 1, 0, 2, 2, 3], dtype=np.uint8), 6, [1, 3])
         assert series.median() == 0.5 == float(np.median([0.0, 0.5, 0.5, 1.0]))
         assert series.nearest(0.3) == abs(0.5 - 0.3) and series.nearest(0.1) == 0.1 and series.nearest(0.5) == 0.0
         assert (series.lows, series.highs, series.last) == ([0.25, 0.0], [1.0, 1.0], 1.0)
         # levels 0.25 never occurs in the window: ranks skip it
-        odd = summability._Series.of_levels(levels, np.array([0, 0, 3, 3, 0], dtype=np.uint8), 5, [3])
+        odd = summability._LevelSeries(levels, np.array([0, 0, 3, 3, 0], dtype=np.uint8), 5, [3])
         assert odd.median() == 0.0 and odd.nearest(0.3) == 0.3
+
+    def test_identity_codes_are_the_membership_itself(self) -> None:
+        # block:1's member counts are the membership viewed as bytes: no copy
+        n = 1000
+        mem = EVENS.indicator(n)
+        for starts in ([1], [1, 3, 501], [tail_start(n)]):
+            codes = IdentityMatrix()._series(mem, n, starts).codes
+            assert codes.dtype == np.uint8 and np.shares_memory(codes, mem)
+            assert codes.tolist() == mem[starts[0] - 1 :].tolist()
 
     def test_a_head_of_another_kind_is_read_as_bool(self) -> None:
         # level codes view the membership as bytes, so a head of counts must not reach them as is
@@ -1284,8 +1319,10 @@ class TestIdeals:
         ideal = ideal_from_spec("density:cesaro")
         assert ideal.kind == "density"
         assert ideal.name == "density-zero(cesaro)"
-        with pytest.raises(ValueError, match="cannot parse"):
-            ideal_from_spec("maximal")
+        assert ideal_from_spec(" density-zero(block:4) ").matrix.name == "block:4"
+        for bad in ("maximal", "density-zero(cesaro", "density-zero()"):
+            with pytest.raises(ValueError, match="cannot parse"):
+                ideal_from_spec(bad)
 
 
 class TestTies:
